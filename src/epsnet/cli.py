@@ -151,7 +151,7 @@ def _element(args, dimension: int) -> GroupElement:
     return factory(theta)
 
 
-def _matrix_argument(args, kind: str, rng: random.Random):
+def _matrix_argument(args, rng: random.Random):
     """Resolve --matrix / --matrix-net / --random into a pipeline input."""
     given = [args.matrix is not None, args.matrix_net is not None, args.random]
     if sum(given) != 1:
@@ -161,7 +161,7 @@ def _matrix_argument(args, kind: str, rng: random.Random):
     if args.matrix_net is not None:
         rows = _load_json_arg(args.matrix_net)
         return [[Net.parse(str(v), 0) if isinstance(v, str) else float(v) for v in row] for row in rows]
-    if kind == "rotation":
+    if args.command == "rotation":
         return random_special_orthogonal(rng, args.dim)
     return random_proper_lorentz(rng, args.dim)
 
@@ -205,22 +205,13 @@ def _cmd_one_param(args, rng):
     return verdict, args.p, rep.to_json_dict(), f"{note}; verdict={rep.verdict}"
 
 
-def _cmd_rotation(args, rng):
+def _cmd_pipeline(args, rng):
     net = _net(args)
     box = _parse_box(args.box, args.dim, args.samples)
     grid = _grid(args)
-    M = _matrix_argument(args, "rotation", rng)
-    rep = rotation_invariance_pipeline(net, M, box, grid, args.p, strict=args.strict)
-    verdict = "positive" if rep.verdict else "negative"
-    return verdict, args.p, rep.to_json_dict(), f"invariant={rep.verdict} (consistent={rep.consistent})"
-
-
-def _cmd_lorentz(args, rng):
-    net = _net(args)
-    box = _parse_box(args.box, args.dim, args.samples)
-    grid = _grid(args)
-    L = _matrix_argument(args, "lorentz", rng)
-    rep = lorentz_invariance_pipeline(net, L, box, grid, args.p, strict=args.strict)
+    matrix = _matrix_argument(args, rng)
+    pipeline = {"rotation": rotation_invariance_pipeline, "lorentz": lorentz_invariance_pipeline}
+    rep = pipeline[args.command](net, matrix, box, grid, args.p, strict=args.strict)
     verdict = "positive" if rep.verdict else "negative"
     return verdict, args.p, rep.to_json_dict(), f"invariant={rep.verdict} (consistent={rep.consistent})"
 
@@ -339,8 +330,8 @@ _HANDLERS = {
     "classify": _cmd_classify,
     "invariance": _cmd_invariance,
     "one-param": _cmd_one_param,
-    "rotation": _cmd_rotation,
-    "lorentz": _cmd_lorentz,
+    "rotation": _cmd_pipeline,
+    "lorentz": _cmd_pipeline,
     "decompose-so": _cmd_decompose_so,
     "decompose-lorentz": _cmd_decompose_lorentz,
     "dirichlet": _cmd_dirichlet,
@@ -377,6 +368,7 @@ def _add_common(sp, *names):
         sp.add_argument("--p", type=int, default=None)
     if "box" in names:
         sp.add_argument("--box", type=str, default=None, help="per-axis lo:hi, comma separated")
+    if "box" in names or "samples" in names:
         sp.add_argument("--samples", type=int, default=None)
     if "net" in names:
         sp.add_argument("--f", type=str, required=True, help="expression in eps, x1..xd")
@@ -406,27 +398,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verifiers for invariance properties of nets of smooth functions",
         parents=[common],
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    class _Sub:
-        def add_parser(self, name, **kwargs):
-            return subparsers.add_parser(name, parents=[common], **kwargs)
-
-    sub = _Sub()
-
-    sp = sub.add_parser("classify", help="asymptotic classification of a net")
+    sp = sub.add_parser("classify", parents=[common], help="asymptotic classification of a net")
     _add_common(sp, "net", "box", "grid")
     sp.add_argument("--max-order", type=int, default=None, dest="max_order")
     sp.add_argument("--p-max", type=int, default=None, dest="p_max")
 
-    sp = sub.add_parser("invariance", help="invariance of a net under one element")
+    sp = sub.add_parser("invariance", parents=[common],
+                        help="invariance of a net under one element")
     _add_common(sp, "net", "box", "grid", "p")
     sp.add_argument("--element", type=str, default=None, help="GroupElement JSON (inline or file)")
     sp.add_argument("--rotation", type=str, default=None, help="i,j,theta (theta real or eps-expression)")
     sp.add_argument("--boost", type=str, default=None, help="i,j,theta")
     sp.add_argument("--translate", type=str, default=None, help="comma-separated offset")
 
-    sp = sub.add_parser("one-param", help="real-parameter hypothesis plus generalized conclusion")
+    sp = sub.add_parser("one-param", parents=[common],
+                        help="real-parameter hypothesis plus generalized conclusion")
     _add_common(sp, "net", "box", "grid", "p")
     sp.add_argument("--kind", choices=("rotation", "boost"), required=True)
     sp.add_argument("--i", type=int, required=True)
@@ -435,51 +423,52 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gen-theta", action="append", default=None, dest="gen_theta")
 
     for name in ("rotation", "lorentz"):
-        sp = sub.add_parser(name, help=f"{name} invariance pipeline via factorization")
+        sp = sub.add_parser(name, parents=[common],
+                            help=f"{name} invariance pipeline via factorization")
         _add_common(sp, "net", "box", "grid", "p")
         sp.add_argument("--matrix", type=str, default=None)
         sp.add_argument("--matrix-net", type=str, default=None, dest="matrix_net")
         sp.add_argument("--random", action="store_true", default=False)
 
-    sp = sub.add_parser("decompose-so", help="factor an orthogonal matrix")
+    sp = sub.add_parser("decompose-so", parents=[common], help="factor an orthogonal matrix")
     sp.add_argument("--matrix", type=str, required=True)
 
-    sp = sub.add_parser("decompose-lorentz", help="factor a proper orthochronous Lorentz matrix")
+    sp = sub.add_parser("decompose-lorentz", parents=[common],
+                        help="factor a proper orthochronous Lorentz matrix")
     sp.add_argument("--matrix", type=str, required=True)
 
-    sp = sub.add_parser("dirichlet", help="minimal-defect approximation pair")
+    sp = sub.add_parser("dirichlet", parents=[common], help="minimal-defect approximation pair")
     sp.add_argument("--alpha", type=str, required=True)
     sp.add_argument("--N", type=int, required=True)
 
-    sp = sub.add_parser("liouville", help="lower-bound constant and exponent for a catalog number")
+    sp = sub.add_parser("liouville", parents=[common],
+                        help="lower-bound constant and exponent for a catalog number")
     sp.add_argument("--alpha", type=str, required=True)
 
-    sp = sub.add_parser("corollary-pair", help="two-sided pair for a catalog number")
+    sp = sub.add_parser("corollary-pair", parents=[common],
+                        help="two-sided pair for a catalog number")
     sp.add_argument("--alpha", type=str, required=True)
     sp.add_argument("--R", type=float, required=True)
 
-    sp = sub.add_parser("two-period", help="two periods force a generalized constant")
+    sp = sub.add_parser("two-period", parents=[common],
+                        help="two periods force a generalized constant")
     sp.add_argument("--f", type=str, required=True)
     sp.add_argument("--alpha", type=str, required=True)
     sp.add_argument("--R", type=float, required=True)
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--k-min", type=int, default=None, dest="k_min")
-    sp.add_argument("--k-max", type=int, default=None, dest="k_max")
-    sp.add_argument("--samples", type=int, default=None)
+    _add_common(sp, "grid", "p", "samples")
 
-    sp = sub.add_parser("translation", help="translation invariance forces a constant")
+    sp = sub.add_parser("translation", parents=[common],
+                        help="translation invariance forces a constant")
     _add_common(sp, "net", "box", "grid", "p")
     sp.add_argument("--h-samples", type=str, default=None, dest="h_samples",
                     help="semicolon-separated offset vectors, components comma-separated")
 
-    sp = sub.add_parser("explore-open-question", help="two-period data for non-algebraic ratios")
+    sp = sub.add_parser("explore-open-question", parents=[common],
+                        help="two-period data for non-algebraic ratios")
     sp.add_argument("--f", type=str, required=True)
     sp.add_argument("--alpha", type=str, required=True)
     sp.add_argument("--R", type=float, required=True)
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--k-min", type=int, default=None, dest="k_min")
-    sp.add_argument("--k-max", type=int, default=None, dest="k_max")
-    sp.add_argument("--samples", type=int, default=None)
+    _add_common(sp, "grid", "p", "samples")
 
     return parser
 
@@ -516,7 +505,7 @@ def run(argv) -> int:
     except (UsageError, ex.ParseError, DecompositionError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
-    except (ex.EvalError, CBoundednessError) as err:
+    except (ArithmeticError, CBoundednessError) as err:
         print(f"evaluation error: {err}", file=sys.stderr)
         return EXIT_ERROR
     out = args.out or f"{args.command.replace('-', '_')}_report.json"

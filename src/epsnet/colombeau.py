@@ -263,9 +263,21 @@ def _spatial_multi_indices(dimension: int, max_order: int):
     return out
 
 
-def _sup_on_lattice(body: ex.Expr, eps: float, lattice: np.ndarray) -> float:
-    values = ex.eval_points(body, eps, lattice)
-    return float(np.max(np.abs(values)))
+def grid_sups(body: ex.Expr, eps_values, points: np.ndarray, alpha=None) -> list[float]:
+    """Max of |body| over the rows of ``points``, one value per eps, in order.
+
+    A NaN anywhere on the points makes that eps's sup NaN, which every verdict
+    reads as non-finite.  An :class:`~epsnet.expr.EvalError` is re-raised with
+    the eps (and the multi-index ``alpha``, when given) attached.
+    """
+    sups = []
+    for eps in eps_values:
+        try:
+            values = ex.eval_points(body, eps, points)
+        except ex.EvalError as err:
+            raise err.with_context(eps=eps, alpha=alpha) from None
+        sups.append(float(np.max(np.abs(values))))
+    return sups
 
 
 def seminorm(
@@ -288,7 +300,7 @@ def seminorm(
         raise ValueError("multi-index length does not match net dimension")
     mi = ex.multi_index(orders, max_order=max_order)
     deriv = ex.partial_multi(f.body, mi)
-    return _sup_on_lattice(deriv, eps, box.lattice())
+    return grid_sups(deriv, (eps,), box.lattice(), mi.orders)[0]
 
 
 def classify(
@@ -305,19 +317,12 @@ def classify(
     if box.dimension != f.dimension:
         raise ValueError("box dimension does not match net dimension")
     lattice = box.lattice()
-    alphas = _spatial_multi_indices(f.dimension, max_order)
     aggregated = np.zeros(len(grid))
     per_alpha = []
-    for alpha in alphas:
+    for alpha in _spatial_multi_indices(f.dimension, max_order):
         deriv = ex.partial_multi(f.body, alpha)
-        sups = []
-        for i, eps in enumerate(grid):
-            try:
-                s = _sup_on_lattice(deriv, eps, lattice)
-            except ex.EvalError as err:
-                raise err.with_context(eps=eps, alpha=alpha.orders) from None
-            sups.append(s)
-            aggregated[i] = max(aggregated[i], s)
+        sups = grid_sups(deriv, grid, lattice, alpha.orders)
+        aggregated = np.maximum(aggregated, sups)
         per_alpha.append((alpha.orders, fit_decay_exponent(tuple(zip(grid.values, sups)))))
     return report_from_sups(
         grid, aggregated.tolist(), p_max=p_max, bound=bound, per_alpha=tuple(per_alpha)

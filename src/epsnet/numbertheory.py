@@ -16,10 +16,6 @@ from typing import Callable
 import numpy as np
 from mpmath import mp, mpf
 
-#: Direct scans are used up to this N; beyond it the continued-fraction path
-#: takes over (for irrational alpha both return the minimal-defect pair).
-SCAN_LIMIT = 100_000
-
 _MIN_PREC = 96
 
 
@@ -151,24 +147,6 @@ class DirichletPair:
         return float(self.defect)
 
 
-def _dirichlet_scan(alpha_mp, alpha_float: float, N: int) -> tuple:
-    ls = np.arange(1, N + 1, dtype=float)
-    ks = np.round(ls * alpha_float)
-    defects = np.abs(ks - ls * alpha_float)
-    best = float(defects.min())
-    # re-rank float near-ties exactly; ties go to the smaller l
-    candidates = np.nonzero(defects <= best + 1e-9)[0]
-    best_pair = None
-    best_defect = None
-    for idx in candidates:
-        l = int(ls[idx])
-        k = int(ks[idx])
-        d = abs(k - l * alpha_mp)
-        if best_defect is None or d < best_defect:
-            best_pair, best_defect = (k, l), d
-    return best_pair[0], best_pair[1], best_defect
-
-
 def _dirichlet_convergent(alpha_mp, N: int) -> tuple:
     """Last continued-fraction convergent with denominator <= N; for
     irrational alpha this is the minimal-defect pair among l <= N."""
@@ -191,10 +169,14 @@ def _dirichlet_convergent(alpha_mp, N: int) -> tuple:
     return k, q, abs(k - q * alpha_mp)
 
 
-def dirichlet(alpha, N: int, scan_limit: int = SCAN_LIMIT) -> DirichletPair:
+def dirichlet(alpha, N: int) -> DirichletPair:
     """The minimal-defect pair (k, l) with 0 < l <= N and |k - l*alpha| <= 1/N.
 
-    Existence is guaranteed for irrational alpha; ties resolve to smaller l.
+    The pair is the last continued-fraction convergent k/l of alpha with
+    l <= N; by the best-approximation theorem no l <= N has a smaller defect.
+    For irrational alpha the minimal pair is unique.  For rational alpha two
+    pairs can tie (alpha = 1.5, N = 1: |1 - 1.5| = |2 - 1.5|), and the
+    convergent (here k = 1) is the one returned.
     """
     N = int(N)
     if N < 1:
@@ -207,14 +189,7 @@ def dirichlet(alpha, N: int, scan_limit: int = SCAN_LIMIT) -> DirichletPair:
         alpha_mp = provider(prec)
         if not alpha_mp > 0:
             raise ValueError("alpha must be positive")
-        if N <= scan_limit:
-            k, l, defect = _dirichlet_scan(alpha_mp, float(alpha_mp), N)
-        else:
-            k, l, defect = _dirichlet_convergent(alpha_mp, N)
-        if defect > mpf(1) / N:
-            # the scan winner should always satisfy the theorem bound; if the
-            # best round(l*alpha) pair misses it, fall back to convergents
-            k, l, defect = _dirichlet_convergent(alpha_mp, N)
+        k, l, defect = _dirichlet_convergent(alpha_mp, N)
         return DirichletPair(k, l, +defect)
 
 

@@ -25,7 +25,9 @@ from .colombeau import (
     CompactBox,
     EpsilonGrid,
     Net,
+    classify,
     fit_decay_exponent,
+    grid_sups,
     image_bound_check,
     is_bounded_generalized_number,
     report_from_sups,
@@ -90,41 +92,24 @@ def _noise_floor(scale: float) -> float:
     return max(NOISE_ATOL, NOISE_ULPS * _MACHINE_EPS * max(1.0, scale))
 
 
-def _deviation_sups(f: Net, g: GroupElement, box: CompactBox, grid: EpsilonGrid, max_order: int):
-    """Sup over the lattice of |f o g - f| per eps (and derivative sups when
-    max_order > 0, symbolic path only), plus the per-eps measurability floor."""
+def _deviation_sups(f: Net, g: GroupElement, box: CompactBox, grid: EpsilonGrid):
+    """Sup over the lattice of |f o g - f| per eps, snapped to zero at or below the
+    per-eps measurability floor, plus the floors."""
     lattice = box.lattice()
-    floors = [
-        _noise_floor(float(np.max(np.abs(ex.eval_points(f.body, eps, lattice)))))
-        for eps in grid
-    ]
+    floors = [_noise_floor(s) for s in grid_sups(f.body, grid, lattice)]
     try:
         composed = compose_net(f, g)
-        diff = Net(ex.c_sub(composed.body, f.body), f.dimension)
     except TabulatedAngleError:
-        diff = None
-    if diff is not None:
-        sups = np.zeros(len(grid))
-        for alpha in _alphas(f.dimension, max_order):
-            deriv = ex.partial_multi(diff.body, alpha)
-            for i, eps in enumerate(grid):
-                vals = ex.eval_points(deriv, eps, lattice)
-                sups[i] = max(sups[i], float(np.max(np.abs(vals))))
-        sups = sups.tolist()
-    else:
+        # tabulated angles have no symbolic form: difference the values
         sups = []
         for eps in grid:
             base = ex.eval_points(f.body, eps, lattice)
             moved = ex.eval_points(f.body, eps, g.apply_points(lattice, eps))
             sups.append(float(np.max(np.abs(moved - base))))
+    else:
+        sups = grid_sups(ex.c_sub(composed.body, f.body), grid, lattice)
     snapped = [0.0 if s <= fl else s for s, fl in zip(sups, floors)]
     return snapped, floors
-
-
-def _alphas(dimension: int, max_order: int):
-    from .colombeau import _spatial_multi_indices
-
-    return _spatial_multi_indices(dimension, max_order)
 
 
 def check_invariance(
@@ -133,17 +118,24 @@ def check_invariance(
     box: CompactBox,
     grid: Optional[EpsilonGrid] = None,
     p: int = 4,
-    max_order: int = 0,
     strict: bool = True,
     p_max: Optional[int] = None,
 ) -> InvarianceReport:
     """Measure sup |f(g(x)) - f(x)| over the box per eps and test whether the
-    deviation is negligible at order ``p``."""
+    deviation is negligible at order ``p``.
+
+    Only the values are compared, not derivatives.  A symbolic element is
+    composed into f and the difference evaluated as one expression; an element
+    with tabulated angles is applied to the lattice and the two value arrays
+    subtracted.  Deviations at or below the noise floor read as zero; a NaN
+    deviation is non-finite and fails the check.  With ``strict`` a
+    transformation that is not c-bounded on the box raises
+    :class:`CBoundednessError`, otherwise it only warns."""
     grid = grid or EpsilonGrid.dyadic()
     if g.dimension != f.dimension:
         raise ValueError("element dimension does not match net dimension")
     _check_c_bounded(g, box, grid, strict)
-    sups, floors = _deviation_sups(f, g, box, grid, max_order)
+    sups, floors = _deviation_sups(f, g, box, grid)
     report = report_from_sups(grid, sups, p_max=max(p_max or DEFAULT_P_MAX, p))
     # beyond the finest-quarter rule, require sup <= eps^p wherever the
     # deviation is large enough to be measurable at all
@@ -499,6 +491,24 @@ def _period_deviation(f: Net, h: float, radius: float, eps: float, samples: int)
     return float(np.max(np.abs(shifted - base)))
 
 
+def _two_period_sups(f: Net, alpha: float, radius: float, grid: EpsilonGrid, samples: int):
+    """Per-eps grid data of the two-period harnesses: the deviations for the
+    periods 1 and alpha over [-radius, radius], the centered sups
+    |f(x) - f(0)| over |x| <= radius - alpha - 2, and the failing period to
+    report when no eps0 exists (the one deviating more at the finest eps)."""
+    dev1 = [_period_deviation(f, 1.0, radius, eps, samples) for eps in grid]
+    dev2 = [_period_deviation(f, alpha, radius, eps, samples) for eps in grid]
+    inner = radius - alpha - 2.0
+    xs = np.linspace(-inner, inner, samples)[:, None]
+    centered = []
+    for eps in grid:
+        vals = ex.eval_points(f.body, eps, xs)
+        center = ex.evaluate(f.body, eps, (0.0,))
+        centered.append(float(np.max(np.abs(vals - center))))
+    failing = 1.0 if dev1[-1] > dev2[-1] else alpha
+    return dev1, dev2, centered, failing
+
+
 def _detect_eps0(grid: EpsilonGrid, dev1, dev2, exponent: float):
     """Coarsest grid eps from which both period deviations stay below
     eps^exponent on every finer grid point; None when no such tail exists."""
@@ -517,7 +527,7 @@ def _detect_eps0(grid: EpsilonGrid, dev1, dev2, exponent: float):
 def _derivative_moderateness(f: Net, radius: float, grid: EpsilonGrid, samples: int) -> int:
     deriv = ex.partial(f.body, 1)
     xs = np.linspace(-radius, radius, samples)[:, None]
-    sups = [float(np.max(np.abs(ex.eval_points(deriv, eps, xs)))) for eps in grid]
+    sups = grid_sups(deriv, grid, xs)
     slope = fit_decay_exponent(tuple(zip(grid.values, sups)))
     if math.isinf(slope):
         return 0
@@ -547,17 +557,7 @@ def two_period_constancy(
     if not radius > alpha + 2:
         raise ValueError("radius must exceed alpha + 2")
     M = liouville_constant(a).M
-    dev1 = [_period_deviation(f, 1.0, radius, eps, samples) for eps in grid]
-    dev2 = [_period_deviation(f, alpha, radius, eps, samples) for eps in grid]
-
-    inner = radius - alpha - 2.0
-    xs = np.linspace(-inner, inner, samples)[:, None]
-    measured = []
-    for eps in grid:
-        vals = ex.eval_points(f.body, eps, xs)
-        center = ex.evaluate(f.body, eps, (0.0,))
-        measured.append(float(np.max(np.abs(vals - center))))
-
+    dev1, dev2, measured, worst = _two_period_sups(f, alpha, radius, grid, samples)
     n_exp = _derivative_moderateness(f, radius, grid, samples)
     c_struct = (alpha + 2.0) * (radius + 1.0)
 
@@ -569,10 +569,8 @@ def two_period_constancy(
     for q in range(1, p + 1):
         eps0, start = _detect_eps0(grid, dev1, dev2, (M + 2) * q)
         if eps0 is None:
-            worst = 1.0 if dev1[-1] > dev2[-1] else alpha
             per_order.append((q, None, False))
-            if q == p or failing is None:
-                failing = worst
+            failing = worst
             continue
         ok_all = True
         c_emp = 0.0
@@ -655,8 +653,6 @@ def translation_constancy(
 ) -> TranslationReport:
     """Hypothesis: invariance under each sampled translation.  Conclusion:
     x -> f(x) - f(0) is negligible at order p on the box."""
-    from .colombeau import classify
-
     grid = grid or EpsilonGrid.dyadic()
     hypothesis = []
     for h in h_samples:
@@ -747,28 +743,19 @@ def open_question_explorer(
     if not radius > alpha + 2:
         raise ValueError("radius must exceed alpha + 2")
 
-    inner = radius - alpha - 2.0
-    xs = np.linspace(-inner, inner, samples)[:, None]
+    dev1, dev2, measured, worst = _two_period_sups(f, alpha, radius, grid, samples)
     rows = []
     eff_max = None
-    for eps in grid:
+    for eps, centered in zip(grid, measured):
         R = eps ** (-p)
         pair = dirichlet(alpha_provider if callable(alpha_provider) else alpha, int(R))
         with mp.workprec(64):
             dlog2 = float(mp.log(pair.defect, 2)) if pair.defect > 0 else -math.inf
         eff = -dlog2 / (p * -math.log2(eps)) if math.isfinite(dlog2) else math.inf
         eff_max = eff if eff_max is None else max(eff_max, eff)
-        vals = ex.eval_points(f.body, eps, xs)
-        center = ex.evaluate(f.body, eps, (0.0,))
-        rows.append(
-            ExplorerRow(eps, pair.k, pair.l, dlog2, eff, float(np.max(np.abs(vals - center))))
-        )
+        rows.append(ExplorerRow(eps, pair.k, pair.l, dlog2, eff, centered))
 
     m_hat = max(2, math.ceil(eff_max)) if eff_max is not None and math.isfinite(eff_max) else 2
-    dev1 = [_period_deviation(f, 1.0, radius, eps, samples) for eps in grid]
-    dev2 = [_period_deviation(f, alpha, radius, eps, samples) for eps in grid]
     eps0, _ = _detect_eps0(grid, dev1, dev2, (m_hat + 2) * p)
-    failing = None
-    if eps0 is None:
-        failing = 1.0 if dev1[-1] > dev2[-1] else alpha
+    failing = None if eps0 is not None else worst
     return ExplorerReport(alpha, radius, p, eps0 is not None, failing, eff_max, tuple(rows))

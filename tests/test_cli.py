@@ -88,6 +88,18 @@ class TestExitCodes:
         )
         assert code == EXIT_ERROR
 
+    def test_overflowing_element_is_an_error(self, tmp_path, capsys):
+        # cosh(1/eps) overflows once the boost is applied to the lattice
+        code, data = run_cmd(
+            tmp_path,
+            ["invariance", "--f", "x1^2-x2^2", "--dim", "2", "--boost", "1,2,1/eps", *FAST_GRID],
+        )
+        assert code == EXIT_ERROR
+        assert data is None
+        err = capsys.readouterr().err
+        assert err.startswith("evaluation error:") and len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_bad_matrix_error(self, tmp_path):
         m = tmp_path / "m.json"
         m.write_text("[[1,0.5],[0,1]]")

@@ -73,12 +73,37 @@ class TestDirichlet:
             with mp.workprec(120):
                 assert abs(pair.k - pair.l * provider(120)) <= mpf(1) / N + mpf(10) ** -25
 
-    def test_scan_and_convergent_paths_agree(self):
-        for name in ("sqrt2", "phi", "cbrt2"):
-            a = CAT[name]
-            by_scan = dirichlet(a, 10_000, scan_limit=100_000)
-            by_cf = dirichlet(a, 10_000, scan_limit=10)
-            assert (by_scan.k, by_scan.l) == (by_cf.k, by_cf.l)
+    def test_matches_brute_force_oracle(self):
+        # minimal |k - l*alpha| over every l <= L_MAX, with k the nearest
+        # integer, in extended precision; the running minimum over l is the
+        # minimal-defect pair for every N <= L_MAX
+        L_MAX = 10_000
+        rng = random.Random(5)
+        Ns = sorted({*range(1, 41), *(rng.randint(41, L_MAX) for _ in range(40)), L_MAX})
+        for spec in ("sqrt2", "phi", "cbrt2", "cbrt3", "pi", "e"):
+            provider, _, _ = resolve_alpha(spec)
+            with mp.workprec(200):
+                alpha = provider(200)
+                best = []
+                for l in range(1, L_MAX + 1):
+                    k = int(mp.nint(l * alpha))
+                    defect = abs(k - l * alpha)
+                    if not best or defect < best[-1][2]:
+                        best.append((k, l, defect))
+                    else:
+                        best.append(best[-1])
+            for N in Ns:
+                k, l, defect = best[N - 1]
+                pair = dirichlet(spec, N)
+                assert (pair.k, pair.l) == (k, l), (spec, N)
+                with mp.workprec(200):
+                    assert abs(pair.defect - defect) <= defect * mpf(2) ** -80
+
+    def test_rational_half_tie_returns_the_convergent(self):
+        # |1 - 1.5| == |2 - 1.5|: the continued fraction 1 + 1/2 stops at 1/1
+        pair = dirichlet("1.5", 1)
+        assert (pair.k, pair.l) == (1, 1)
+        assert pair.defect_float == 0.5
 
     def test_large_n_via_convergents(self):
         N = 10**8
