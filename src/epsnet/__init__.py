@@ -19,7 +19,6 @@ from .colombeau import (
     CompactBox,
     EpsilonGrid,
     Net,
-    TabulatedNet,
     VectorNet,
     classify,
     is_bounded_generalized_number,

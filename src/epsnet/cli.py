@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -99,19 +100,23 @@ def _algebraic(spec: str) -> AlgebraicNumber:
     return alg
 
 
-def _json_default(value):
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    raise TypeError(f"not JSON serializable: {type(value)}")
+def _plain_json(value):
+    """Copy of a report value in plain JSON types, with non-finite floats
+    written as the strings "inf", "-inf" and "nan"."""
+    if isinstance(value, dict):
+        return {k: _plain_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain_json(v) for v in value]
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else "inf" if value > 0 else "-inf"
+    return value
 
 
 def write_report(path: str, command: str, verdict: str, order, evidence) -> None:
     payload = {"command": command, "verdict": verdict, "order": order, "evidence": evidence}
-    text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
+    text = json.dumps(_plain_json(payload), sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
@@ -135,9 +140,16 @@ def _element(args, dimension: int) -> GroupElement:
         raise UsageError("provide exactly one of --element/--rotation/--boost/--translate")
     if args.element is not None:
         data = _load_json_arg(args.element)
+        if not isinstance(data, dict):
+            raise UsageError("--element must be a JSON object")
         if "dimension" not in data and "matrix" not in data and "coords" not in data:
             data["dimension"] = dimension
-        return element_from_json(data)
+        try:
+            return element_from_json(data)
+        except KeyError as err:
+            raise UsageError(f"--element is missing the field {err}") from None
+        except (AttributeError, TypeError, ValueError) as err:
+            raise UsageError(f"--element is not a group element: {err}") from None
     if args.translate is not None:
         return GroupElement.translation(dimension, _parse_vector(args.translate))
     spec = args.rotation if args.rotation is not None else args.boost
@@ -509,7 +521,11 @@ def run(argv) -> int:
         print(f"evaluation error: {err}", file=sys.stderr)
         return EXIT_ERROR
     out = args.out or f"{args.command.replace('-', '_')}_report.json"
-    write_report(out, args.command, verdict, order, evidence)
+    try:
+        write_report(out, args.command, verdict, order, evidence)
+    except OSError as err:
+        print(f"error: cannot write the report: {err}", file=sys.stderr)
+        return EXIT_ERROR
     print(f"{args.command}: {summary} [{verdict}] -> {out}")
     return EXIT_NEGATIVE if verdict in ("negative", "not-applicable") else EXIT_POSITIVE
 

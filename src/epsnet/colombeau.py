@@ -104,7 +104,7 @@ class Net:
     """A representative net: an expression in eps and x1..xd.
 
     ``dimension == 0`` means a generalized number, i.e. an expression in eps
-    alone.
+    alone; :meth:`tabulated` builds one known only on its own eps grid.
     """
 
     body: ex.Expr
@@ -126,6 +126,18 @@ class Net:
     def parse(cls, text: str, dimension: int) -> "Net":
         return cls(ex.parse(text, dimension), dimension)
 
+    @classmethod
+    def tabulated(cls, pairs) -> "Net":
+        """A scalar net from (eps, value) pairs, eps strictly decreasing.
+
+        Produced by per-eps matrix factorizations; evaluating it at an eps
+        outside the table raises :class:`~epsnet.expr.EvalError`.
+        """
+        pairs = tuple((float(e), float(v)) for e, v in pairs)
+        if any(pairs[i + 1][0] >= pairs[i][0] for i in range(len(pairs) - 1)):
+            raise ValueError("tabulated eps values must be strictly decreasing")
+        return cls(ex.Table(pairs), 0)
+
     def value_at(self, eps: float) -> float:
         if self.dimension != 0:
             raise ValueError("value_at is only defined for scalar nets (d=0)")
@@ -133,32 +145,6 @@ class Net:
 
     def __str__(self) -> str:
         return ex.to_text(self.body)
-
-
-@dataclass(frozen=True)
-class TabulatedNet:
-    """A scalar net given by a finite table of (eps, value) pairs.
-
-    Produced by per-eps matrix factorizations; only defined on its own grid.
-    """
-
-    table: tuple
-
-    def __post_init__(self):
-        tab = tuple((float(e), float(v)) for e, v in self.table)
-        object.__setattr__(self, "table", tab)
-        eps = [e for e, _ in tab]
-        if any(eps[i + 1] >= eps[i] for i in range(len(eps) - 1)):
-            raise ValueError("tabulated eps values must be strictly decreasing")
-
-    def value_at(self, eps: float) -> float:
-        for e, v in self.table:
-            if e == eps:
-                return v
-        raise KeyError(f"eps={eps!r} is not a grid point of this tabulated net")
-
-    def values(self) -> tuple:
-        return tuple(v for _, v in self.table)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ of planar rotations obtained by Givens elimination; the full orthogonal group
 adds one fixed reflection.  Proper orthochronous Lorentz matrices factor into
 spatial rotation, single boost, spatial rotation; the full Lorentz group adds
 fixed time and space inversions.  Matrices whose entries are scalar nets are
-factored eps-by-eps into tabulated angle nets.
+factored eps-by-eps; each angle slot becomes a tabulated scalar net
+(:meth:`Net.tabulated`), known only on the grid it was factored on.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .colombeau import EpsilonGrid, Net, TabulatedNet
+from .colombeau import EpsilonGrid, Net
 from .groups import GroupElement, PlanarFactor
 
 ORTHOGONALITY_TOL = 1e-8
@@ -199,7 +200,7 @@ class LorentzFactorization:
 
     dimension: int  # full spacetime dimension d+1
     r1: RotationSchedule
-    theta: object  # float or TabulatedNet
+    theta: object  # float or tabulated Net
     r2: RotationSchedule
 
     def boost_factor(self) -> PlanarFactor:
@@ -212,8 +213,8 @@ class LorentzFactorization:
         return GroupElement.from_factors(self.dimension, self.all_factors())
 
     def matrix(self, eps: Optional[float] = None) -> np.ndarray:
-        th = self.theta if not isinstance(self.theta, TabulatedNet) else self.theta.value_at(eps)
-        return self.r1.matrix(eps) @ boost_matrix(self.dimension, th) @ self.r2.matrix(eps)
+        boost = self.boost_factor().matrix(self.dimension, eps)
+        return self.r1.matrix(eps) @ boost @ self.r2.matrix(eps)
 
     def to_json_dict(self) -> dict:
         return {
@@ -314,7 +315,7 @@ def full_lorentz_decompose(L) -> FullLorentzDecomposition:
 
 
 def _entry_value(entry, eps: float) -> float:
-    if isinstance(entry, (Net, TabulatedNet)):
+    if isinstance(entry, Net):
         return entry.value_at(eps)
     return float(entry)
 
@@ -340,8 +341,8 @@ def decompose_net_matrix(M, grid: EpsilonGrid, kind: str):
         except DecompositionError as err:
             raise DecompositionError(f"factorization failed at eps={eps!r}: {err}") from None
 
-    def tabulate(values) -> TabulatedNet:
-        return TabulatedNet(tuple(zip(grid.values, values)))
+    def tabulate(values) -> Net:
+        return Net.tabulated(zip(grid.values, values))
 
     if kind == "rotation":
         first = per_eps[0]

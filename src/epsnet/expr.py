@@ -4,7 +4,10 @@ symbolic forward differentiation.
 Expressions are trees over real constants, the scale variable ``eps``, spatial
 variables ``x1`` .. ``x9``, the four arithmetic operations, integer powers and
 a fixed set of C-infinity primitives.  The language is closed under
-differentiation, so arbitrary mixed partials stay inside the language.
+differentiation, so arbitrary mixed partials stay inside the language.  A
+:class:`Table` leaf holds a scalar known only at finitely many eps (an angle
+read off a net-valued matrix eps by eps); it is constant in space and has no
+eps-derivative.
 Evaluation is pure and deterministic; floating-point underflow to zero is
 accepted silently, domain violations raise :class:`EvalError`.
 """
@@ -113,6 +116,14 @@ class Call(Expr):
 
 
 @dataclass(frozen=True)
+class Table(Expr):
+    """A scalar given by ``((eps, value), ...)`` pairs; any other eps is an
+    evaluation error."""
+
+    pairs: tuple
+
+
+@dataclass(frozen=True)
 class MultiIndex:
     """A multi-index of partial-derivative orders, one entry per spatial axis."""
 
@@ -152,6 +163,8 @@ def variables(e: Expr) -> set:
         node = stack.pop()
         if isinstance(node, Var):
             out.add(node.name)
+        elif isinstance(node, Table):
+            out.add("eps")
         elif isinstance(node, Neg):
             stack.append(node.arg)
         elif isinstance(node, BinOp):
@@ -352,7 +365,10 @@ def format_const(value: float) -> str:
 
 
 def to_text(e: Expr) -> str:
-    """Render an expression; the output re-parses to a structurally equal tree."""
+    """Render an expression; the output re-parses to a structurally equal tree.
+
+    A :class:`Table` prints as ``table[N]`` (N pairs), which is for messages
+    only and does not parse."""
     return _fmt(e, 0)
 
 
@@ -364,6 +380,8 @@ def _fmt(e: Expr, min_prec: int) -> str:
         return s
     if isinstance(e, Var):
         return e.name
+    if isinstance(e, Table):
+        return f"table[{len(e.pairs)}]"
     if isinstance(e, Call):
         return f"{e.fn}({_fmt(e.arg, 0)})"
     if isinstance(e, Neg):
@@ -452,6 +470,11 @@ def _ev(e: Expr, eps: float, X: np.ndarray) -> np.ndarray:
                 f"variable {e.name} undefined in dimension {X.shape[1]}", e, eps=eps
             )
         return X[:, idx - 1]
+    if isinstance(e, Table):
+        for grid_eps, value in e.pairs:
+            if grid_eps == eps:
+                return np.full(n, value)
+        raise EvalError("eps is not a grid point of the table", e, eps=eps)
     if isinstance(e, Neg):
         return -_ev(e.arg, eps, X)
     if isinstance(e, BinOp):
@@ -607,6 +630,10 @@ def _d(e: Expr, v: str) -> Expr:
         return Const(0.0)
     if isinstance(e, Var):
         return Const(1.0 if e.name == v else 0.0)
+    if isinstance(e, Table):
+        if v == "eps":
+            raise ValueError("a tabulated scalar has no eps-derivative")
+        return Const(0.0)
     if isinstance(e, Neg):
         return c_neg(_d(e.arg, v))
     if isinstance(e, BinOp):
@@ -661,7 +688,7 @@ def partial_multi(e: Expr, alpha) -> Expr:
 
 def subst(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Replace variables by expressions, rebuilding with constant folding."""
-    if isinstance(e, Const):
+    if isinstance(e, (Const, Table)):
         return e
     if isinstance(e, Var):
         return mapping.get(e.name, e)

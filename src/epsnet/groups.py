@@ -4,7 +4,8 @@ Group elements act on points numerically and on nets symbolically.  Angles
 and offsets may be plain reals or scalar nets in eps; in the latter case the
 element depends on the scale parameter and ``eps`` must be supplied when the
 element is applied numerically.  Angles produced by per-eps factorization are
-tabulated nets and only support the numeric path.
+tabulated nets: they compose symbolically like any other net, but evaluate
+only at the eps of their own grid.
 """
 
 from __future__ import annotations
@@ -16,17 +17,13 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import expr as ex
-from .colombeau import CompactBox, Net, TabulatedNet, VectorNet
+from .colombeau import CompactBox, Net, VectorNet
 
-Angle = Union[float, Net, TabulatedNet]
-
-
-class TabulatedAngleError(TypeError):
-    """Raised when a symbolic form is requested from a tabulated quantity."""
+Angle = Union[float, Net]
 
 
 def _scalar_at(value: Angle, eps: Optional[float]) -> float:
-    if isinstance(value, (Net, TabulatedNet)):
+    if isinstance(value, Net):
         if eps is None:
             raise ValueError("eps is required: element carries generalized scalars")
         return value.value_at(eps)
@@ -34,23 +31,17 @@ def _scalar_at(value: Angle, eps: Optional[float]) -> float:
 
 
 def _scalar_expr(value: Angle) -> ex.Expr:
-    if isinstance(value, TabulatedNet):
-        raise TabulatedAngleError("tabulated scalars have no closed form")
     if isinstance(value, Net):
         return value.body
     return ex.Const(float(value))
 
 
 def _scalar_json(value: Angle):
+    if isinstance(value, Net) and isinstance(value.body, ex.Table):
+        return {"table": [[e, v] for e, v in value.body.pairs]}
     if isinstance(value, Net):
         return ex.to_text(value.body)
-    if isinstance(value, TabulatedNet):
-        return {"table": [[e, v] for e, v in value.table]}
     return ex.format_const(float(value))
-
-
-def _depends_on_eps(value: Angle) -> bool:
-    return isinstance(value, (Net, TabulatedNet))
 
 
 @dataclass(frozen=True)
@@ -70,7 +61,7 @@ class PlanarFactor:
 
     @property
     def is_generalized(self) -> bool:
-        return _depends_on_eps(self.theta)
+        return isinstance(self.theta, Net)
 
     def theta_at(self, eps: Optional[float] = None) -> float:
         return _scalar_at(self.theta, eps)
@@ -123,16 +114,6 @@ class PlanarFactor:
         out[jj] = ex.c_add(ex.c_mul(s, coords[ii]), ex.c_mul(c, coords[jj]))
         return out
 
-    def inverse(self) -> "PlanarFactor":
-        th = self.theta
-        if isinstance(th, Net):
-            inv = Net(ex.c_neg(th.body), 0)
-        elif isinstance(th, TabulatedNet):
-            inv = TabulatedNet(tuple((e, -v) for e, v in th.table))
-        else:
-            inv = -float(th)
-        return PlanarFactor(self.kind, self.i, self.j, inv)
-
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "i": self.i, "j": self.j, "theta": _scalar_json(self.theta)}
 
@@ -147,12 +128,12 @@ class Translation:
         object.__setattr__(
             self,
             "offset",
-            tuple(o if isinstance(o, (Net, TabulatedNet)) else float(o) for o in self.offset),
+            tuple(o if isinstance(o, Net) else float(o) for o in self.offset),
         )
 
     @property
     def is_generalized(self) -> bool:
-        return any(_depends_on_eps(o) for o in self.offset)
+        return any(isinstance(o, Net) for o in self.offset)
 
     def offset_at(self, eps: Optional[float] = None) -> np.ndarray:
         return np.array([_scalar_at(o, eps) for o in self.offset])
@@ -162,17 +143,6 @@ class Translation:
 
     def compose_exprs(self, coords: Sequence[ex.Expr]) -> list:
         return [ex.c_add(c, _scalar_expr(o)) for c, o in zip(coords, self.offset)]
-
-    def inverse(self) -> "Translation":
-        out = []
-        for o in self.offset:
-            if isinstance(o, Net):
-                out.append(Net(ex.c_neg(o.body), 0))
-            elif isinstance(o, TabulatedNet):
-                out.append(TabulatedNet(tuple((e, -v) for e, v in o.table)))
-            else:
-                out.append(-float(o))
-        return Translation(tuple(out))
 
     def to_json_dict(self) -> dict:
         return {"kind": "translation", "offset": [_scalar_json(o) for o in self.offset]}
@@ -249,7 +219,7 @@ class GroupElement:
         if self.factors is not None:
             return any(f.is_generalized for f in self.factors)
         if self.matrix is not None:
-            return any(_depends_on_eps(v) for row in self.matrix for v in row)
+            return any(isinstance(v, Net) for row in self.matrix for v in row)
         return any("eps" in ex.variables(c) for c in self.coords)
 
     def compose(self, other: "GroupElement") -> "GroupElement":
@@ -275,7 +245,7 @@ class GroupElement:
                 [[_scalar_at(v, eps) for v in row] for row in self.matrix], dtype=float
             )
         if self.factors is None:
-            raise TabulatedAngleError("coordinate-expression elements are not matrix-backed")
+            raise TypeError("coordinate-expression elements are not matrix-backed")
         M = np.eye(self.dimension)
         for f in self.factors:
             if isinstance(f, Translation):
@@ -354,7 +324,7 @@ def element_from_json(data: dict) -> GroupElement:
 
     def scalar(v):
         if isinstance(v, dict) and "table" in v:
-            return TabulatedNet(tuple((e, val) for e, val in v["table"]))
+            return Net.tabulated(v["table"])
         if isinstance(v, (int, float)):
             return float(v)
         text = str(v)

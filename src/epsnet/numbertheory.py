@@ -252,8 +252,8 @@ def corollary_pair(a: AlgebraicNumber, R: float) -> CorollaryPair:
     before returning.
     """
     R = float(R)
-    if not R > 2:
-        raise ValueError("R must exceed 2")
+    if not (R > 2 and math.isfinite(R)):
+        raise ValueError("R must be a finite number > 2")
     N = int(math.floor(R))
     pair = dirichlet(a, N)
     data = liouville_constant(a)

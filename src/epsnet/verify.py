@@ -32,7 +32,7 @@ from .colombeau import (
     is_bounded_generalized_number,
     report_from_sups,
 )
-from .groups import GroupElement, TabulatedAngleError, compose_net
+from .groups import GroupElement, compose_net
 from .decompose import (
     LorentzFactorization,
     RotationSchedule,
@@ -92,22 +92,23 @@ def _noise_floor(scale: float) -> float:
     return max(NOISE_ATOL, NOISE_ULPS * _MACHINE_EPS * max(1.0, scale))
 
 
+def _deviation(f: Net, g: GroupElement) -> ex.Expr:
+    """The body of f o g - f."""
+    return ex.c_sub(compose_net(f, g).body, f.body)
+
+
+def _centered(f: Net) -> ex.Expr:
+    """The body of f - f(0)."""
+    zero = {f"x{k}": ex.Const(0.0) for k in range(1, f.dimension + 1)}
+    return ex.c_sub(f.body, ex.subst(f.body, zero))
+
+
 def _deviation_sups(f: Net, g: GroupElement, box: CompactBox, grid: EpsilonGrid):
     """Sup over the lattice of |f o g - f| per eps, snapped to zero at or below the
     per-eps measurability floor, plus the floors."""
     lattice = box.lattice()
     floors = [_noise_floor(s) for s in grid_sups(f.body, grid, lattice)]
-    try:
-        composed = compose_net(f, g)
-    except TabulatedAngleError:
-        # tabulated angles have no symbolic form: difference the values
-        sups = []
-        for eps in grid:
-            base = ex.eval_points(f.body, eps, lattice)
-            moved = ex.eval_points(f.body, eps, g.apply_points(lattice, eps))
-            sups.append(float(np.max(np.abs(moved - base))))
-    else:
-        sups = grid_sups(ex.c_sub(composed.body, f.body), grid, lattice)
+    sups = grid_sups(_deviation(f, g), grid, lattice)
     snapped = [0.0 if s <= fl else s for s, fl in zip(sups, floors)]
     return snapped, floors
 
@@ -124,10 +125,10 @@ def check_invariance(
     """Measure sup |f(g(x)) - f(x)| over the box per eps and test whether the
     deviation is negligible at order ``p``.
 
-    Only the values are compared, not derivatives.  A symbolic element is
-    composed into f and the difference evaluated as one expression; an element
-    with tabulated angles is applied to the lattice and the two value arrays
-    subtracted.  Deviations at or below the noise floor read as zero; a NaN
+    Only the values are compared, not derivatives.  The element is composed
+    into f and the difference evaluated as one expression; tabulated angles
+    compose like any other scalar net, so ``grid`` must lie inside their
+    table.  Deviations at or below the noise floor read as zero; a NaN
     deviation is non-finite and fails the check.  With ``strict`` a
     transformation that is not c-bounded on the box raises
     :class:`CBoundednessError`, otherwise it only warns."""
@@ -484,27 +485,20 @@ class ConstancyReport:
         }
 
 
-def _period_deviation(f: Net, h: float, radius: float, eps: float, samples: int) -> float:
-    xs = np.linspace(-radius, radius - h, samples)[:, None]
-    base = ex.eval_points(f.body, eps, xs)
-    shifted = ex.eval_points(f.body, eps, xs + h)
-    return float(np.max(np.abs(shifted - base)))
-
-
 def _two_period_sups(f: Net, alpha: float, radius: float, grid: EpsilonGrid, samples: int):
     """Per-eps grid data of the two-period harnesses: the deviations for the
     periods 1 and alpha over [-radius, radius], the centered sups
     |f(x) - f(0)| over |x| <= radius - alpha - 2, and the failing period to
     report when no eps0 exists (the one deviating more at the finest eps)."""
-    dev1 = [_period_deviation(f, 1.0, radius, eps, samples) for eps in grid]
-    dev2 = [_period_deviation(f, alpha, radius, eps, samples) for eps in grid]
+
+    def period_sups(h: float):
+        xs = np.linspace(-radius, radius - h, samples)[:, None]
+        return grid_sups(_deviation(f, GroupElement.translation(1, (h,))), grid, xs)
+
+    dev1 = period_sups(1.0)
+    dev2 = period_sups(alpha)
     inner = radius - alpha - 2.0
-    xs = np.linspace(-inner, inner, samples)[:, None]
-    centered = []
-    for eps in grid:
-        vals = ex.eval_points(f.body, eps, xs)
-        center = ex.evaluate(f.body, eps, (0.0,))
-        centered.append(float(np.max(np.abs(vals - center))))
+    centered = grid_sups(_centered(f), grid, np.linspace(-inner, inner, samples)[:, None])
     failing = 1.0 if dev1[-1] > dev2[-1] else alpha
     return dev1, dev2, centered, failing
 
@@ -662,8 +656,7 @@ def translation_constancy(
         rep = check_invariance(f, GroupElement.translation(f.dimension, offset), box, grid, p)
         hypothesis.append((offset, rep))
     hypothesis_failed = not all(r.invariant for _, r in hypothesis)
-    zero = {f"x{k}": ex.Const(0.0) for k in range(1, f.dimension + 1)}
-    centered = Net(ex.c_sub(f.body, ex.subst(f.body, zero)), f.dimension)
+    centered = Net(_centered(f), f.dimension)
     conclusion = classify(centered, box, max_order=max_order, grid=grid, p_max=max(DEFAULT_P_MAX, p))
     verdict = (not hypothesis_failed) and conclusion.negligible_order >= p
     return TranslationReport(p, tuple(hypothesis), hypothesis_failed, conclusion, verdict)

@@ -12,11 +12,23 @@ def schema():
         return json.load(fh)
 
 
+def _reject_constant(token):
+    raise ValueError(f"report holds {token}, which is not RFC 8259 JSON")
+
+
 def run_cmd(tmp_path, argv, name="report.json"):
     out = tmp_path / name
     code = run(["--out", str(out), *argv])
-    data = json.loads(out.read_text()) if out.exists() else None
+    data = json.loads(out.read_text(), parse_constant=_reject_constant) if out.exists() else None
     return code, data
+
+
+def assert_one_line_error(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in err
+    return err
 
 
 FAST_GRID = ["--k-min", "4", "--k-max", "20"]
@@ -96,15 +108,53 @@ class TestExitCodes:
         )
         assert code == EXIT_ERROR
         assert data is None
-        err = capsys.readouterr().err
-        assert err.startswith("evaluation error:") and len(err.strip().splitlines()) == 1
-        assert "Traceback" not in err
+        assert assert_one_line_error(capsys).startswith("evaluation error:")
+
+    @pytest.mark.parametrize(
+        "dim, element, fragment",
+        [
+            ("1", "{}", "--element"),
+            ("1", '{"factors":[{"kind":"bogus"}]}', "--element"),
+            ("1", "[1,2]", "--element"),
+            # a table that misses grid points cannot be evaluated there
+            ("2", '{"factors":[{"kind":"rotation","i":1,"j":2,"theta":{"table":[[0.5,0.1]]}}]}',
+             "not a grid point"),
+        ],
+    )
+    def test_malformed_element_is_a_usage_error(self, tmp_path, capsys, dim, element, fragment):
+        code, data = run_cmd(
+            tmp_path, ["invariance", "--f", "x1", "--dim", dim, "--element", element, *FAST_GRID]
+        )
+        assert code == EXIT_ERROR and data is None
+        assert_one_line_error(capsys, fragment)
+
+    def test_unwritable_out_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        code = run(["--out", str(out), "dirichlet", "--alpha", "sqrt2", "--N", "5"])
+        assert code == EXIT_ERROR and not out.exists()
+        assert_one_line_error(capsys, "cannot write the report")
 
     def test_bad_matrix_error(self, tmp_path):
         m = tmp_path / "m.json"
         m.write_text("[[1,0.5],[0,1]]")
         code, _ = run_cmd(tmp_path, ["decompose-so", "--matrix", str(m)])
         assert code == EXIT_ERROR
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize(
+        "f, token",
+        [("exp(1/eps)+0*x1", "inf"), ("sin(exp(1/eps))*x1", "nan")],
+    )
+    def test_non_finite_sups_are_strings(self, tmp_path, schema, f, token):
+        code, data = run_cmd(
+            tmp_path, ["classify", "--f", f, "--dim", "1", "--box=-1:1", "--max-order", "0"]
+        )
+        assert code == EXIT_POSITIVE
+        jsonschema.validate(data, schema)
+        sups = [s for _, s in data["evidence"]["sups"]]
+        assert token in sups and all(isinstance(s, float) or s == token for s in sups)
+        assert data["evidence"]["moderate"] is False
 
 
 class TestMoreCommands:

@@ -9,7 +9,6 @@ from epsnet.colombeau import (
     CompactBox,
     EpsilonGrid,
     Net,
-    TabulatedNet,
     VectorNet,
     classify,
     is_bounded_generalized_number,
@@ -50,10 +49,19 @@ class TestTypes:
         assert theta.value_at(0.25) == pytest.approx(2 + math.sin(4.0), rel=1e-15)
 
     def test_tabulated_net(self):
-        t = TabulatedNet(((0.5, 1.0), (0.25, 2.0)))
+        t = Net.tabulated(((0.5, 1.0), (0.25, 2.0)))
+        assert t.dimension == 0 and ex.variables(t.body) == {"eps"}
         assert t.value_at(0.25) == 2.0
-        with pytest.raises(KeyError):
+        with pytest.raises(ex.EvalError, match="eps=0.1"):
             t.value_at(0.1)
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            Net.tabulated(((0.25, 1.0), (0.5, 2.0)))
+        # constant in space, no eps-derivative, untouched by substitution
+        assert ex.partial(t.body, 1) == ex.Const(0.0)
+        with pytest.raises(ValueError):
+            ex.partial(t.body, "eps")
+        assert ex.subst(t.body, {"eps": ex.Const(0.5)}) is t.body
+        assert str(t) == "table[2]"
 
 
 class TestSeminorm:
@@ -177,7 +185,7 @@ class TestBoundedGeneralizedNumber:
         assert is_bounded_generalized_number(Net.parse("eps", 0), GRID)
 
     def test_tabulated(self):
-        t = TabulatedNet(tuple((e, math.sin(1 / e)) for e in GRID))
+        t = Net.tabulated((e, math.sin(1 / e)) for e in GRID)
         assert is_bounded_generalized_number(t, GRID)
 
 

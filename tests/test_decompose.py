@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epsnet.colombeau import EpsilonGrid, Net, TabulatedNet
+from epsnet.colombeau import EpsilonGrid, Net
+from epsnet.expr import Table
 from epsnet.decompose import (
     DecompositionError,
     boost_matrix,
@@ -196,7 +197,7 @@ class TestNetMatrix:
         s = Net.parse("sin(sin(1/eps))", 0)
         minus_s = Net.parse("-sin(sin(1/eps))", 0)
         sched = decompose_net_matrix([[c, minus_s], [s, c]], GRID, "rotation")
-        assert isinstance(sched.factors[0].theta, TabulatedNet)
+        assert isinstance(sched.factors[0].theta.body, Table)
         for eps in GRID:
             want = math.sin(1.0 / eps) % (2 * math.pi)
             assert sched.factors[0].theta_at(eps) == pytest.approx(want, abs=1e-10)
@@ -206,7 +207,7 @@ class TestNetMatrix:
         zero = Net.parse("0", 0)
         sched = decompose_net_matrix([[one, zero], [zero, one]], GRID, "rotation")
         for f in sched.factors:
-            assert all(v == 0.0 for v in f.theta.values())
+            assert all(f.theta_at(eps) == 0.0 for eps in GRID)
 
     def test_boost_net_recovery(self):
         ch = Net.parse("cosh(1+eps)", 0)

@@ -10,14 +10,12 @@ from epsnet.groups import (
     CoordinateFlow,
     GroupElement,
     PlanarFactor,
-    TabulatedAngleError,
     Translation,
     apply,
     compose_net,
     element_from_json,
     group_law_check,
 )
-from epsnet.colombeau import TabulatedNet
 
 GRID = EpsilonGrid.dyadic(4, 24)
 BOX2 = CompactBox.cube(-2.0, 2.0, 2, samples_per_axis=17)
@@ -108,11 +106,16 @@ class TestComposeNet:
         b = ex.eval_points(h.body, 0.5, X)
         assert np.max(np.abs(a - b)) <= 1e-12
 
-    def test_tabulated_angle_has_no_symbolic_form(self):
-        t = TabulatedNet(tuple((e, 0.1) for e in GRID))
+    def test_tabulated_angle_composes(self):
+        t = Net.tabulated((e, math.sin(1 / e)) for e in GRID)
         g = GroupElement.rotation(2, 1, 2, t)
-        with pytest.raises(TabulatedAngleError):
-            compose_net(Net.parse("x1", 2), g)
+        h = compose_net(Net.parse("x1", 2), g)
+        X = BOX2.lattice()
+        for eps in GRID:
+            want = g.apply_points(X, eps)[:, 0]
+            assert np.max(np.abs(ex.eval_points(h.body, eps, X) - want)) <= 1e-12
+        with pytest.raises(ex.EvalError, match="not a grid point"):
+            ex.eval_points(h.body, 0.3, X)
 
     def test_associativity_with_composition(self):
         f = Net.parse("x1^2+2*x2", 2)

@@ -182,8 +182,9 @@ class TestCorollaryPair:
                     assert mp.log(res.defect) >= -res.M * mp.log(mpf(R))
 
     def test_rejects_small_R(self):
-        with pytest.raises(ValueError):
-            corollary_pair(CAT["sqrt2"], 2.0)
+        for R in (2.0, math.inf):
+            with pytest.raises(ValueError, match="R must be a finite number > 2"):
+                corollary_pair(CAT["sqrt2"], R)
 
 
 class TestConvergents:
