@@ -19,7 +19,6 @@ from .colombeau import (
     CompactBox,
     EpsilonGrid,
     Net,
-    VectorNet,
     classify,
     is_bounded_generalized_number,
     is_c_bounded,

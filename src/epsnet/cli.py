@@ -154,13 +154,20 @@ def _element(args, dimension: int) -> GroupElement:
         return GroupElement.translation(dimension, _parse_vector(args.translate))
     spec = args.rotation if args.rotation is not None else args.boost
     kind = "rotation" if args.rotation is not None else "boost"
-    i_s, j_s, theta_s = spec.split(",", 2)
+    try:
+        i_s, j_s, theta_s = spec.split(",", 2)
+        i, j = int(i_s), int(j_s)
+        if not 1 <= i < j <= dimension:
+            raise ValueError
+    except ValueError:
+        raise UsageError(
+            f"--{kind} must be i,j,theta with integer axes 1 <= i < j <= {dimension}, got {spec!r}"
+        ) from None
     try:
         theta = float(theta_s)
     except ValueError:
         theta = Net.parse(theta_s, 0)
-    factory = planar_flow(kind, dimension, int(i_s), int(j_s))
-    return factory(theta)
+    return planar_flow(kind, dimension, i, j)(theta)
 
 
 def _matrix_argument(args, rng: random.Random):
@@ -172,6 +179,9 @@ def _matrix_argument(args, rng: random.Random):
         return np.asarray(_load_json_arg(args.matrix), dtype=float)
     if args.matrix_net is not None:
         rows = _load_json_arg(args.matrix_net)
+        if not (rows and isinstance(rows, list)
+                and all(isinstance(r, list) and len(r) == len(rows[0]) for r in rows)):
+            raise UsageError("--matrix-net must be a JSON array of equal-length rows")
         return [[Net.parse(str(v), 0) if isinstance(v, str) else float(v) for v in row] for row in rows]
     if args.command == "rotation":
         return random_special_orthogonal(rng, args.dim)
@@ -183,6 +193,8 @@ def _matrix_argument(args, rng: random.Random):
 
 
 def _cmd_classify(args, rng):
+    if args.max_order < 0:
+        raise UsageError(f"--max-order must be >= 0, got {args.max_order}")
     net = _net(args)
     box = _parse_box(args.box, args.dim, args.samples)
     report = classify(net, box, max_order=args.max_order, grid=_grid(args), p_max=args.p_max)
@@ -519,6 +531,10 @@ def run(argv) -> int:
         return EXIT_ERROR
     except (ArithmeticError, CBoundednessError) as err:
         print(f"evaluation error: {err}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as err:  # last resort: exit 1 is reserved for negative verdicts
+        message = " ".join(str(err).split())
+        print(f"error: unexpected {type(err).__name__}: {message}", file=sys.stderr)
         return EXIT_ERROR
     out = args.out or f"{args.command.replace('-', '_')}_report.json"
     try:

@@ -6,7 +6,7 @@ measures derivative sup-norms of a net over compact boxes along a decreasing
 grid of eps values, fits the decay exponent on a log-log scale, and issues
 the desk-scale verdicts used throughout the package: moderate growth,
 negligibility at a given order, boundedness, and compact-boundedness of
-vector nets.
+maps given eps by eps.
 
 All verdicts are semi-decisions: they summarize finite grid evidence and the
 raw data always travels with the verdict.
@@ -148,24 +148,6 @@ class Net:
 
 
 @dataclass(frozen=True)
-class VectorNet:
-    """A tuple of nets sharing one spatial dimension (a candidate map R^d -> R^d')."""
-
-    components: tuple
-
-    def __post_init__(self):
-        if not self.components:
-            raise ValueError("vector net needs at least one component")
-        dims = {c.dimension for c in self.components}
-        if len(dims) != 1:
-            raise ValueError(f"components disagree on dimension: {sorted(dims)}")
-
-    @property
-    def dimension(self) -> int:
-        return self.components[0].dimension
-
-
-@dataclass(frozen=True)
 class AsymptoticReport:
     """Per-eps sup data with the fitted decay exponent and verdicts."""
 
@@ -302,6 +284,8 @@ def classify(
     grid = grid or EpsilonGrid.dyadic()
     if box.dimension != f.dimension:
         raise ValueError("box dimension does not match net dimension")
+    if max_order < 0:
+        raise ValueError(f"max_order must be >= 0, got {max_order}")
     lattice = box.lattice()
     aggregated = np.zeros(len(grid))
     per_alpha = []
@@ -366,20 +350,24 @@ def image_bound_check(
 
 
 def is_c_bounded(
-    f: VectorNet,
+    g,
     box: CompactBox,
     grid: Optional[EpsilonGrid] = None,
     slope_tol: float = SLOPE_TOL,
 ):
-    """Check that the vector net maps the box into some fixed compact box for
-    every grid eps.  Returns (verdict, witness box or None)."""
+    """Check that the map ``g`` takes the box into some fixed compact box for
+    every grid eps.  Returns (verdict, witness box or None).
+
+    ``g`` is anything with ``dimension``, ``is_generalized`` and
+    ``apply_points(points, eps)``, such as a
+    :class:`~epsnet.groups.GroupElement`.  The image of an eps-free map is
+    the same at every eps, so it is taken at the first grid eps only; the
+    verdict and the witness box are those of the full grid.
+    """
     grid = grid or EpsilonGrid.dyadic()
-    if box.dimension != f.dimension:
-        raise ValueError("box dimension does not match net dimension")
+    if box.dimension != g.dimension:
+        raise ValueError("box dimension does not match element dimension")
     lattice = box.lattice()
-
-    def sample(eps: float) -> np.ndarray:
-        cols = [ex.eval_points(c.body, eps, lattice) for c in f.components]
-        return np.stack(cols, axis=1)
-
-    return image_bound_check(sample, grid, slope_tol)
+    if not g.is_generalized:
+        grid = EpsilonGrid(grid.values[:1])
+    return image_bound_check(lambda eps: g.apply_points(lattice, eps), grid, slope_tol)

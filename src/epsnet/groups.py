@@ -1,11 +1,13 @@
 """Planar rotations, hyperbolic rotations, translations and their compositions.
 
-Group elements act on points numerically and on nets symbolically.  Angles
+A group element is held as one coordinate expression per axis: it acts on
+nets by substitution and on points by evaluating those expressions.  Angles
 and offsets may be plain reals or scalar nets in eps; in the latter case the
 element depends on the scale parameter and ``eps`` must be supplied when the
 element is applied numerically.  Angles produced by per-eps factorization are
 tabulated nets: they compose symbolically like any other net, but evaluate
-only at the eps of their own grid.
+only at the eps of their own grid.  Single factors also give their numeric
+matrix, which the factorizations use.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import expr as ex
-from .colombeau import CompactBox, Net, VectorNet
+from .colombeau import CompactBox, Net
 
 Angle = Union[float, Net]
 
@@ -59,10 +61,6 @@ class PlanarFactor:
         if not 1 <= self.i < self.j:
             raise ValueError(f"need 1 <= i < j, got ({self.i}, {self.j})")
 
-    @property
-    def is_generalized(self) -> bool:
-        return isinstance(self.theta, Net)
-
     def theta_at(self, eps: Optional[float] = None) -> float:
         return _scalar_at(self.theta, eps)
 
@@ -88,17 +86,6 @@ class PlanarFactor:
             M[ii, ii], M[ii, jj] = c, s
             M[jj, ii], M[jj, jj] = s, c
         return M
-
-    def apply_points(self, X: np.ndarray, eps: Optional[float] = None) -> np.ndarray:
-        c, s = self._cs(eps)
-        ii, jj = self.i - 1, self.j - 1
-        Y = X.copy()
-        if self.kind == "rotation":
-            Y[:, ii] = c * X[:, ii] - s * X[:, jj]
-        else:
-            Y[:, ii] = c * X[:, ii] + s * X[:, jj]
-        Y[:, jj] = s * X[:, ii] + c * X[:, jj]
-        return Y
 
     def compose_exprs(self, coords: Sequence[ex.Expr]) -> list:
         """Left-compose this factor onto coordinate expressions."""
@@ -131,16 +118,6 @@ class Translation:
             tuple(o if isinstance(o, Net) else float(o) for o in self.offset),
         )
 
-    @property
-    def is_generalized(self) -> bool:
-        return any(isinstance(o, Net) for o in self.offset)
-
-    def offset_at(self, eps: Optional[float] = None) -> np.ndarray:
-        return np.array([_scalar_at(o, eps) for o in self.offset])
-
-    def apply_points(self, X: np.ndarray, eps: Optional[float] = None) -> np.ndarray:
-        return X + self.offset_at(eps)[None, :]
-
     def compose_exprs(self, coords: Sequence[ex.Expr]) -> list:
         return [ex.c_add(c, _scalar_expr(o)) for c, o in zip(coords, self.offset)]
 
@@ -149,171 +126,111 @@ class Translation:
 
 
 class GroupElement:
-    """A composite transformation of R^d.
+    """A transformation of R^d held as coordinate expressions in x1..xd (and
+    eps).
 
-    Holds exactly one of: an ordered factor list (applied right to left), an
-    explicit square matrix (entries reals or scalar nets), or explicit
-    coordinate expressions.  Elements are immutable and safe to share.
+    Every constructor builds the coordinates once; the element computes with
+    nothing else.  ``source`` keeps the JSON form of a factor or matrix
+    element, which :meth:`to_json_dict` returns; other elements write their
+    coordinates.  Elements are immutable and safe to share.
     """
 
-    __slots__ = ("dimension", "factors", "matrix", "coords")
+    __slots__ = ("dimension", "coords", "source")
 
-    def __init__(self, dimension: int, factors=None, matrix=None, coords=None):
-        given = sum(x is not None for x in (factors, matrix, coords))
-        if given != 1:
-            raise ValueError("provide exactly one of factors, matrix, coords")
+    def __init__(self, dimension: int, coords, source: Optional[dict] = None):
         self.dimension = int(dimension)
-        self.factors = tuple(factors) if factors is not None else None
-        self.coords = tuple(coords) if coords is not None else None
-        if matrix is not None:
-            rows = tuple(tuple(v) for v in matrix)
-            if len(rows) != self.dimension or any(len(r) != self.dimension for r in rows):
-                raise ValueError("matrix must be square of size dimension")
-            self.matrix = rows
-        else:
-            self.matrix = None
-        if self.factors is not None:
-            for f in self.factors:
-                if isinstance(f, PlanarFactor) and f.j > self.dimension:
-                    raise ValueError(f"factor axes exceed dimension {self.dimension}")
-                if isinstance(f, Translation) and len(f.offset) != self.dimension:
-                    raise ValueError("translation offset length must equal dimension")
-        if self.coords is not None and len(self.coords) != self.dimension:
+        self.coords = tuple(coords)
+        if len(self.coords) != self.dimension:
             raise ValueError("need one coordinate expression per axis")
+        self.source = source
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def identity(cls, dimension: int) -> "GroupElement":
-        return cls(dimension, factors=())
+        return cls.from_factors(dimension, ())
 
     @classmethod
     def from_factors(cls, dimension: int, factors) -> "GroupElement":
-        return cls(dimension, factors=tuple(factors))
+        """The product of ``factors``, applied right to left."""
+        dimension, factors = int(dimension), tuple(factors)
+        for f in factors:
+            if isinstance(f, PlanarFactor) and f.j > dimension:
+                raise ValueError(f"factor axes exceed dimension {dimension}")
+            if isinstance(f, Translation) and len(f.offset) != dimension:
+                raise ValueError("translation offset length must equal dimension")
+        coords = [ex.Var(f"x{k}") for k in range(1, dimension + 1)]
+        for f in reversed(factors):
+            coords = f.compose_exprs(coords)
+        source = {"factors": [f.to_json_dict() for f in factors], "dimension": dimension}
+        return cls(dimension, coords, source)
 
     @classmethod
     def rotation(cls, dimension: int, i: int, j: int, theta: Angle) -> "GroupElement":
-        return cls(dimension, factors=(PlanarFactor("rotation", i, j, theta),))
+        return cls.from_factors(dimension, (PlanarFactor("rotation", i, j, theta),))
 
     @classmethod
     def boost(cls, dimension: int, i: int, j: int, theta: Angle) -> "GroupElement":
-        return cls(dimension, factors=(PlanarFactor("boost", i, j, theta),))
+        return cls.from_factors(dimension, (PlanarFactor("boost", i, j, theta),))
 
     @classmethod
     def translation(cls, dimension: int, offset) -> "GroupElement":
-        return cls(dimension, factors=(Translation(tuple(offset)),))
+        return cls.from_factors(dimension, (Translation(tuple(offset)),))
 
     @classmethod
     def from_matrix(cls, matrix) -> "GroupElement":
+        """The linear map x -> M x; entries are reals or scalar nets."""
         rows = [list(r) for r in matrix]
-        return cls(len(rows), matrix=rows)
+        d = len(rows)
+        if any(len(r) != d for r in rows):
+            raise ValueError("matrix must be square of size dimension")
+        coords = []
+        for row in rows:
+            acc = ex.Const(0.0)
+            for k, entry in enumerate(row):
+                acc = ex.c_add(acc, ex.c_mul(_scalar_expr(entry), ex.Var(f"x{k + 1}")))
+            coords.append(acc)
+        source = {"matrix": [[_scalar_json(v) for v in row] for row in rows], "dimension": d}
+        return cls(d, coords, source)
 
     @classmethod
     def from_coords(cls, dimension: int, coords) -> "GroupElement":
-        return cls(dimension, coords=tuple(coords))
+        return cls(dimension, coords)
 
     # -- structure ----------------------------------------------------------
 
     @property
     def is_generalized(self) -> bool:
-        if self.factors is not None:
-            return any(f.is_generalized for f in self.factors)
-        if self.matrix is not None:
-            return any(isinstance(v, Net) for row in self.matrix for v in row)
         return any("eps" in ex.variables(c) for c in self.coords)
 
     def compose(self, other: "GroupElement") -> "GroupElement":
         """self after other (apply ``other`` first)."""
         if self.dimension != other.dimension:
             raise ValueError("dimension mismatch")
-        if self.factors is not None and other.factors is not None:
-            return GroupElement(self.dimension, factors=self.factors + other.factors)
-        inner = other.symbolic_coords()
-        outer = self.symbolic_coords()
-        mapping = {f"x{k + 1}": inner[k] for k in range(self.dimension)}
-        return GroupElement.from_coords(
-            self.dimension, tuple(ex.subst(c, mapping) for c in outer)
-        )
-
-    # -- numeric application ------------------------------------------------
-
-    def matrix_at(self, eps: Optional[float] = None) -> np.ndarray:
-        """Dense matrix of a linear element (factors without translations, or
-        explicit matrix) at a given eps."""
-        if self.matrix is not None:
-            return np.array(
-                [[_scalar_at(v, eps) for v in row] for row in self.matrix], dtype=float
-            )
-        if self.factors is None:
-            raise TypeError("coordinate-expression elements are not matrix-backed")
-        M = np.eye(self.dimension)
-        for f in self.factors:
-            if isinstance(f, Translation):
-                raise ValueError("element contains translations; use apply_points")
-            M = M @ f.matrix(self.dimension, eps)
-        return M
+        mapping = {f"x{k + 1}": other.coords[k] for k in range(self.dimension)}
+        return GroupElement(self.dimension, (ex.subst(c, mapping) for c in self.coords))
 
     def apply_points(self, X, eps: Optional[float] = None) -> np.ndarray:
+        """Images of the rows of ``X`` (or of one point) at one eps; ``eps``
+        may be omitted when the element does not depend on it."""
         X = np.asarray(X, dtype=float)
         squeeze = X.ndim == 1
         if squeeze:
             X = X[None, :]
         if X.shape[1] != self.dimension:
             raise ValueError(f"points have dimension {X.shape[1]}, element {self.dimension}")
-        if self.factors is not None:
-            Y = X
-            for f in reversed(self.factors):
-                Y = f.apply_points(Y, eps)
-        elif self.matrix is not None:
-            Y = X @ self.matrix_at(eps).T
-        else:
-            if eps is None:
-                if self.is_generalized:
-                    raise ValueError("eps is required: element depends on eps")
-                eps = 0.5  # irrelevant placeholder, no eps in the expressions
-            cols = [ex.eval_points(c, eps, X) for c in self.coords]
-            Y = np.stack(cols, axis=1)
+        if eps is None:
+            if self.is_generalized:
+                raise ValueError("eps is required: element depends on eps")
+            eps = 0.5  # irrelevant placeholder, no eps in the expressions
+        Y = np.empty_like(X)
+        for k, c in enumerate(self.coords):
+            Y[:, k] = ex.eval_points(c, eps, X)
         return Y[0] if squeeze else Y
 
-    def apply(self, x, eps: Optional[float] = None) -> np.ndarray:
-        return self.apply_points(np.asarray(x, dtype=float), eps)
-
-    # -- symbolic form ------------------------------------------------------
-
-    def symbolic_coords(self) -> tuple:
-        """Coordinate expressions of the full map, in x1..xd (and eps)."""
-        identity = [ex.Var(f"x{k}") for k in range(1, self.dimension + 1)]
-        if self.coords is not None:
-            return self.coords
-        if self.matrix is not None:
-            out = []
-            for row in self.matrix:
-                acc = ex.Const(0.0)
-                for k, entry in enumerate(row):
-                    acc = ex.c_add(acc, ex.c_mul(_scalar_expr(entry), identity[k]))
-                out.append(acc)
-            return tuple(out)
-        coords = identity
-        for f in reversed(self.factors):
-            coords = f.compose_exprs(coords)
-        return tuple(coords)
-
-    def coordinate_vector_net(self) -> VectorNet:
-        return VectorNet(tuple(Net(c, self.dimension) for c in self.symbolic_coords()))
-
     def to_json_dict(self) -> dict:
-        if self.matrix is not None:
-            return {
-                "matrix": [[_scalar_json(v) for v in row] for row in self.matrix],
-                "dimension": self.dimension,
-            }
-        if self.coords is not None:
-            return {
-                "coords": [ex.to_text(c) for c in self.coords],
-                "dimension": self.dimension,
-            }
-        return {
-            "factors": [f.to_json_dict() for f in self.factors],
+        return self.source or {
+            "coords": [ex.to_text(c) for c in self.coords],
             "dimension": self.dimension,
         }
 
@@ -348,19 +265,6 @@ def element_from_json(data: dict) -> GroupElement:
     return GroupElement.from_factors(int(data["dimension"]), factors)
 
 
-def apply(g: GroupElement, x, eps: Optional[float] = None):
-    """Apply a group element to a point (numeric) or to a vector net
-    (symbolic composition g o x)."""
-    if isinstance(x, VectorNet):
-        if len(x.components) != g.dimension:
-            raise ValueError("vector net component count does not match element dimension")
-        coords = g.symbolic_coords()
-        mapping = {f"x{k + 1}": x.components[k].body for k in range(g.dimension)}
-        d = x.dimension
-        return VectorNet(tuple(Net(ex.subst(c, mapping), d) for c in coords))
-    return g.apply_points(np.asarray(x, dtype=float), eps)
-
-
 def compose_net(f: Net, g: GroupElement) -> Net:
     """Substitute the coordinate expressions of ``g`` into ``f``.
 
@@ -369,8 +273,7 @@ def compose_net(f: Net, g: GroupElement) -> Net:
     """
     if g.dimension != f.dimension:
         raise ValueError("element dimension does not match net dimension")
-    coords = g.symbolic_coords()
-    mapping = {f"x{k + 1}": coords[k] for k in range(f.dimension)}
+    mapping = {f"x{k + 1}": g.coords[k] for k in range(f.dimension)}
     return Net(ex.subst(f.body, mapping), f.dimension)
 
 
@@ -381,10 +284,8 @@ def group_law_check(kind: str, i: int, j: int, theta1: float, theta2: float, box
     first = PlanarFactor(kind, i, j, float(theta2))
     second = PlanarFactor(kind, i, j, float(theta1))
     X = box.lattice()
-    lhs = combined.apply_points(X)
-    rhs = second.apply_points(first.apply_points(X))
-    if d == 0:
-        return 0.0
+    lhs = X @ combined.matrix(d).T
+    rhs = X @ first.matrix(d).T @ second.matrix(d).T
     return float(np.max(np.linalg.norm(lhs - rhs, axis=1)))
 
 

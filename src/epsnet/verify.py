@@ -28,8 +28,8 @@ from .colombeau import (
     classify,
     fit_decay_exponent,
     grid_sups,
-    image_bound_check,
     is_bounded_generalized_number,
+    is_c_bounded,
     report_from_sups,
 )
 from .groups import GroupElement, compose_net
@@ -79,8 +79,7 @@ class InvarianceReport:
 
 
 def _check_c_bounded(g: GroupElement, box: CompactBox, grid: EpsilonGrid, strict: bool):
-    lattice = box.lattice()
-    ok, _ = image_bound_check(lambda eps: g.apply_points(lattice, eps), grid)
+    ok, _ = is_c_bounded(g, box, grid)
     if not ok:
         message = "transformation is not c-bounded on the box"
         if strict:

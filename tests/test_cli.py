@@ -134,6 +134,35 @@ class TestExitCodes:
         assert code == EXIT_ERROR and not out.exists()
         assert_one_line_error(capsys, "cannot write the report")
 
+    @pytest.mark.parametrize("matrix", ["[1]", '{"a": 1}', '[["1", "0"], ["0"]]', "[]"])
+    def test_malformed_matrix_net_is_a_usage_error(self, tmp_path, capsys, matrix):
+        code, data = run_cmd(
+            tmp_path, ["rotation", "--f", "x1", "--dim", "2", "--matrix-net", matrix, *FAST_GRID]
+        )
+        assert code == EXIT_ERROR and data is None
+        assert_one_line_error(capsys, "--matrix-net")
+
+    def test_negative_max_order_is_a_usage_error(self, tmp_path, capsys):
+        code, data = run_cmd(tmp_path, ["classify", "--f", "x1", "--dim", "1", "--max-order", "-1"])
+        assert code == EXIT_ERROR and data is None
+        assert_one_line_error(capsys, "--max-order")
+
+    @pytest.mark.parametrize("flag", ["--rotation", "--boost"])
+    @pytest.mark.parametrize("spec", ["1,2", "a,2,0.3", "2,1,0.3", "1,3,0.3"])
+    def test_malformed_planar_spec_is_a_usage_error(self, tmp_path, capsys, flag, spec):
+        code, data = run_cmd(tmp_path, ["invariance", "--f", "x1", "--dim", "2", flag, spec])
+        assert code == EXIT_ERROR and data is None
+        assert_one_line_error(capsys, flag, repr(spec))
+
+    def test_unexpected_failure_is_one_line_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"k_min": "a"}')
+        code, data = run_cmd(
+            tmp_path, ["--config", str(config), "classify", "--f", "x1", "--dim", "1"]
+        )
+        assert code == EXIT_ERROR and data is None
+        assert_one_line_error(capsys, "error: unexpected TypeError")
+
     def test_bad_matrix_error(self, tmp_path):
         m = tmp_path / "m.json"
         m.write_text("[[1,0.5],[0,1]]")

@@ -9,8 +9,8 @@ from epsnet.colombeau import (
     CompactBox,
     EpsilonGrid,
     Net,
-    VectorNet,
     classify,
+    image_bound_check,
     is_bounded_generalized_number,
     is_c_bounded,
     seminorm,
@@ -173,6 +173,10 @@ class TestClassify:
             if rep.negligible_order >= 1:
                 assert rep.moderate
 
+    def test_negative_max_order_is_rejected(self):
+        with pytest.raises(ValueError, match="max_order"):
+            classify(Net.parse("x1", 1), BOX1, max_order=-1, grid=GRID)
+
 
 class TestBoundedGeneralizedNumber:
     def test_oscillating_bounded(self):
@@ -189,26 +193,56 @@ class TestBoundedGeneralizedNumber:
         assert is_bounded_generalized_number(t, GRID)
 
 
+def _coords(*texts):
+    return GroupElement.from_coords(len(texts), tuple(ex.parse(t, len(texts)) for t in texts))
+
+
 class TestCBounded:
     def test_rotation_net_is_c_bounded(self):
         g = GroupElement.rotation(2, 1, 2, Net.parse("sin(1/eps)", 0))
-        ok, witness = is_c_bounded(g.coordinate_vector_net(), CompactBox.cube(-1, 1, 2), GRID)
+        ok, witness = is_c_bounded(g, CompactBox.cube(-1, 1, 2), GRID)
         assert ok
         r = math.sqrt(2) + 1e-9
         assert CompactBox(((-r, r), (-r, r))).contains_box(witness)
 
     def test_expanding_net_is_not(self):
-        f = VectorNet((Net.parse("x1/eps", 1),))
-        ok, witness = is_c_bounded(f, BOX1, GRID)
+        ok, witness = is_c_bounded(_coords("x1/eps"), BOX1, GRID)
         assert not ok and witness is None
 
     def test_identity(self):
-        f = VectorNet((Net.parse("x1", 1),))
-        ok, witness = is_c_bounded(f, BOX1, GRID)
+        ok, witness = is_c_bounded(GroupElement.identity(1), BOX1, GRID)
         assert ok
         assert witness.intervals == ((-1.0, 1.0),)
 
     def test_drifting_translation_is_not(self):
-        f = VectorNet((Net.parse("x1+1/eps", 1),))
-        ok, _ = is_c_bounded(f, BOX1, GRID)
+        g = GroupElement.translation(1, (Net.parse("1/eps", 0),))
+        ok, _ = is_c_bounded(g, BOX1, GRID)
         assert not ok
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            GroupElement.rotation(2, 1, 2, 0.3),
+            GroupElement.boost(2, 1, 2, -1.7),
+            GroupElement.from_matrix([[2.0, 1.0], [0.5, -3.0]]),
+            _coords("x1^3 - x2", "exp(x1)*x2 + 4"),
+            _coords("exp(exp(50*x1))", "x2"),
+        ],
+        ids=["rotation", "boost", "matrix", "coords", "overflow"],
+    )
+    def test_eps_free_image_taken_once_matches_full_grid(self, g):
+        # oracle: the image bound over every grid eps, as for an eps-dependent map
+        box = CompactBox.cube(-1, 1, 2, samples_per_axis=9)
+        lattice = box.lattice()
+        calls = []
+
+        def sample(eps):
+            calls.append(eps)
+            return g.apply_points(lattice, eps)
+
+        assert not g.is_generalized
+        want_ok, want_box = image_bound_check(sample, GRID)
+        got_ok, got_box = is_c_bounded(g, box, GRID)
+        assert got_ok == want_ok
+        assert got_box == want_box
+        assert len(calls) == (len(GRID) if want_ok else 1)

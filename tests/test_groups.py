@@ -11,10 +11,10 @@ from epsnet.groups import (
     GroupElement,
     PlanarFactor,
     Translation,
-    apply,
     compose_net,
     element_from_json,
     group_law_check,
+    planar_flow,
 )
 
 GRID = EpsilonGrid.dyadic(4, 24)
@@ -24,59 +24,56 @@ BOX2 = CompactBox.cube(-2.0, 2.0, 2, samples_per_axis=17)
 class TestApply:
     def test_quarter_turn(self):
         g = GroupElement.rotation(2, 1, 2, math.pi / 2)
-        out = g.apply((1.0, 0.0))
+        out = g.apply_points((1.0, 0.0))
         assert np.allclose(out, (0.0, 1.0), atol=1e-12)
 
     def test_boost(self):
         # oracle: scalar cosh/sinh of the rapidity
         g = GroupElement.boost(2, 1, 2, 0.5)
-        out = g.apply((1.0, 0.0))
+        out = g.apply_points((1.0, 0.0))
         assert out[0] == pytest.approx(math.cosh(0.5), rel=1e-15)
         assert out[1] == pytest.approx(math.sinh(0.5), rel=1e-15)
         assert np.allclose(out, (1.1276259652063807, 0.5210953054937474), atol=1e-9)
 
     def test_translation(self):
         g = GroupElement.translation(2, (1.0, -2.0))
-        assert np.allclose(g.apply((0.0, 0.0)), (1.0, -2.0))
+        assert np.allclose(g.apply_points((0.0, 0.0)), (1.0, -2.0))
 
     def test_factor_order_right_to_left(self):
         rot = PlanarFactor("rotation", 1, 2, math.pi / 2)
         tr = Translation((1.0, 0.0))
         # rotate then translate
         g1 = GroupElement.from_factors(2, (tr, rot))
-        assert np.allclose(g1.apply((1.0, 0.0)), (1.0, 1.0), atol=1e-12)
+        assert np.allclose(g1.apply_points((1.0, 0.0)), (1.0, 1.0), atol=1e-12)
         # translate then rotate
         g2 = GroupElement.from_factors(2, (rot, tr))
-        assert np.allclose(g2.apply((1.0, 0.0)), (0.0, 2.0), atol=1e-12)
+        assert np.allclose(g2.apply_points((1.0, 0.0)), (0.0, 2.0), atol=1e-12)
 
     def test_generalized_angle_requires_eps(self):
         g = GroupElement.rotation(2, 1, 2, Net.parse("sin(1/eps)", 0))
         with pytest.raises(ValueError, match="eps"):
-            g.apply((1.0, 0.0))
-        out = g.apply((1.0, 0.0), eps=0.25)
+            g.apply_points((1.0, 0.0))
+        out = g.apply_points((1.0, 0.0), eps=0.25)
         th = math.sin(4.0)
         assert np.allclose(out, (math.cos(th), math.sin(th)), atol=1e-14)
 
     def test_dimension_mismatch(self):
         g = GroupElement.rotation(2, 1, 2, 0.3)
         with pytest.raises(ValueError):
-            g.apply((1.0, 0.0, 0.0))
+            g.apply_points((1.0, 0.0, 0.0))
 
     def test_matrix_element(self):
         M = [[0.0, -1.0], [1.0, 0.0]]
         g = GroupElement.from_matrix(M)
-        assert np.allclose(g.apply((1.0, 0.0)), (0.0, 1.0))
+        assert np.allclose(g.apply_points((1.0, 0.0)), (0.0, 1.0))
 
-    def test_apply_dispatches_on_vector_net(self):
+    def test_composition_with_a_map_matches_pointwise_application(self):
+        # g o v evaluated symbolically equals g applied to the points v(X)
         g = GroupElement.rotation(2, 1, 2, 0.5)
-        assert np.allclose(apply(g, (1.0, 0.0)), (math.cos(0.5), math.sin(0.5)))
-        v = Net.parse("x1+1", 2), Net.parse("x2^2", 2)
-        out = apply(g, __import__("epsnet").VectorNet(v))
+        v = GroupElement.from_coords(2, (ex.parse("x1+1", 2), ex.parse("x2^2", 2)))
         X = np.array([[0.3, -0.7], [1.2, 0.4]])
-        inner = np.stack([ex.eval_points(c.body, 0.5, X) for c in v], axis=1)
-        want = g.apply_points(inner)
-        got = np.stack([ex.eval_points(c.body, 0.5, X) for c in out.components], axis=1)
-        assert np.allclose(want, got, atol=1e-14)
+        want = g.apply_points(v.apply_points(X))
+        assert np.allclose(g.compose(v).apply_points(X), want, atol=1e-14)
 
 
 class TestComposeNet:
@@ -169,11 +166,12 @@ class TestInvariants:
     def test_group_axioms_sampled(self):
         X = CompactBox.cube(-2.0, 2.0, 2, samples_per_axis=7).lattice()
         for kind, thetas in (("rotation", (0.3, -1.1)), ("boost", (0.5, -0.2))):
+            flow = planar_flow(kind, 2, 1, 2)
             for t1 in thetas:
-                idf = PlanarFactor(kind, 1, 2, 0.0)
+                idf = flow(0.0)
                 assert np.max(np.abs(idf.apply_points(X) - X)) <= 1e-10
-                g = PlanarFactor(kind, 1, 2, t1)
-                ginv = PlanarFactor(kind, 1, 2, -t1)
+                g = flow(t1)
+                ginv = flow(-t1)
                 assert np.max(np.abs(ginv.apply_points(g.apply_points(X)) - X)) <= 1e-10
                 for t2 in thetas:
                     assert group_law_check(kind, 1, 2, t1, t2, BOX2) <= 1e-10
@@ -196,8 +194,12 @@ class TestSerialization:
 
     def test_matrix_roundtrip(self):
         g = GroupElement.from_matrix([[0.0, 1.0], [-1.0, 0.0]])
-        g2 = element_from_json(json.loads(json.dumps(g.to_json_dict())))
-        assert np.allclose(g.matrix_at(), g2.matrix_at())
+        data = json.loads(json.dumps(g.to_json_dict()))
+        g2 = element_from_json(data)
+        assert g2.to_json_dict() == data == {"matrix": [["0", "1"], ["-1", "0"]], "dimension": 2}
+        X = BOX2.lattice()
+        assert np.array_equal(g.apply_points(X), g2.apply_points(X))
+        assert np.array_equal(g.apply_points(X), X @ np.array([[0.0, 1.0], [-1.0, 0.0]]).T)
 
 
 class TestCoordinateFlow:
@@ -206,7 +208,7 @@ class TestCoordinateFlow:
             ("cos(theta)*x1 - sin(theta)*x2", "sin(theta)*x1 + cos(theta)*x2"), 2
         )
         g = flow.element(math.pi / 2)
-        assert np.allclose(g.apply((1.0, 0.0)), (0.0, 1.0), atol=1e-12)
+        assert np.allclose(g.apply_points((1.0, 0.0)), (0.0, 1.0), atol=1e-12)
         h = flow.element(Net.parse("sin(1/eps)", 0))
         ref = GroupElement.rotation(2, 1, 2, Net.parse("sin(1/eps)", 0))
         X = BOX2.lattice()

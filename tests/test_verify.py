@@ -108,7 +108,7 @@ class TestOneParam:
         # oracle: at theta=pi/4 the image of (1,0) maps x1*x2 to 1/2 != 0
         f = Net.parse("x1*x2", 2)
         g = GroupElement.rotation(2, 1, 2, math.pi / 4)
-        moved = g.apply((1.0, 0.0))
+        moved = g.apply_points((1.0, 0.0))
         assert abs(moved[0] * moved[1] - 0.0) > 0.4
         rep = one_param_theorem_harness(
             f, planar_flow("rotation", 2, 1, 2), real_thetas=(math.pi / 4,), box=BOX2, grid=GRID, p=2
