@@ -15,6 +15,7 @@ import math
 import os
 import random
 import sys
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -512,6 +513,11 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """Show a warning as one stderr line, without source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def run(argv) -> int:
     parser = build_parser()
     try:
@@ -525,7 +531,9 @@ def run(argv) -> int:
         args = _apply_config(args)
         rng = random.Random(args.seed if args.seed is not None else DEFAULTS["seed"])
         handler = _HANDLERS[args.command]
-        verdict, order, evidence, summary = handler(args, rng)
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            verdict, order, evidence, summary = handler(args, rng)
     except (UsageError, ex.ParseError, DecompositionError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR

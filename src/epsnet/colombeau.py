@@ -235,17 +235,13 @@ def grid_sups(body: ex.Expr, eps_values, points: np.ndarray, alpha=None) -> list
     """Max of |body| over the rows of ``points``, one value per eps, in order.
 
     A NaN anywhere on the points makes that eps's sup NaN, which every verdict
-    reads as non-finite.  An :class:`~epsnet.expr.EvalError` is re-raised with
-    the eps (and the multi-index ``alpha``, when given) attached.
+    reads as non-finite.  An :class:`~epsnet.expr.EvalError` carries the first
+    failing eps and is re-raised with the multi-index ``alpha``, when given.
     """
-    sups = []
-    for eps in eps_values:
-        try:
-            values = ex.eval_points(body, eps, points)
-        except ex.EvalError as err:
-            raise err.with_context(eps=eps, alpha=alpha) from None
-        sups.append(float(np.max(np.abs(values))))
-    return sups
+    try:
+        return ex.eval_points(body, tuple(eps_values), points, sup=True).tolist()
+    except ex.EvalError as err:
+        raise err.with_context(alpha=alpha) from None
 
 
 def seminorm(

@@ -430,20 +430,44 @@ _UNARY = {
 }
 
 
-def eval_points(e: Expr, eps: float, points) -> np.ndarray:
-    """Evaluate ``e`` at every row of ``points`` (shape (n, d)) for a fixed eps.
+#: Most elements one intermediate array holds: the points are processed in
+#: chunks of this many rows, or of this many // n_eps when a node evaluated
+#: per chunk depends on eps, so memory does not grow with the lattice or grid.
+SLAB_ELEMENTS = 2**12
+
+#: Domain rule of each checked operation: (reason, mask of bad operand values).
+_DOMAIN = {
+    "/": ("division by zero", lambda v: v == 0.0),
+    "pow": ("zero base with negative exponent", lambda v: v == 0.0),
+    "sqrt": ("sqrt of negative value", lambda v: v < 0.0),
+    "ln": ("ln of non-positive value", lambda v: v <= 0.0),
+}
+
+
+def eval_points(e: Expr, eps, points, sup: bool = False):
+    """Evaluate ``e`` at every row of ``points`` (shape (n, d)).
+
+    ``eps`` is one value, giving shape (n,), or a 1-d sequence of values,
+    giving shape (len(eps), n) whose row k equals the evaluation at eps[k] on
+    its own, bit for bit.  With ``sup`` the result is instead max |e| over the
+    points: a float for one eps, shape (len(eps),) for a sequence; a NaN value
+    makes its eps's max NaN.
 
     Overflow yields IEEE infinities, underflow yields 0; genuine domain
     violations (sqrt of a negative, ln of a non-positive, division by zero)
-    raise :class:`EvalError` with a witness point.
+    raise :class:`EvalError` with a witness point.  Over a sequence the error
+    is the one evaluation at the first failing eps alone would raise.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
-    X = np.asarray(points, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("points must be a 2-d array of shape (n, d)")
-    with np.errstate(all="ignore"):
-        return _ev(e, float(eps), X)
+    if np.ndim(eps) == 0:
+        out = _evaluate((e,), (eps,), points, sup)[0]
+        return float(out[0]) if sup else out[0]
+    return _evaluate((e,), eps, points, sup)[0]
+
+
+def eval_many(es: Sequence[Expr], eps: float, points) -> list:
+    """Evaluate several expressions at one eps, compiled together so that the
+    subexpressions they share are computed once; one array (n,) each."""
+    return [out[0] for out in _evaluate(tuple(es), (eps,), points, False)]
 
 
 def evaluate(e: Expr, eps: float, x: Point = ()) -> float:
@@ -452,65 +476,209 @@ def evaluate(e: Expr, eps: float, x: Point = ()) -> float:
     return float(eval_points(e, eps, X)[0])
 
 
-def _witness(X: np.ndarray, bad: np.ndarray):
-    i = int(np.argmax(bad))
-    return X[i] if X.shape[1] else ()
+class _Program:
+    """The unique nodes of a family of expressions, in evaluation order.
+
+    Structurally equal subtrees are interned to one slot.  The order is the
+    post-order of a left-to-right walk, first occurrence first, so the first
+    failing slot is the node a recursive evaluation would have stopped at.
+    ``code[slot]`` is ``(op, a, b)``: child slots or leaf data.
+    """
+
+    def __init__(self, roots):
+        self.code, self.nodes, self.reads, self.on_eps, self.on_x = [], [], [], [], []
+        interned = {}
+        memo = {}  # id(node) -> slot; the roots keep every node alive
+        for root in roots:
+            stack = [root]
+            while stack:
+                node = stack[-1]
+                if id(node) in memo:
+                    stack.pop()
+                    continue
+                kids = _children(node)
+                pending = [k for k in kids if id(k) not in memo]
+                if pending:
+                    stack.extend(reversed(pending))
+                    continue
+                stack.pop()
+                kid_slots = [memo[id(k)] for k in kids]
+                key = _instruction(node, kid_slots)
+                slot = interned.get(key)
+                if slot is None:
+                    slot = interned[key] = len(self.code)
+                    self.code.append(key)
+                    self.nodes.append(node)
+                    self.reads.append(set(kid_slots))
+                    self.on_eps.append(key[0] in ("eps", "table") or any(self.on_eps[k] for k in kid_slots))
+                    self.on_x.append(key[0] == "x" or any(self.on_x[k] for k in kid_slots))
+                memo[id(node)] = slot
+        self.roots = [memo[id(r)] for r in roots]
+        self.hoisted = [s for s in range(len(self.code)) if not self.on_x[s]]
+        self.chunked = [s for s in range(len(self.code)) if self.on_x[s]]
+        # free each chunk-stage slab right after its last reader; a node that
+        # reads the same child twice (x1*x1) frees it once
+        last = {}
+        for i, s in enumerate(self.chunked):
+            for k in self.reads[s]:
+                last[k] = i
+        keep = set(self.roots) | set(self.hoisted)
+        self.frees = [[] for _ in self.chunked]
+        for k, i in last.items():
+            if k not in keep:
+                self.frees[i].append(k)
 
 
-def _ev(e: Expr, eps: float, X: np.ndarray) -> np.ndarray:
-    n = X.shape[0]
-    if isinstance(e, Const):
-        return np.full(n, e.value)
-    if isinstance(e, Var):
-        if e.name == "eps":
-            return np.full(n, eps)
-        idx = spatial_index(e.name)
-        if idx > X.shape[1]:
-            raise EvalError(
-                f"variable {e.name} undefined in dimension {X.shape[1]}", e, eps=eps
-            )
-        return X[:, idx - 1]
-    if isinstance(e, Table):
-        for grid_eps, value in e.pairs:
-            if grid_eps == eps:
-                return np.full(n, value)
-        raise EvalError("eps is not a grid point of the table", e, eps=eps)
-    if isinstance(e, Neg):
-        return -_ev(e.arg, eps, X)
+def _children(e: Expr) -> tuple:
     if isinstance(e, BinOp):
-        a = _ev(e.left, eps, X)
-        b = _ev(e.right, eps, X)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        bad = b == 0.0
-        if bad.any():
-            raise EvalError("division by zero", e, eps=eps, point=_witness(X, bad))
-        return a / b
+        return (e.left, e.right)
+    if isinstance(e, Neg):
+        return (e.arg,)
     if isinstance(e, IntPow):
-        v = _ev(e.base, eps, X)
-        if e.exponent < 0:
-            bad = v == 0.0
-            if bad.any():
-                raise EvalError(
-                    "zero base with negative exponent", e, eps=eps, point=_witness(X, bad)
-                )
-        return np.power(v, e.exponent)
+        return (e.base,)
     if isinstance(e, Call):
-        v = _ev(e.arg, eps, X)
-        if e.fn == "sqrt":
-            bad = v < 0.0
-            if bad.any():
-                raise EvalError("sqrt of negative value", e, eps=eps, point=_witness(X, bad))
-        elif e.fn == "ln":
-            bad = v <= 0.0
-            if bad.any():
-                raise EvalError("ln of non-positive value", e, eps=eps, point=_witness(X, bad))
-        return _UNARY[e.fn](v)
+        return (e.arg,)
+    if isinstance(e, (Const, Var, Table)):
+        return ()
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _instruction(e: Expr, kids) -> tuple:
+    if isinstance(e, BinOp):
+        return (e.op, kids[0], kids[1])
+    if isinstance(e, Neg):
+        return ("neg", kids[0], None)
+    if isinstance(e, IntPow):
+        return ("pow", kids[0], e.exponent)
+    if isinstance(e, Call):
+        return (e.fn, kids[0], None)
+    if isinstance(e, Const):
+        return ("const", repr(e.value), e.value)
+    if isinstance(e, Table):
+        return ("table", e.pairs, None)
+    idx = spatial_index(e.name)
+    return ("eps", None, None) if idx == 0 else ("x", idx - 1, e.name)
+
+
+def _evaluate(roots, eps_values, points, sup: bool) -> list:
+    """The one evaluation kernel behind :func:`eval_points` and
+    :func:`eval_many`: one array (len(eps_values), n) per root, or with
+    ``sup`` one array (len(eps_values),) of max |root| over the rows.
+
+    Nodes free of x are computed once, as (1 or n_eps, 1) columns; the rest
+    chunk by chunk of rows, as (1 or n_eps, rows) slabs, where the first axis
+    is 1 for nodes free of eps.
+    """
+    for value in eps_values:
+        if not value > 0:
+            raise ValueError(f"eps must be positive, got {value!r}")
+    eps_values = [float(v) for v in eps_values]
+    X = np.asarray(points, dtype=float)
+    if X.ndim != 2:
+        raise ValueError("points must be a 2-d array of shape (n, d)")
+    prog = _Program(roots)
+    n_eps, (n, d) = len(eps_values), X.shape
+    if n_eps == 0:
+        return [np.empty(0) if sup else np.empty((0, n)) for _ in roots]
+    run = _Run(prog, np.array(eps_values)[:, None], X)
+    with np.errstate(all="ignore"):
+        hoisted = [None] * len(prog.code)
+        run.execute(prog.hoisted, hoisted, 0, 0, None)
+        step = SLAB_ELEMENTS
+        if any(prog.on_eps[s] for s in prog.chunked):
+            step = max(1, SLAB_ELEMENTS // n_eps)
+        outs = [None if sup else np.empty((n_eps, n)) for _ in roots]
+        chunks = [(s, min(s + step, n)) for s in range(0, n, step)] if prog.chunked else []
+        for start, stop in chunks or [(0, n)]:
+            values = list(hoisted)
+            run.execute(prog.chunked, values, start, stop, prog.frees)
+            for k, slot in enumerate(prog.roots):
+                v = values[slot]
+                if sup:
+                    m = np.max(np.abs(v), axis=1)
+                    outs[k] = m if outs[k] is None else np.maximum(outs[k], m)
+                else:
+                    outs[k][:, start:stop] = v
+    if run.failure is not None:
+        k, slot, row, reason = run.failure
+        point = None if row is None else (X[row] if d else ())
+        raise EvalError(reason, prog.nodes[slot], eps=eps_values[k], point=point)
+    if sup:
+        outs = [np.broadcast_to(m, (n_eps,)).copy() for m in outs]
+    return outs
+
+
+class _Run:
+    """Executes a program's instructions and keeps the first failure: the
+    least (eps index, slot) pair, then the first bad row."""
+
+    def __init__(self, prog: _Program, eps_column: np.ndarray, X: np.ndarray):
+        self.prog = prog
+        self.eps_column = eps_column
+        self.X = X
+        self.failure = None  # (eps index, slot, row or None, reason)
+
+    def fail(self, k: int, slot: int, row, reason: str):
+        if self.failure is None or (k, slot) < self.failure[:2]:
+            self.failure = (k, slot, row, reason)
+
+    def check(self, op: str, operand: np.ndarray, slot: int, start: int):
+        reason, rule = _DOMAIN[op]
+        bad = rule(operand)
+        if self.X.shape[0] and bad.any():
+            k = int(np.argmax(bad.any(axis=1)))
+            self.fail(k, slot, start + int(np.argmax(bad[k])), reason)
+
+    def execute(self, order, values, start: int, stop: int, frees):
+        code = self.prog.code
+        for i, slot in enumerate(order):
+            op, a, b = code[slot]
+            if op == "*":
+                v = values[a] * values[b]
+            elif op == "+":
+                v = values[a] + values[b]
+            elif op == "-":
+                v = values[a] - values[b]
+            elif op == "/":
+                self.check(op, values[b], slot, start)
+                v = values[a] / values[b]
+            elif op == "pow":
+                if b < 0:
+                    self.check(op, values[a], slot, start)
+                v = np.power(values[a], b)
+            elif op == "neg":
+                v = -values[a]
+            elif op == "x":
+                if a < self.X.shape[1]:
+                    v = self.X[start:stop, a][None, :]
+                else:
+                    reason = f"variable {b} undefined in dimension {self.X.shape[1]}"
+                    self.fail(0, slot, None, reason)
+                    v = np.full((1, 1), np.nan)
+            elif op == "eps":
+                v = self.eps_column
+            elif op == "const":
+                v = np.full((1, 1), b)
+            elif op == "table":
+                v = self._table(a, slot)
+            else:
+                if op in _DOMAIN:
+                    self.check(op, values[a], slot, start)
+                v = _UNARY[op](values[a])
+            values[slot] = v
+            if frees is not None:
+                for k in frees[i]:
+                    values[k] = None
+
+    def _table(self, pairs, slot: int) -> np.ndarray:
+        lookup = {}
+        for grid_eps, value in pairs:
+            lookup.setdefault(grid_eps, value)
+        column = np.array([lookup.get(e, np.nan) for e in self.eps_column[:, 0].tolist()])
+        missing = [k for k, e in enumerate(self.eps_column[:, 0].tolist()) if e not in lookup]
+        if missing:
+            self.fail(missing[0], slot, None, "eps is not a grid point of the table")
+        return column[:, None]
 
 
 # ---------------------------------------------------------------------------

@@ -223,10 +223,12 @@ class GroupElement:
             if self.is_generalized:
                 raise ValueError("eps is required: element depends on eps")
             eps = 0.5  # irrelevant placeholder, no eps in the expressions
-        Y = np.empty_like(X)
-        for k, c in enumerate(self.coords):
-            Y[:, k] = ex.eval_points(c, eps, X)
-        return Y[0] if squeeze else Y
+        # one contiguous row per coordinate, so that per-axis reductions over
+        # the images (as in the c-boundedness check) run along memory
+        Y = np.empty((self.dimension, len(X)))
+        for k, column in enumerate(ex.eval_many(self.coords, eps, X)):
+            Y[k] = column
+        return Y[:, 0] if squeeze else Y.T
 
     def to_json_dict(self) -> dict:
         return self.source or {

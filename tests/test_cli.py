@@ -110,6 +110,16 @@ class TestExitCodes:
         assert data is None
         assert assert_one_line_error(capsys).startswith("evaluation error:")
 
+    def test_waived_c_boundedness_warns_on_one_line(self, tmp_path, capsys):
+        code, data = run_cmd(
+            tmp_path,
+            ["--no-strict", "invariance", "--f", "x1^2-x2^2", "--dim", "2",
+             "--boost", "1,2,1/eps", *FAST_GRID],
+        )
+        assert code == EXIT_NEGATIVE
+        assert data["verdict"] == "negative"
+        assert capsys.readouterr().err == "warning: transformation is not c-bounded on the box\n"
+
     @pytest.mark.parametrize(
         "dim, element, fragment",
         [

@@ -1,0 +1,181 @@
+"""The compiled grid evaluator against the reference tree walk: values bit for
+bit at every grid eps, and the same EvalError as evaluating one eps at a time
+and stopping at the first failure."""
+
+import random
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_eval import reference_eval_points
+
+from epsnet import expr as ex
+from epsnet.colombeau import CompactBox, EpsilonGrid, grid_sups
+from epsnet.expr import EvalError, Table, parse, random_expr, to_text
+
+GRID = (0.5, 0.25, 0.125, 0.03125, 1e-3)
+#: small enough that a 125-row lattice takes many chunks, ragged at the end
+TINY_SLAB = 11
+
+
+def _lattice(d: int, samples: int = 5, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
+    return CompactBox.cube(lo, hi, d, samples).lattice()
+
+
+def _reference(e, eps_values, X):
+    """Rows of the reference walk up to the first failing eps, and its error."""
+    rows = []
+    for eps in eps_values:
+        try:
+            rows.append(reference_eval_points(e, eps, X))
+        except EvalError as err:
+            return rows, err
+    return rows, None
+
+
+def _assert_same_error(got: EvalError, want: EvalError):
+    assert str(got) == str(want)
+    assert (got.reason, got.subexpr, got.eps, got.alpha) == (want.reason, want.subexpr, want.eps, want.alpha)
+    if want.point is None:
+        assert got.point is None
+    else:
+        assert tuple(map(float, got.point)) == tuple(map(float, want.point))
+
+
+def assert_matches_reference(e, eps_values, X):
+    rows, err = _reference(e, eps_values, X)
+    if err is not None:
+        for sup in (False, True):
+            with pytest.raises(EvalError) as info:
+                ex.eval_points(e, eps_values, X, sup=sup)
+            _assert_same_error(info.value, err)
+        return err
+    got = ex.eval_points(e, eps_values, X)
+    assert got.shape == (len(eps_values), len(X))
+    for k, eps in enumerate(eps_values):
+        assert np.array_equal(got[k], rows[k], equal_nan=True), (to_text(e), eps)
+        assert np.array_equal(ex.eval_points(e, eps, X), rows[k], equal_nan=True)
+    sups = ex.eval_points(e, eps_values, X, sup=True)
+    assert np.array_equal(sups, [np.max(np.abs(r)) for r in rows], equal_nan=True)
+    return None
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=0, max_value=3))
+def test_grid_rows_match_reference_bit_for_bit(seed, d):
+    e = random_expr(random.Random(seed), d, max_depth=4)
+    X = _lattice(d)
+    assert_matches_reference(e, GRID, X)
+    with mock.patch.object(ex, "SLAB_ELEMENTS", TINY_SLAB):
+        assert_matches_reference(e, GRID, X)
+
+
+DOMAIN_VIOLATIONS = [
+    ("ln(x1)", 1),
+    ("sqrt(x1-eps)", 1),
+    ("1/(x1-eps)+x1", 1),
+    ("x2+ln(x1+eps-0.1)", 2),
+    ("(x1*x2-eps)^(-2)", 2),
+    ("ln(eps-0.2)*x1", 1),
+    ("1/(eps-0.25)+x1", 1),
+    ("sqrt(sin(4*x1))+ln(x2)", 2),
+    ("cos(x3)*ln(x1+eps-0.3)+sqrt(x1-eps+0.2)", 3),
+    ("x1*x1/(x1*x1)", 1),
+    ("exp(x1)/(x2*x3)+1/x1", 3),
+    ("eps/(eps^2-0.0625)", 0),
+    ("sqrt(x1-eps)+ln(x2)", 2),
+]
+
+
+@pytest.mark.parametrize("text,d", DOMAIN_VIOLATIONS)
+def test_domain_violations_raise_the_reference_error(text, d):
+    e = parse(text, d)
+    X = _lattice(d, lo=0.0)
+    assert assert_matches_reference(e, GRID, X) is not None
+    with mock.patch.object(ex, "SLAB_ELEMENTS", TINY_SLAB):
+        assert_matches_reference(e, GRID, X)
+
+
+def test_earlier_node_failing_in_the_last_chunk_wins():
+    # at eps=0.5, ln(1-x1) fails only at the last row (third chunk) and the
+    # later node eps/x1 already at the first row (first chunk)
+    X = np.linspace(0.0, 1.0, 5001)[:, None]
+    e = parse("ln(1-x1)+eps/x1", 1)
+    with pytest.raises(EvalError) as info:
+        ex.eval_points(e, (0.5, 0.25), X)
+    err = info.value
+    assert err.reason == "ln of non-positive value" and to_text(err.subexpr) == "ln(1-x1)"
+    assert err.eps == 0.5 and tuple(err.point) == (1.0,)
+    assert_matches_reference(e, (0.5, 0.25), X)
+
+
+def test_first_failing_eps_wins_over_node_order():
+    X = np.linspace(0.0, 1.0, 11)[:, None]
+    # ln(...) fails from eps=0.25 on, the later sqrt(...) already at eps=0.5
+    e = parse("ln(x1+eps-0.3)+sqrt(x1-eps+0.2)", 1)
+    with pytest.raises(EvalError) as info:
+        ex.eval_points(e, (0.5, 0.25, 0.125), X)
+    assert info.value.reason == "sqrt of negative value"
+    assert info.value.eps == 0.5 and tuple(info.value.point) == (0.0,)
+    # one node failing at two eps reports the first
+    with pytest.raises(EvalError) as info:
+        ex.eval_points(parse("ln(x1+eps-0.3)", 1), (0.5, 0.25, 0.125), X)
+    assert info.value.eps == 0.25 and tuple(info.value.point) == (0.0,)
+
+
+def test_grid_sups_attaches_alpha_to_the_first_failure():
+    X = np.linspace(0.0, 1.0, 11)[:, None]
+    with pytest.raises(EvalError) as info:
+        grid_sups(parse("sqrt(x1-eps)", 1), (0.5, 0.25), X, alpha=(1,))
+    assert (info.value.eps, info.value.alpha, tuple(info.value.point)) == (0.5, (1,), (0.0,))
+
+
+def test_shared_child_read_twice():
+    X = np.linspace(-1.0, 1.0, 41)[:, None]
+    e = parse("(x1*x1)*(x1*x1)-sin(x1*x1)+x1*x1", 1)
+    assert len(ex._Program((e,)).code) == 6  # x1, x1*x1, its square, sin, -, +
+    for slab in (ex.SLAB_ELEMENTS, 3):
+        with mock.patch.object(ex, "SLAB_ELEMENTS", slab):
+            assert_matches_reference(e, GRID, X)
+            err = assert_matches_reference(parse("eps/(x1*x1)", 1), GRID, X)
+            assert err.reason == "division by zero" and tuple(err.point) == (0.0,)
+
+
+def test_table_outside_its_grid_fails_at_the_first_missing_eps():
+    table = Table(((0.5, 1.0), (0.25, 2.0)))
+    e = ex.BinOp("+", ex.BinOp("*", table, ex.Var("x1")), ex.Var("x1"))
+    X = np.linspace(-1.0, 1.0, 9)[:, None]
+    assert np.array_equal(ex.eval_points(e, (0.5, 0.25), X), [2 * X[:, 0], 3 * X[:, 0]])
+    err = assert_matches_reference(e, (0.5, 0.25, 0.125, 0.0625), X)
+    assert err.reason == "eps is not a grid point of the table"
+    assert err.eps == 0.125 and err.point is None
+
+
+def test_result_shapes():
+    X = _lattice(2)
+    e = parse("eps*x1+x2", 2)
+    assert ex.eval_points(e, 0.5, X).shape == (len(X),)
+    assert ex.eval_points(e, [0.5, 0.25, 0.125], X).shape == (3, len(X))
+    assert ex.eval_points(parse("3+0*eps", 2), [0.5, 0.25], X).shape == (2, len(X))
+    assert isinstance(ex.eval_points(e, 0.5, X, sup=True), float)
+    assert ex.eval_points(e, (0.5, 0.25), X, sup=True).shape == (2,)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        ex.eval_points(e, (0.5, 0.0), X)
+
+
+def test_grid_sups_memory_stays_below_one_full_slab():
+    lattice = CompactBox.cube(-1.0, 1.0, 3, 33).lattice()
+    grid = EpsilonGrid.dyadic(4, 40)
+    body = parse("exp(-(x1^2+x2^2+x3^2))*cos(eps*x1*x2)+sin(eps*x3)", 3)
+    full_slab = len(grid) * len(lattice) * 8  # one (37, 35937) float array, 10.6 MB
+    tracemalloc.start()
+    try:
+        sups = grid_sups(body, grid, lattice)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sups) == len(grid)
+    assert peak < full_slab / 10
