@@ -5,6 +5,10 @@ report (stable envelope: command, verdict, order, evidence) and prints a
 one-line summary.  Exit status: 0 for a positive verdict or successful
 computation, 1 for a negative verdict, 2 for usage or evaluation errors.
 Reports are byte-identical across runs with the same configuration.
+
+Handlers import the modules they use when they run, so a subcommand loads
+only what it needs: the Diophantine ones never import numpy, and
+``classify`` never imports mpmath.
 """
 
 from __future__ import annotations
@@ -17,36 +21,6 @@ import random
 import sys
 import warnings
 from importlib import resources
-
-import numpy as np
-
-from . import expr as ex
-from .colombeau import CompactBox, EpsilonGrid, Net, classify
-from .decompose import (
-    DecompositionError,
-    full_lorentz_decompose,
-    orthogonal_decompose,
-)
-from .groups import GroupElement, element_from_json, planar_flow
-from .numbertheory import (
-    AlgebraicNumber,
-    catalog,
-    corollary_pair,
-    dirichlet,
-    liouville_constant,
-    resolve_alpha,
-)
-from .sampling import random_proper_lorentz, random_special_orthogonal
-from .verify import (
-    CBoundednessError,
-    check_invariance,
-    lorentz_invariance_pipeline,
-    one_param_theorem_harness,
-    open_question_explorer,
-    rotation_invariance_pipeline,
-    translation_constancy,
-    two_period_constancy,
-)
 
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
@@ -73,8 +47,10 @@ def _load_json_arg(text: str):
         raise UsageError(f"not valid JSON and not a readable file: {text!r} ({err})") from None
 
 
-def _parse_box(spec: str, dimension: int, samples: int) -> CompactBox:
+def _parse_box(spec: str, dimension: int, samples: int):
     """Box syntax: comma-separated per-axis 'lo:hi' ranges, e.g. '-1:1,-1:1'."""
+    from .colombeau import CompactBox
+
     if not spec:
         return CompactBox.cube(-1.0, 1.0, dimension, samples)
     intervals = []
@@ -92,7 +68,9 @@ def _parse_vector(spec: str) -> tuple:
     return tuple(float(v) for v in spec.split(",") if v != "")
 
 
-def _algebraic(spec: str) -> AlgebraicNumber:
+def _algebraic(spec: str):
+    from .numbertheory import catalog, resolve_alpha
+
     _, name, alg = resolve_alpha(spec)
     if alg is None:
         raise UsageError(
@@ -108,7 +86,8 @@ def _plain_json(value):
         return {k: _plain_json(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain_json(v) for v in value]
-    if isinstance(value, np.generic):
+    np = sys.modules.get("numpy")  # a numpy scalar implies numpy is loaded
+    if np is not None and isinstance(value, np.generic):
         value = value.item()
     if isinstance(value, float) and not math.isfinite(value):
         return "nan" if math.isnan(value) else "inf" if value > 0 else "-inf"
@@ -122,15 +101,22 @@ def write_report(path: str, command: str, verdict: str, order, evidence) -> None
         fh.write(text + "\n")
 
 
-def _grid(args) -> EpsilonGrid:
+def _grid(args):
+    from .colombeau import EpsilonGrid
+
     return EpsilonGrid.dyadic(args.k_min, args.k_max)
 
 
-def _net(args) -> Net:
+def _net(args):
+    from .colombeau import Net
+
     return Net.parse(args.f, args.dim)
 
 
-def _element(args, dimension: int) -> GroupElement:
+def _element(args, dimension: int):
+    from .colombeau import Net
+    from .groups import GroupElement, element_from_json, planar_flow
+
     chosen = [
         args.element is not None,
         args.rotation is not None,
@@ -173,6 +159,11 @@ def _element(args, dimension: int) -> GroupElement:
 
 def _matrix_argument(args, rng: random.Random):
     """Resolve --matrix / --matrix-net / --random into a pipeline input."""
+    import numpy as np
+
+    from .colombeau import Net
+    from .sampling import random_proper_lorentz, random_special_orthogonal
+
     given = [args.matrix is not None, args.matrix_net is not None, args.random]
     if sum(given) != 1:
         raise UsageError("provide exactly one of --matrix/--matrix-net/--random")
@@ -194,6 +185,8 @@ def _matrix_argument(args, rng: random.Random):
 
 
 def _cmd_classify(args, rng):
+    from .colombeau import classify
+
     if args.max_order < 0:
         raise UsageError(f"--max-order must be >= 0, got {args.max_order}")
     net = _net(args)
@@ -207,6 +200,8 @@ def _cmd_classify(args, rng):
 
 
 def _cmd_invariance(args, rng):
+    from .verify import check_invariance
+
     net = _net(args)
     box = _parse_box(args.box, args.dim, args.samples)
     g = _element(args, args.dim)
@@ -216,6 +211,10 @@ def _cmd_invariance(args, rng):
 
 
 def _cmd_one_param(args, rng):
+    from .colombeau import Net
+    from .groups import planar_flow
+    from .verify import one_param_theorem_harness
+
     net = _net(args)
     box = _parse_box(args.box, args.dim, args.samples)
     real_thetas = _parse_vector(args.real_thetas) if args.real_thetas else None
@@ -231,6 +230,8 @@ def _cmd_one_param(args, rng):
 
 
 def _cmd_pipeline(args, rng):
+    from .verify import lorentz_invariance_pipeline, rotation_invariance_pipeline
+
     net = _net(args)
     box = _parse_box(args.box, args.dim, args.samples)
     grid = _grid(args)
@@ -242,6 +243,10 @@ def _cmd_pipeline(args, rng):
 
 
 def _cmd_decompose_so(args, rng):
+    import numpy as np
+
+    from .decompose import orthogonal_decompose
+
     M = np.asarray(_load_json_arg(args.matrix), dtype=float)
     schedule, reflected = orthogonal_decompose(M)
     evidence = {"schedule": schedule.to_json_dict(), "reflected": reflected}
@@ -250,6 +255,10 @@ def _cmd_decompose_so(args, rng):
 
 
 def _cmd_decompose_lorentz(args, rng):
+    import numpy as np
+
+    from .decompose import full_lorentz_decompose
+
     L = np.asarray(_load_json_arg(args.matrix), dtype=float)
     full = full_lorentz_decompose(L)
     fact = full.factorization
@@ -268,6 +277,8 @@ def _cmd_decompose_lorentz(args, rng):
 
 
 def _cmd_dirichlet(args, rng):
+    from .numbertheory import dirichlet, resolve_alpha
+
     provider, name, _ = resolve_alpha(args.alpha)
     pair = dirichlet(provider, args.N)
     evidence = {
@@ -286,6 +297,8 @@ def _cmd_dirichlet(args, rng):
 
 
 def _cmd_liouville(args, rng):
+    from .numbertheory import liouville_constant
+
     alg = _algebraic(args.alpha)
     data = liouville_constant(alg)
     evidence = {
@@ -299,6 +312,8 @@ def _cmd_liouville(args, rng):
 
 
 def _cmd_corollary_pair(args, rng):
+    from .numbertheory import corollary_pair
+
     alg = _algebraic(args.alpha)
     res = corollary_pair(alg, args.R)
     evidence = {
@@ -318,7 +333,18 @@ def _cmd_corollary_pair(args, rng):
     )
 
 
+def _check_two_period_options(args) -> None:
+    if args.p < 1:
+        raise UsageError(f"--p must be >= 1, got {args.p}")
+    if args.samples < 2:
+        raise UsageError(f"--samples: need at least 2 samples per axis, got {args.samples}")
+
+
 def _cmd_two_period(args, rng):
+    from .colombeau import Net
+    from .verify import two_period_constancy
+
+    _check_two_period_options(args)
     net = Net.parse(args.f, 1)
     alg = _algebraic(args.alpha)
     rep = two_period_constancy(net, alg, args.R, args.p, _grid(args), samples=args.samples)
@@ -329,6 +355,8 @@ def _cmd_two_period(args, rng):
 
 
 def _cmd_translation(args, rng):
+    from .verify import translation_constancy
+
     net = _net(args)
     box = _parse_box(args.box, args.dim, args.samples)
     hs = tuple(_parse_vector(part) for part in args.h_samples.split(";")) if args.h_samples else ((0.5,) * args.dim, (1.0,) * args.dim)
@@ -339,6 +367,11 @@ def _cmd_translation(args, rng):
 
 
 def _cmd_explore(args, rng):
+    from .colombeau import Net
+    from .numbertheory import resolve_alpha
+    from .verify import open_question_explorer
+
+    _check_two_period_options(args)
     net = Net.parse(args.f, 1)
     provider, name, _ = resolve_alpha(args.alpha)
     rep = open_question_explorer(provider, net, args.R, args.p, _grid(args), samples=args.samples)
@@ -518,6 +551,16 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
     print(f"warning: {message}", file=sys.stderr)
 
 
+def _is_evaluation_error(err: Exception) -> bool:
+    """Arithmetic failures, and transformations that are not c-bounded;
+    ``CBoundednessError`` can only have been raised once its module is
+    loaded."""
+    verify = sys.modules.get(f"{__package__}.verify")
+    return isinstance(err, ArithmeticError) or (
+        verify is not None and isinstance(err, verify.CBoundednessError)
+    )
+
+
 def run(argv) -> int:
     parser = build_parser()
     try:
@@ -534,13 +577,13 @@ def run(argv) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning
             verdict, order, evidence, summary = handler(args, rng)
-    except (UsageError, ex.ParseError, DecompositionError, ValueError) as err:
+    except (UsageError, ValueError) as err:  # ParseError, DecompositionError included
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
-    except (ArithmeticError, CBoundednessError) as err:
-        print(f"evaluation error: {err}", file=sys.stderr)
-        return EXIT_ERROR
     except Exception as err:  # last resort: exit 1 is reserved for negative verdicts
+        if _is_evaluation_error(err):
+            print(f"evaluation error: {err}", file=sys.stderr)
+            return EXIT_ERROR
         message = " ".join(str(err).split())
         print(f"error: unexpected {type(err).__name__}: {message}", file=sys.stderr)
         return EXIT_ERROR

@@ -484,6 +484,13 @@ class ConstancyReport:
         }
 
 
+def _check_order_and_samples(p: int, samples: int) -> None:
+    if p < 1:
+        raise ValueError(f"order p must be >= 1, got {p}")
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples per axis, got {samples}")
+
+
 def _two_period_sups(f: Net, alpha: float, radius: float, grid: EpsilonGrid, samples: int):
     """Per-eps grid data of the two-period harnesses: the deviations for the
     periods 1 and alpha over [-radius, radius], the centered sups
@@ -545,6 +552,7 @@ def two_period_constancy(
     """
     if f.dimension != 1:
         raise ValueError("the two-period theorem concerns one-dimensional nets")
+    _check_order_and_samples(p, samples)
     grid = grid or EpsilonGrid.dyadic()
     alpha = a.value_float
     if not radius > alpha + 2:
@@ -729,6 +737,7 @@ def open_question_explorer(
 
     if f.dimension != 1:
         raise ValueError("one-dimensional nets only")
+    _check_order_and_samples(p, samples)
     grid = grid or EpsilonGrid.dyadic()
     with mp.workprec(96):
         alpha = float(alpha_provider(96) if callable(alpha_provider) else alpha_provider)

@@ -157,6 +157,31 @@ class TestExitCodes:
         assert code == EXIT_ERROR and data is None
         assert_one_line_error(capsys, "--max-order")
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["two-period", "--f", "1", "--alpha", "sqrt2", "--R", "5", "--p", "0"], "--p"),
+            (["two-period", "--f", "1", "--alpha", "sqrt2", "--R", "5", "--p", "-2"], "--p"),
+            (["explore-open-question", "--f", "1", "--alpha", "pi", "--R", "7", "--p", "0"], "--p"),
+            (["two-period", "--f", "x1", "--alpha", "sqrt2", "--R", "5", "--p", "1",
+              "--samples", "0"], "--samples"),
+            (["explore-open-question", "--f", "1", "--alpha", "pi", "--R", "7", "--p", "2",
+              "--samples", "1"], "--samples"),
+        ],
+    )
+    def test_two_period_order_and_samples_are_usage_errors(self, tmp_path, capsys, argv, flag):
+        code, data = run_cmd(tmp_path, argv)
+        assert code == EXIT_ERROR and data is None
+        assert_one_line_error(capsys, "error: " + flag)
+
+    @pytest.mark.parametrize("alpha", ["inf", "nan", "1e400"])
+    def test_non_finite_alpha_is_a_usage_error(self, tmp_path, capsys, alpha):
+        for argv in (["dirichlet", "--alpha", alpha, "--N", "5"],
+                     ["explore-open-question", "--f", "1", "--alpha", alpha, "--R", "7", "--p", "2"]):
+            code, data = run_cmd(tmp_path, argv)
+            assert code == EXIT_ERROR and data is None
+            assert_one_line_error(capsys, "alpha must be finite")
+
     @pytest.mark.parametrize("flag", ["--rotation", "--boost"])
     @pytest.mark.parametrize("spec", ["1,2", "a,2,0.3", "2,1,0.3", "1,3,0.3"])
     def test_malformed_planar_spec_is_a_usage_error(self, tmp_path, capsys, flag, spec):

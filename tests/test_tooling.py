@@ -3,6 +3,10 @@ name it lists must resolve in the package, so a refactor that drops one
 fails here rather than in a traced benchmark run."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 LAUNCHER = Path(__file__).resolve().parents[1] / "bench" / "launcher.py"
@@ -26,3 +30,22 @@ def test_every_traced_layer_target_resolves():
         if not callable(owner):
             missing.append(f"epsnet.{module_name}.{attr}")
     assert missing == []
+
+
+def test_traced_job_records_the_layers_its_handler_imports(tmp_path):
+    # CLI handlers import their modules when they run, after the launcher
+    # has wrapped the layer functions, and must call the wrappers
+    import epsnet
+
+    src = Path(epsnet.__file__).resolve().parents[1]
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    job = ["two-period", "--f", "3 + eps^(1/eps)*sin(x1)", "--alpha", "cbrt2", "--R", "6",
+           "--p", "2", "--k-max", "12", "--out", "report.json"]
+    proc = subprocess.run([sys.executable, str(LAUNCHER), "spans.json", "job", *job],
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads((tmp_path / "spans.json").read_text(encoding="utf-8"))
+    called = {record["layers"][span[0]] for span in record["spans"]}
+    assert {"verify", "numbertheory.dirichlet", "numbertheory.liouville",
+            "numbertheory.corollary", "cli.report", "cli"} <= called

@@ -301,6 +301,16 @@ class TestTwoPeriod:
         with pytest.raises(ValueError, match="radius"):
             two_period_constancy(Net.parse("1", 1), self.SQRT2, 3.0, 2, GRID)
 
+    @pytest.mark.parametrize("p, samples, message", [(0, 129, "order p"), (-2, 129, "order p"),
+                                                     (2, 0, "2 samples"), (2, 1, "2 samples")])
+    def test_two_period_harnesses_reject_order_and_samples(self, p, samples, message):
+        # p < 1 once gave "constant" from an empty per-order list
+        f = Net.parse("1", 1)
+        with pytest.raises(ValueError, match=message):
+            two_period_constancy(f, self.SQRT2, 5.0, p, GRID, samples=samples)
+        with pytest.raises(ValueError, match=message):
+            open_question_explorer(resolve_alpha("pi")[0], f, 7.0, p, GRID, samples=samples)
+
 
 class TestTranslation:
     BOX = CompactBox.cube(-2.0, 2.0, 1)
