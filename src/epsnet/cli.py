@@ -138,7 +138,13 @@ def _element(args, dimension: int):
         except (AttributeError, TypeError, ValueError) as err:
             raise UsageError(f"--element is not a group element: {err}") from None
     if args.translate is not None:
-        return GroupElement.translation(dimension, _parse_vector(args.translate))
+        try:
+            offset = _parse_vector(args.translate)
+        except ValueError:
+            raise UsageError(
+                f"--translate must be comma-separated numbers, got {args.translate!r}"
+            ) from None
+        return GroupElement.translation(dimension, offset)
     spec = args.rotation if args.rotation is not None else args.boost
     kind = "rotation" if args.rotation is not None else "boost"
     try:

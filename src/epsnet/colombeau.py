@@ -263,8 +263,7 @@ def seminorm(
     if len(orders) != f.dimension:
         raise ValueError("multi-index length does not match net dimension")
     mi = ex.multi_index(orders, max_order=max_order)
-    deriv = ex.partial_multi(f.body, mi)
-    return grid_sups(deriv, (eps,), box.lattice(), mi.orders)[0]
+    return float(ex.eval_points(f.body, eps, box.lattice(), sup=True, partials=(mi,))[0])
 
 
 def classify(
@@ -276,22 +275,24 @@ def classify(
     bound: float = DEFAULT_RC_BOUND,
 ) -> AsymptoticReport:
     """Aggregate derivative sups over all multi-indices up to ``max_order``
-    and report the asymptotic verdicts."""
+    and report the asymptotic verdicts.
+
+    The whole derivative family is one :func:`~epsnet.expr.eval_points` call:
+    one compiled program over the lattice and the grid, one sup per alpha.
+    An :class:`~epsnet.expr.EvalError` names the first failing alpha."""
     grid = grid or EpsilonGrid.dyadic()
     if box.dimension != f.dimension:
         raise ValueError("box dimension does not match net dimension")
     if max_order < 0:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
-    lattice = box.lattice()
-    aggregated = np.zeros(len(grid))
-    per_alpha = []
-    for alpha in _spatial_multi_indices(f.dimension, max_order):
-        deriv = ex.partial_multi(f.body, alpha)
-        sups = grid_sups(deriv, grid, lattice, alpha.orders)
-        aggregated = np.maximum(aggregated, sups)
-        per_alpha.append((alpha.orders, fit_decay_exponent(tuple(zip(grid.values, sups)))))
+    alphas = _spatial_multi_indices(f.dimension, max_order)
+    sups = ex.eval_points(f.body, grid.values, box.lattice(), sup=True, partials=alphas)
+    per_alpha = tuple(
+        (alpha.orders, fit_decay_exponent(tuple(zip(grid.values, row.tolist()))))
+        for alpha, row in zip(alphas, sups)
+    )
     return report_from_sups(
-        grid, aggregated.tolist(), p_max=p_max, bound=bound, per_alpha=tuple(per_alpha)
+        grid, np.max(sups, axis=0).tolist(), p_max=p_max, bound=bound, per_alpha=per_alpha
     )
 
 

@@ -444,7 +444,7 @@ _DOMAIN = {
 }
 
 
-def eval_points(e: Expr, eps, points, sup: bool = False):
+def eval_points(e: Expr, eps, points, sup: bool = False, partials=None):
     """Evaluate ``e`` at every row of ``points`` (shape (n, d)).
 
     ``eps`` is one value, giving shape (n,), or a 1-d sequence of values,
@@ -453,15 +453,37 @@ def eval_points(e: Expr, eps, points, sup: bool = False):
     points: a float for one eps, shape (len(eps),) for a sequence; a NaN value
     makes its eps's max NaN.
 
+    ``partials``, a sequence of multi-indices alpha, evaluates the derivative
+    family ``partial_multi(e, alpha)`` instead of ``e``: the result gains a
+    leading axis of len(partials), e.g. shape (len(partials), len(eps)) with
+    ``sup``.  Each derivative is built from its parent and the family is
+    compiled as one program (:func:`_derivative_family`).
+
     Overflow yields IEEE infinities, underflow yields 0; genuine domain
     violations (sqrt of a negative, ln of a non-positive, division by zero)
     raise :class:`EvalError` with a witness point.  Over a sequence the error
-    is the one evaluation at the first failing eps alone would raise.
+    is the one evaluation at the first failing eps alone would raise; over a
+    family it is the one of the first failing alpha, which it names.
     """
-    if np.ndim(eps) == 0:
-        out = _evaluate((e,), (eps,), points, sup)[0]
-        return float(out[0]) if sup else out[0]
-    return _evaluate((e,), eps, points, sup)[0]
+    scalar = np.ndim(eps) == 0
+    eps_values = (eps,) if scalar else eps
+    if partials is None:
+        out = _evaluate((e,), eps_values, points, sup)[0]
+        return (float(out[0]) if sup else out[0]) if scalar else out
+    alphas = [tuple(a.orders if isinstance(a, MultiIndex) else a) for a in partials]
+    bodies = _derivative_family(e, alphas)
+    try:
+        out = np.array(_evaluate(bodies, eps_values, points, sup))
+    except EvalError:
+        # the family's first failure need not be the first alpha's: find
+        # that one on its own, in order, as a per-alpha loop would
+        for alpha, body in zip(alphas, bodies):
+            try:
+                _evaluate((body,), eps_values, points, sup)
+            except EvalError as err:
+                raise err.with_context(alpha=alpha) from None
+        raise
+    return out[:, 0] if scalar else out
 
 
 def eval_many(es: Sequence[Expr], eps: float, points) -> list:
@@ -790,10 +812,20 @@ def _var_name(var) -> str:
 def partial(e: Expr, var) -> Expr:
     """Exact symbolic partial derivative with respect to a spatial variable
     (1-based index or name) or ``"eps"``."""
-    return _d(e, _var_name(var))
+    return _d(e, _var_name(var), {})
 
 
-def _d(e: Expr, v: str) -> Expr:
+def _d(e: Expr, v: str, memo: dict) -> Expr:
+    """d e / d v.  ``memo`` maps id(node) to its derivative, so a subtree
+    shared by reference is differentiated once; the root keeps every node,
+    and so every id, alive for the whole call."""
+    out = memo.get(id(e))
+    if out is None:
+        out = memo[id(e)] = _d_node(e, v, memo)
+    return out
+
+
+def _d_node(e: Expr, v: str, memo: dict) -> Expr:
     if isinstance(e, Const):
         return Const(0.0)
     if isinstance(e, Var):
@@ -803,10 +835,10 @@ def _d(e: Expr, v: str) -> Expr:
             raise ValueError("a tabulated scalar has no eps-derivative")
         return Const(0.0)
     if isinstance(e, Neg):
-        return c_neg(_d(e.arg, v))
+        return c_neg(_d(e.arg, v, memo))
     if isinstance(e, BinOp):
         a, b = e.left, e.right
-        da, db = _d(a, v), _d(b, v)
+        da, db = _d(a, v, memo), _d(b, v, memo)
         if e.op == "+":
             return c_add(da, db)
         if e.op == "-":
@@ -815,11 +847,11 @@ def _d(e: Expr, v: str) -> Expr:
             return c_add(c_mul(da, b), c_mul(a, db))
         return c_div(c_sub(c_mul(da, b), c_mul(a, db)), c_intpow(b, 2))
     if isinstance(e, IntPow):
-        du = _d(e.base, v)
+        du = _d(e.base, v, memo)
         return c_mul(c_mul(Const(float(e.exponent)), c_intpow(e.base, e.exponent - 1)), du)
     if isinstance(e, Call):
         u = e.arg
-        du = _d(u, v)
+        du = _d(u, v, memo)
         if e.fn == "sin":
             return c_mul(c_call("cos", u), du)
         if e.fn == "cos":
@@ -846,8 +878,32 @@ def partial_multi(e: Expr, alpha) -> Expr:
     out = e
     for axis, order in enumerate(orders, start=1):
         for _ in range(order):
-            out = _d(out, f"x{axis}")
+            out = _d(out, f"x{axis}", {})
     return out
+
+
+def _derivative_family(e: Expr, alphas) -> tuple:
+    """``partial_multi(e, alpha)`` for each multi-index in ``alphas``, each
+    built by one ``partial_multi`` step from its parent alpha - e_k, k the
+    last axis of nonzero order.  ``partial_multi`` differentiates along the
+    last such axis last, so every body is the tree ``partial_multi(e, alpha)``
+    gives, and each body shares its parent's nodes."""
+    bodies = {}
+
+    def body(orders: tuple) -> Expr:
+        if orders not in bodies:
+            axes = [k for k, o in enumerate(orders) if o]
+            if not axes:
+                bodies[orders] = e
+            else:
+                k = axes[-1]
+                step = tuple(int(i == k) for i in range(len(orders)))
+                parent = tuple(o - s for o, s in zip(orders, step))
+                # looked up by name, so a tracer that rebinds it sees each step
+                bodies[orders] = partial_multi(body(parent), step)
+        return bodies[orders]
+
+    return tuple(body(alpha) for alpha in alphas)
 
 
 # ---------------------------------------------------------------------------

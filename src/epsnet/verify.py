@@ -61,30 +61,38 @@ class CBoundednessError(RuntimeError):
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    """Per-eps sup of |f(g(x)) - f(x)| over the box, with verdict at order p."""
+    """Per-eps sup of |f(g(x)) - f(x)| over the box, with verdict at order p.
+
+    ``c_bounded`` is the c-boundedness check's verdict; it can be False only
+    when the check was waived (``strict=False``)."""
 
     order: int
     sups: tuple  # ((eps, sup), ...)
     asymptotic: AsymptoticReport
     invariant: bool
+    c_bounded: bool
     element: dict = field(default_factory=dict, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
             "order": self.order,
             "invariant": self.invariant,
+            "c_bounded": self.c_bounded,
             "element": self.element,
             "asymptotic": self.asymptotic.to_json_dict(),
         }
 
 
-def _check_c_bounded(g: GroupElement, box: CompactBox, grid: EpsilonGrid, strict: bool):
+def _check_c_bounded(g: GroupElement, box: CompactBox, grid: EpsilonGrid, strict: bool) -> bool:
+    """The c-boundedness verdict; a failure raises when ``strict`` and
+    otherwise warns."""
     ok, _ = is_c_bounded(g, box, grid)
     if not ok:
         message = "transformation is not c-bounded on the box"
         if strict:
             raise CBoundednessError(message)
         warnings.warn(message, RuntimeWarning, stacklevel=3)
+    return ok
 
 
 def _noise_floor(scale: float) -> float:
@@ -130,11 +138,12 @@ def check_invariance(
     table.  Deviations at or below the noise floor read as zero; a NaN
     deviation is non-finite and fails the check.  With ``strict`` a
     transformation that is not c-bounded on the box raises
-    :class:`CBoundednessError`, otherwise it only warns."""
+    :class:`CBoundednessError`, otherwise it warns and the report records
+    ``c_bounded=False``."""
     grid = grid or EpsilonGrid.dyadic()
     if g.dimension != f.dimension:
         raise ValueError("element dimension does not match net dimension")
-    _check_c_bounded(g, box, grid, strict)
+    c_bounded = _check_c_bounded(g, box, grid, strict)
     sups, floors = _deviation_sups(f, g, box, grid)
     report = report_from_sups(grid, sups, p_max=max(p_max or DEFAULT_P_MAX, p))
     # beyond the finest-quarter rule, require sup <= eps^p wherever the
@@ -147,6 +156,7 @@ def check_invariance(
         sups=tuple(zip(grid.values, sups)),
         asymptotic=report,
         invariant=report.negligible_order >= p and whole_grid_ok,
+        c_bounded=c_bounded,
         element=g.to_json_dict(),
     )
 
@@ -525,9 +535,8 @@ def _detect_eps0(grid: EpsilonGrid, dev1, dev2, exponent: float):
 
 
 def _derivative_moderateness(f: Net, radius: float, grid: EpsilonGrid, samples: int) -> int:
-    deriv = ex.partial(f.body, 1)
     xs = np.linspace(-radius, radius, samples)[:, None]
-    sups = grid_sups(deriv, grid, xs)
+    sups = ex.eval_points(f.body, grid.values, xs, sup=True, partials=((1,),))[0].tolist()
     slope = fit_decay_exponent(tuple(zip(grid.values, sups)))
     if math.isinf(slope):
         return 0

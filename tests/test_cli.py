@@ -1,9 +1,17 @@
+import contextlib
+import io
 import json
+import random
+import tempfile
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsnet.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_POSITIVE, run, schema_path
+from epsnet.expr import random_expr, to_text
 
 
 @pytest.fixture()
@@ -79,6 +87,7 @@ class TestExitCodes:
         )
         assert code == EXIT_NEGATIVE
         jsonschema.validate(data, schema)
+        assert data["evidence"]["c_bounded"] is True
 
     def test_invariance_positive_generalized_angle(self, tmp_path, schema):
         code, data = run_cmd(
@@ -118,6 +127,24 @@ class TestExitCodes:
         )
         assert code == EXIT_NEGATIVE
         assert data["verdict"] == "negative"
+        assert capsys.readouterr().err == "warning: transformation is not c-bounded on the box\n"
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            # positive although the element translates by 1/eps
+            (["--f", "x1*eps^9", "--dim", "1", "--element",
+              '{"dimension":1,"factors":[{"kind":"translation","offset":["1/eps"]}]}'],
+             EXIT_POSITIVE),
+            # negative, drawn from non-finite sups of the overflowing image
+            (["--f", "x1^2-x2^2", "--dim", "2", "--boost", "1,2,1/eps"], EXIT_NEGATIVE),
+        ],
+    )
+    def test_waived_c_boundedness_is_recorded_in_the_report(self, tmp_path, schema, capsys, argv, code):
+        got, data = run_cmd(tmp_path, ["--no-strict", "invariance", *argv, *FAST_GRID])
+        assert got == code
+        jsonschema.validate(data, schema)
+        assert data["evidence"]["c_bounded"] is False
         assert capsys.readouterr().err == "warning: transformation is not c-bounded on the box\n"
 
     @pytest.mark.parametrize(
@@ -188,6 +215,12 @@ class TestExitCodes:
         code, data = run_cmd(tmp_path, ["invariance", "--f", "x1", "--dim", "2", flag, spec])
         assert code == EXIT_ERROR and data is None
         assert_one_line_error(capsys, flag, repr(spec))
+
+    @pytest.mark.parametrize("spec", ["1/eps", "0.5,x"])
+    def test_non_numeric_translation_is_a_usage_error(self, tmp_path, capsys, spec):
+        code, data = run_cmd(tmp_path, ["invariance", "--f", "x1", "--dim", "2", "--translate", spec])
+        assert code == EXIT_ERROR and data is None
+        assert_one_line_error(capsys, "--translate", repr(spec))
 
     def test_unexpected_failure_is_one_line_exit_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -364,3 +397,50 @@ class TestDeterminism:
             out2 = tmp_path / f"{name}2.json"
             assert run(["--out", str(out1), *argv]) == run(["--out", str(out2), *argv])
             assert out1.read_bytes() == out2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: random bodies and flags never crash the CLI
+
+
+@st.composite
+def _classify_or_invariance_argv(draw):
+    command = draw(st.sampled_from(("classify", "invariance")))
+    d = draw(st.integers(min_value=0 if command == "classify" else 1, max_value=3))
+    body = random_expr(random.Random(draw(st.integers(0, 10**9))), d,
+                       max_depth=draw(st.integers(0, 4)))
+    k_min = draw(st.integers(1, 6))
+    argv = [command, f"--f={to_text(body)}", "--dim", str(d),
+            "--samples", str(draw(st.integers(2, 5))),
+            "--k-min", str(k_min), "--k-max", str(k_min + draw(st.integers(0, 6)))]
+    if draw(st.booleans()):
+        argv.insert(0, "--no-strict")
+    if command == "classify":
+        return argv + ["--max-order", str(draw(st.integers(0, 3))),
+                       "--p-max", str(draw(st.integers(0, 8)))]
+    argv += ["--p", str(draw(st.integers(0, 6)))]
+    theta = draw(st.sampled_from(("0.3", "-2", "eps", "1/eps", "sin(1/eps)", "ln(eps)", "eps^2")))
+    if d < 2 or draw(st.integers(0, 3)) == 0:
+        numbers = st.sampled_from(("0", "0.5", "-1.5", "1e3", "eps"))
+        return argv + ["--translate=" + ",".join(draw(numbers) for _ in range(d))]
+    i, j = sorted(draw(st.permutations(range(1, d + 1)))[:2])
+    return argv + [draw(st.sampled_from(("--rotation", "--boost"))), f"{i},{j},{theta}"]
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(_classify_or_invariance_argv())
+def test_fuzzed_cli_exits_cleanly_with_a_valid_report(argv):
+    with open(schema_path(), "r", encoding="utf-8") as fh:
+        schema = json.load(fh)
+    with tempfile.TemporaryDirectory() as work:
+        out = Path(work) / "report.json"
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = run(["--out", str(out), *argv])
+        assert code in (EXIT_POSITIVE, EXIT_NEGATIVE, EXIT_ERROR)
+        assert "Traceback" not in stderr.getvalue()
+        if code == EXIT_ERROR:
+            assert stderr.getvalue().strip()
+        else:
+            data = json.loads(out.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+            jsonschema.validate(data, schema)

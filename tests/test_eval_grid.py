@@ -1,6 +1,7 @@
 """The compiled grid evaluator against the reference tree walk: values bit for
 bit at every grid eps, and the same EvalError as evaluating one eps at a time
-and stopping at the first failure."""
+and stopping at the first failure; for a derivative family, the same sups and
+the same EvalError as evaluating one derivative at a time."""
 
 import random
 import tracemalloc
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 from reference_eval import reference_eval_points
 
 from epsnet import expr as ex
-from epsnet.colombeau import CompactBox, EpsilonGrid, grid_sups
-from epsnet.expr import EvalError, Table, parse, random_expr, to_text
+from epsnet.colombeau import CompactBox, EpsilonGrid, _spatial_multi_indices, grid_sups
+from epsnet.expr import EvalError, MultiIndex, Table, parse, partial_multi, random_expr, to_text
 
 GRID = (0.5, 0.25, 0.125, 0.03125, 1e-3)
 #: small enough that a 125-row lattice takes many chunks, ragged at the end
@@ -179,3 +180,101 @@ def test_grid_sups_memory_stays_below_one_full_slab():
         tracemalloc.stop()
     assert len(sups) == len(grid)
     assert peak < full_slab / 10
+
+
+# ---------------------------------------------------------------------------
+# derivative families: eval_points(e, grid, X, sup=True, partials=alphas)
+
+
+def _alphas(d: int, order: int) -> list:
+    return [a.orders for a in _spatial_multi_indices(d, order)]
+
+
+def _per_alpha_loop(e, alphas, eps_values, X):
+    """The sups of one body at a time, stopping at the first failing alpha."""
+    rows = []
+    for alpha in alphas:
+        body_rows, err = _reference(partial_multi(e, alpha), eps_values, X)
+        if err is not None:
+            return rows, err.with_context(alpha=alpha)
+        rows.append([np.max(np.abs(r)) for r in body_rows])
+    return rows, None
+
+
+def assert_family_matches_reference(e, alphas, eps_values, X):
+    rows, err = _per_alpha_loop(e, alphas, eps_values, X)
+    if err is not None:
+        with pytest.raises(EvalError) as info:
+            ex.eval_points(e, eps_values, X, sup=True, partials=alphas)
+        _assert_same_error(info.value, err)
+        return err
+    got = ex.eval_points(e, eps_values, X, sup=True, partials=alphas)
+    assert got.shape == (len(alphas), len(eps_values))
+    for alpha, got_row, want in zip(alphas, got, rows):
+        assert np.array_equal(got_row, want, equal_nan=True), (to_text(e), alpha)
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=3))
+def test_family_rows_match_reference_bit_for_bit(seed, d, order):
+    e = random_expr(random.Random(seed), d, max_depth=5)
+    alphas = _alphas(d, order)
+    # each body built from its parent is the tree partial_multi builds from e
+    assert ex._derivative_family(e, alphas) == tuple(partial_multi(e, a) for a in alphas)
+    X = _lattice(d, samples=4)
+    assert_family_matches_reference(e, alphas, GRID, X)
+    with mock.patch.object(ex, "SLAB_ELEMENTS", TINY_SLAB):
+        assert_family_matches_reference(e, alphas, GRID, X)
+
+
+def test_family_raises_the_first_failing_alpha_not_the_first_failing_eps():
+    X = np.linspace(0.0, 1.0, 11)[:, None]
+    # alpha=(0,) fails from eps=0.25 on (the ln); alpha=(1,) already at eps=0.5,
+    # dividing by 2*sqrt(x1) at x1=0
+    e = parse("ln(x1+eps-0.3)+sqrt(x1)", 1)
+    err = assert_family_matches_reference(e, [(0,), (1,)], (0.5, 0.25, 0.125), X)
+    assert (err.reason, err.eps, err.alpha) == ("ln of non-positive value", 0.25, (0,))
+    # in the other order the derivative is the first to fail
+    err = assert_family_matches_reference(e, [(1,), (0,)], (0.5, 0.25, 0.125), X)
+    assert (err.reason, err.eps, err.alpha) == ("division by zero", 0.5, (1,))
+
+
+def test_family_error_names_a_later_alpha():
+    X = _lattice(2, lo=0.0)
+    # the value is defined on the whole lattice; d/dx2, the second alpha,
+    # divides by 2*sqrt(x2)
+    e = parse("x1^3*eps+sqrt(x2)", 2)
+    err = assert_family_matches_reference(e, _alphas(2, 2), GRID, X)
+    assert (err.reason, err.alpha, tuple(err.point)) == ("division by zero", (0, 1), (0.0, 0.0))
+    assert "alpha=(0, 1)" in str(err)
+
+
+def test_family_result_shapes():
+    X = _lattice(2)
+    e = parse("eps*x1^2*x2", 2)
+    alphas = [(0, 0), (2, 0), (1, 1)]
+    assert ex.eval_points(e, (0.5, 0.25), X, sup=True, partials=alphas).shape == (3, 2)
+    assert ex.eval_points(e, 0.5, X, sup=True, partials=alphas).tolist() == [0.5, 1.0, 1.0]
+    values = ex.eval_points(e, (0.5, 0.25), X, partials=alphas)
+    assert values.shape == (3, 2, len(X))
+    assert np.array_equal(values[2, 1], 0.25 * 2 * X[:, 0])
+    assert ex.eval_points(e, 0.5, X, partials=[MultiIndex((0, 1))]).shape == (1, len(X))
+
+
+def test_family_memory_stays_below_four_mib():
+    # a classify-deriv family: order 4 in d=3 (35 bodies) on a 17^3 lattice
+    # over 13 eps; its whole value array (35, 13, 4913) would be 17.9 MB
+    lattice = CompactBox.cube(-1.0, 1.0, 3, 17).lattice()
+    grid = EpsilonGrid.dyadic(4, 16)
+    body = parse("exp(-(0.8*x1^2+1.2*x2^2+0.9*x3^2))*cos(eps*1.3*x1*x2)", 3)
+    alphas = _alphas(3, 4)
+    tracemalloc.start()
+    try:
+        sups = ex.eval_points(body, grid.values, lattice, sup=True, partials=alphas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sups.shape == (35, 13)
+    assert peak < 4 * 2**20

@@ -32,20 +32,37 @@ def test_every_traced_layer_target_resolves():
     assert missing == []
 
 
-def test_traced_job_records_the_layers_its_handler_imports(tmp_path):
-    # CLI handlers import their modules when they run, after the launcher
-    # has wrapped the layer functions, and must call the wrappers
+def _traced(tmp_path, job):
+    """Run one CLI job under the launcher, which must exit 0; its spans record
+    and the layers that recorded a call."""
     import epsnet
 
     src = Path(epsnet.__file__).resolve().parents[1]
     path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
-    job = ["two-period", "--f", "3 + eps^(1/eps)*sin(x1)", "--alpha", "cbrt2", "--R", "6",
-           "--p", "2", "--k-max", "12", "--out", "report.json"]
-    proc = subprocess.run([sys.executable, str(LAUNCHER), "spans.json", "job", *job],
+    proc = subprocess.run([sys.executable, str(LAUNCHER), "spans.json", "job", *job,
+                           "--out", "report.json"],
                           cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     record = json.loads((tmp_path / "spans.json").read_text(encoding="utf-8"))
-    called = {record["layers"][span[0]] for span in record["spans"]}
+    return record, {record["layers"][span[0]] for span in record["spans"]}
+
+
+def test_traced_job_records_the_layers_its_handler_imports(tmp_path):
+    # CLI handlers import their modules when they run, after the launcher
+    # has wrapped the layer functions, and must call the wrappers
+    _, called = _traced(tmp_path, ["two-period", "--f", "3 + eps^(1/eps)*sin(x1)",
+                                   "--alpha", "cbrt2", "--R", "6", "--p", "2", "--k-max", "12"])
     assert {"verify", "numbertheory.dirichlet", "numbertheory.liouville",
             "numbertheory.corollary", "cli.report", "cli"} <= called
+
+
+def test_traced_classify_enters_eval_and_diff_through_their_wrapped_names(tmp_path):
+    # the derivative family is one eval_points call on the net's body, and
+    # each derivative is one partial_multi step from its parent
+    record, called = _traced(tmp_path, ["classify", "--f", "exp(-x1^2)*cos(eps*x1*x2)",
+                                        "--dim", "2", "--max-order", "2", "--k-max", "8"])
+    assert {"expr.diff", "expr.eval", "colombeau.classify", "cli"} <= called
+    counters = record["counters"]
+    assert counters["expr.eval.rows"] == 6  # one row per multi-index of order <= 2 in d=2
+    assert counters["expr.diff.tree_nodes"] > 0 and counters["expr.eval.elem_ops"] > 0
