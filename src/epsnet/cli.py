@@ -7,8 +7,10 @@ computation, 1 for a negative verdict, 2 for usage or evaluation errors.
 Reports are byte-identical across runs with the same configuration.
 
 Handlers import the modules they use when they run, so a subcommand loads
-only what it needs: the Diophantine ones never import numpy, and
-``classify`` never imports mpmath.
+only what it needs: the Diophantine ones never import numpy; ``classify``,
+``invariance``, ``one-param`` and the ``rotation``/``lorentz`` pipelines
+never import mpmath or the number theory; and only ``--random`` loads the
+matrix sampler.
 """
 
 from __future__ import annotations
@@ -144,6 +146,8 @@ def _element(args, dimension: int):
             raise UsageError(
                 f"--translate must be comma-separated numbers, got {args.translate!r}"
             ) from None
+        if not all(math.isfinite(v) for v in offset):
+            raise UsageError(f"--translate offsets must be finite, got {args.translate!r}")
         return GroupElement.translation(dimension, offset)
     spec = args.rotation if args.rotation is not None else args.boost
     kind = "rotation" if args.rotation is not None else "boost"
@@ -168,7 +172,6 @@ def _matrix_argument(args, rng: random.Random):
     import numpy as np
 
     from .colombeau import Net
-    from .sampling import random_proper_lorentz, random_special_orthogonal
 
     given = [args.matrix is not None, args.matrix_net is not None, args.random]
     if sum(given) != 1:
@@ -181,6 +184,8 @@ def _matrix_argument(args, rng: random.Random):
                 and all(isinstance(r, list) and len(r) == len(rows[0]) for r in rows)):
             raise UsageError("--matrix-net must be a JSON array of equal-length rows")
         return [[Net.parse(str(v), 0) if isinstance(v, str) else float(v) for v in row] for row in rows]
+    from .sampling import random_proper_lorentz, random_special_orthogonal
+
     if args.command == "rotation":
         return random_special_orthogonal(rng, args.dim)
     return random_proper_lorentz(rng, args.dim)

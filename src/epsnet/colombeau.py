@@ -85,12 +85,20 @@ class CompactBox:
         return len(self.intervals)
 
     def lattice(self) -> np.ndarray:
-        """All sample points as an array of shape (samples^d, d), C-ordered."""
-        if self.dimension == 0:
-            return np.zeros((1, 0))
-        axes = [np.linspace(a, b, self.samples_per_axis) for a, b in self.intervals]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=1)
+        """All sample points as a read-only array of shape (samples^d, d),
+        C-ordered.  Built on the first call; later calls return the same
+        array."""
+        points = self.__dict__.get("_lattice")
+        if points is None:
+            if self.dimension == 0:
+                points = np.zeros((1, 0))
+            else:
+                axes = [np.linspace(a, b, self.samples_per_axis) for a, b in self.intervals]
+                mesh = np.meshgrid(*axes, indexing="ij")
+                points = np.stack([m.reshape(-1) for m in mesh], axis=1)
+            points.flags.writeable = False
+            object.__setattr__(self, "_lattice", points)
+        return points
 
     def contains_box(self, other: "CompactBox", tol: float = 1e-12) -> bool:
         return self.dimension == other.dimension and all(

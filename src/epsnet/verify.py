@@ -13,10 +13,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
-from mpmath import mp
 
 from . import expr as ex
 from .colombeau import (
@@ -33,14 +32,9 @@ from .colombeau import (
     report_from_sups,
 )
 from .groups import GroupElement, compose_net
-from .decompose import (
-    LorentzFactorization,
-    RotationSchedule,
-    decompose_net_matrix,
-    givens_decompose,
-    lorentz_decompose,
-)
-from .numbertheory import AlgebraicNumber, corollary_pair, liouville_constant
+
+if TYPE_CHECKING:
+    from .numbertheory import AlgebraicNumber
 
 #: Real parameter values used to sample a universally quantified hypothesis.
 DEFAULT_REAL_THETAS = (0.1, -0.1, 1.0, -1.0, math.pi, -math.pi, 3.0, -3.0)
@@ -259,6 +253,8 @@ def rotation_invariance_pipeline(
 ) -> PipelineReport:
     """Factor a special orthogonal element into planar rotations and check
     invariance factor-by-factor and for the full composition."""
+    from .decompose import RotationSchedule, decompose_net_matrix, givens_decompose
+
     grid = grid or EpsilonGrid.dyadic()
     if isinstance(M, RotationSchedule):
         schedule = M
@@ -280,6 +276,8 @@ def lorentz_invariance_pipeline(
     strict: bool = True,
 ) -> PipelineReport:
     """As the rotation pipeline, via the rotation-boost-rotation factorization."""
+    from .decompose import LorentzFactorization, decompose_net_matrix, lorentz_decompose
+
     grid = grid or EpsilonGrid.dyadic()
     if isinstance(L, LorentzFactorization):
         fact = L
@@ -559,6 +557,10 @@ def two_period_constancy(
     against c*eps^p' + 2*eps^(p'-N) with the structural constant
     c = (alpha+2)(radius+1) and N the fitted derivative exponent.
     """
+    from mpmath import mp
+
+    from .numbertheory import corollary_pair, liouville_constant
+
     if f.dimension != 1:
         raise ValueError("the two-period theorem concerns one-dimensional nets")
     _check_order_and_samples(p, samples)
@@ -742,6 +744,8 @@ def open_question_explorer(
     """Run the two-period machinery with continued-fraction convergents in
     place of the Liouville-backed pair, reporting the effective exponent the
     data would need."""
+    from mpmath import mp
+
     from .numbertheory import dirichlet
 
     if f.dimension != 1:

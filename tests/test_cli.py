@@ -222,6 +222,12 @@ class TestExitCodes:
         assert code == EXIT_ERROR and data is None
         assert_one_line_error(capsys, "--translate", repr(spec))
 
+    @pytest.mark.parametrize("spec", ["inf", "nan"])
+    def test_non_finite_translation_is_a_usage_error(self, tmp_path, capsys, spec):
+        code, data = run_cmd(tmp_path, ["invariance", "--f", "x1", "--dim", "1", f"--translate={spec}"])
+        assert code == EXIT_ERROR and data is None
+        assert_one_line_error(capsys, "--translate", "must be finite", repr(spec))
+
     def test_unexpected_failure_is_one_line_exit_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text('{"k_min": "a"}')

@@ -1,6 +1,6 @@
 """The package loads its modules on first use: the Diophantine subcommands
-run without numpy, ``classify`` runs without mpmath, and every name the
-package has exported still imports from it."""
+run without numpy, ``classify`` and the group subcommands run without
+mpmath, and every name the package has exported still imports from it."""
 
 import importlib
 import json
@@ -88,3 +88,38 @@ def test_every_exported_name_still_imports_from_the_package():
 
 def test_unknown_name_is_an_attribute_error():
     assert not hasattr(epsnet, "no_such_name")
+
+
+#: modules only the Diophantine harnesses and ``--random`` use
+NOT_ON_THE_GROUP_PATH = ("mpmath", "epsnet.numbertheory", "epsnet.sampling")
+
+
+def test_group_subcommands_never_load_mpmath_or_number_theory(tmp_path):
+    (tmp_path / "so3.json").write_text(json.dumps([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+    ch, sh = 1.25, 0.75  # cosh and sinh of ln 2
+    (tmp_path / "lorentz.json").write_text(json.dumps(
+        [[ch, sh, 0.0, 0.0], [sh, ch, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]))
+    fast = ["--samples", "5", "--k-max", "10"]
+    modules = _modules_after_cli(
+        tmp_path,
+        ["rotation", "--f", "x1^2+x2^2+x3^2", "--dim", "3", "--matrix", "so3.json",
+         "--out", "r.json", *fast],
+        ["lorentz", "--f", "x1^2-x2^2-x3^2-x4^2", "--dim", "4", "--matrix", "lorentz.json",
+         "--out", "l.json", *fast],
+        ["invariance", "--f", "x1^2+x2^2", "--dim", "2", "--rotation", "1,2,0.3",
+         "--out", "i.json", *fast],
+        ["one-param", "--f", "x1^2+x2^2", "--dim", "2", "--kind", "rotation", "--i", "1",
+         "--j", "2", "--gen-theta", "eps", "--out", "o.json", *fast],
+    )
+    assert "epsnet.decompose" in modules
+    assert not modules & set(NOT_ON_THE_GROUP_PATH)
+
+
+def test_two_period_never_loads_the_decomposition(tmp_path):
+    modules = _modules_after_cli(
+        tmp_path,
+        ["two-period", "--f", "3 + eps^(1/eps)*sin(x1)", "--alpha", "sqrt2", "--R", "6",
+         "--p", "1", "--k-max", "10", "--out", "t.json"],
+    )
+    assert "epsnet.numbertheory" in modules
+    assert "epsnet.decompose" not in modules

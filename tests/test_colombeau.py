@@ -39,6 +39,40 @@ class TestTypes:
         box = CompactBox.cube(-1, 1, 2, 5)
         assert box.lattice().shape == (25, 2)
 
+    def test_lattice_is_built_once_and_read_only(self):
+        box = CompactBox(((-1.0, 1.0), (0.0, 2.0)), 5)
+        X = box.lattice()
+        assert box.lattice() is X
+        mesh = np.meshgrid(np.linspace(-1.0, 1.0, 5), np.linspace(0.0, 2.0, 5), indexing="ij")
+        np.testing.assert_array_equal(X, np.stack([m.reshape(-1) for m in mesh], axis=1))
+        with pytest.raises(ValueError):
+            X[0, 0] = 7.0
+        with pytest.raises(ValueError):
+            CompactBox((), 5).lattice()[...] = 1.0
+
+    def test_shared_lattice_leaves_sups_and_reports_unchanged(self, monkeypatch):
+        from epsnet.verify import rotation_invariance_pipeline
+
+        net = Net.parse("exp(-x1^2-x2^2)*cos(eps*x1*x2)", 2)
+        box = CompactBox.cube(-1.0, 1.0, 2, 9)
+        c = math.cos(0.3)
+        s = math.sin(0.3)
+
+        def reports():
+            grid = EpsilonGrid.dyadic(4, 12)
+            return (
+                classify(net, box, max_order=2, grid=grid).to_json_dict(),
+                rotation_invariance_pipeline(net, [[c, -s], [s, c]], box, grid).to_json_dict(),
+            )
+
+        shared = reports()
+        fresh_lattice = CompactBox.lattice
+        monkeypatch.setattr(
+            CompactBox, "lattice",
+            lambda self: np.array(fresh_lattice(CompactBox(self.intervals, self.samples_per_axis))),
+        )
+        assert json.dumps(reports(), sort_keys=True) == json.dumps(shared, sort_keys=True)
+
     def test_net_rejects_foreign_variables(self):
         with pytest.raises(ValueError):
             Net(ex.parse("x2", 2), 1)
