@@ -562,16 +562,6 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _is_evaluation_error(err: Exception) -> bool:
-    """Arithmetic failures, and transformations that are not c-bounded;
-    ``CBoundednessError`` can only have been raised once its module is
-    loaded."""
-    verify = sys.modules.get(f"{__package__}.verify")
-    return isinstance(err, ArithmeticError) or (
-        verify is not None and isinstance(err, verify.CBoundednessError)
-    )
-
-
 def run(argv) -> int:
     parser = build_parser()
     try:
@@ -588,11 +578,11 @@ def run(argv) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning
             verdict, order, evidence, summary = handler(args, rng)
-    except (UsageError, ValueError) as err:  # ParseError, DecompositionError included
+    except (UsageError, ValueError) as err:  # ParseError, DecompositionError, CBoundednessError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as err:  # last resort: exit 1 is reserved for negative verdicts
-        if _is_evaluation_error(err):
+        if isinstance(err, ArithmeticError):
             print(f"evaluation error: {err}", file=sys.stderr)
             return EXIT_ERROR
         message = " ".join(str(err).split())

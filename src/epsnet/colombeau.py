@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -195,12 +195,25 @@ def fit_decay_exponent(pairs: Sequence) -> float:
     return float(slope)
 
 
+def _grows(pairs: Sequence, exponent: float, swing: float = 1.0) -> bool:
+    """The one growth rule: finite (eps, sup) data with fitted ``exponent``
+    rise in a sustained way as eps decreases.  The slope must lie below
+    -SLOPE_TOL and the finest sup must exceed ``swing`` times the smallest
+    nonzero one, where ``swing`` is the largest ratio that is not growth: 1
+    for a scalar, and sqrt(d') for a max-norm image radius in d' dimensions,
+    which an orthogonal map can swing by that factor (a rotation by 1/eps is
+    thus c-bounded even on a three-point grid)."""
+    if math.isinf(exponent) or exponent >= -SLOPE_TOL:
+        return False
+    smallest = min(s for _, s in pairs if s > 0.0 and math.isfinite(s))
+    return pairs[-1][1] > swing * smallest
+
+
 def report_from_sups(
     grid: EpsilonGrid,
     sups: Sequence[float],
     p_max: int = DEFAULT_P_MAX,
     bound: float = DEFAULT_RC_BOUND,
-    slope_tol: float = SLOPE_TOL,
     per_alpha: tuple = (),
 ) -> AsymptoticReport:
     """Assemble an :class:`AsymptoticReport` from one sup value per grid eps."""
@@ -220,11 +233,7 @@ def report_from_sups(
             else:
                 break
 
-    bounded = (
-        moderate
-        and (math.isinf(exponent) or exponent >= -slope_tol)
-        and max(sups) <= bound
-    )
+    bounded = moderate and not _grows(pairs, exponent) and max(sups) <= bound
     return AsymptoticReport(pairs, exponent, moderate, negligible_order, bounded, per_alpha)
 
 
@@ -305,74 +314,52 @@ def classify(
 
 
 def is_bounded_generalized_number(
-    theta,
+    theta: Net,
     grid: Optional[EpsilonGrid] = None,
     bound: float = DEFAULT_RC_BOUND,
-    slope_tol: float = SLOPE_TOL,
 ) -> bool:
     """True when a scalar net stays below ``bound`` on the grid and shows no
-    growth trend as eps decreases."""
+    growth trend as eps decreases; one compiled pass over the grid."""
     grid = grid or EpsilonGrid.dyadic()
-    if isinstance(theta, Net) and theta.dimension != 0:
+    if theta.dimension != 0:
         raise ValueError("theta must be a scalar net (dimension 0)")
-    values = [abs(theta.value_at(eps)) for eps in grid]
-    if any(not math.isfinite(v) for v in values):
+    values = grid_sups(theta.body, grid, np.zeros((1, 0)))
+    if any(not math.isfinite(v) for v in values) or max(values) > bound:
         return False
-    if max(values) > bound:
-        return False
-    exponent = fit_decay_exponent(tuple(zip(grid.values, values)))
-    return math.isinf(exponent) or exponent >= -slope_tol
+    pairs = tuple(zip(grid.values, values))
+    return not _grows(pairs, fit_decay_exponent(pairs))
 
 
-def image_bound_check(
-    sample_images: Callable[[float], np.ndarray],
-    grid: EpsilonGrid,
-    slope_tol: float = SLOPE_TOL,
-):
-    """Shared engine behind c-boundedness checks.
+def image_bound_check(sups, grid: EpsilonGrid):
+    """The c-boundedness rule over image sups: ``sups[k]`` holds the per-axis
+    max |image| of a fixed sample set at grid eps k, shape (len(grid), d').
 
-    ``sample_images(eps)`` returns the image points (n, d') of some fixed
-    sample set.  Verdict is False when any image is non-finite or when the
-    radius of the image box grows (fitted log-log slope below -slope_tol) as
-    eps decreases.  On True, also returns the smallest axis-aligned box
-    containing every sampled image.
+    The verdict is False when any sup is non-finite or when the image radius
+    (the largest sup per eps) grows as eps decreases (:func:`_grows`, with the
+    swing sqrt(d') of an orthogonal map; the margin above it absorbs rounding
+    in the sups).  On True, also returns the centred box prod [-m_k, m_k], m_k
+    the largest sup of axis k over the grid, which contains every sampled
+    image.
     """
-    lo = None
-    hi = None
-    radii = []
-    for eps in grid:
-        Y = sample_images(eps)
-        if not np.isfinite(Y).all():
-            return False, None
-        lo = Y.min(axis=0) if lo is None else np.minimum(lo, Y.min(axis=0))
-        hi = Y.max(axis=0) if hi is None else np.maximum(hi, Y.max(axis=0))
-        radii.append(float(np.max(np.abs(Y))) if Y.size else 0.0)
-    exponent = fit_decay_exponent(tuple(zip(grid.values, radii)))
-    if not (math.isinf(exponent) or exponent >= -slope_tol):
+    sups = np.asarray(sups, dtype=float)
+    if not np.isfinite(sups).all():
         return False, None
-    box = CompactBox(tuple(zip(lo.tolist(), hi.tolist()))) if lo is not None else None
-    return True, box
+    radii = tuple(zip(grid.values, np.max(sups, axis=1, initial=0.0).tolist()))
+    if _grows(radii, fit_decay_exponent(radii), math.sqrt(sups.shape[1]) * (1.0 + 1e-9)):
+        return False, None
+    return True, CompactBox(tuple((-m, m) for m in np.max(sups, axis=0).tolist()))
 
 
-def is_c_bounded(
-    g,
-    box: CompactBox,
-    grid: Optional[EpsilonGrid] = None,
-    slope_tol: float = SLOPE_TOL,
-):
+def is_c_bounded(g, box: CompactBox, grid: Optional[EpsilonGrid] = None):
     """Check that the map ``g`` takes the box into some fixed compact box for
     every grid eps.  Returns (verdict, witness box or None).
 
-    ``g`` is anything with ``dimension``, ``is_generalized`` and
-    ``apply_points(points, eps)``, such as a
-    :class:`~epsnet.groups.GroupElement`.  The image of an eps-free map is
-    the same at every eps, so it is taken at the first grid eps only; the
-    verdict and the witness box are those of the full grid.
+    ``g`` is anything with ``dimension`` and ``apply_points(points, eps_values,
+    sup=True)``, such as a :class:`~epsnet.groups.GroupElement`: one compiled
+    pass over the lattice and the whole grid, in which coordinates free of eps
+    are computed once.
     """
     grid = grid or EpsilonGrid.dyadic()
     if box.dimension != g.dimension:
         raise ValueError("box dimension does not match element dimension")
-    lattice = box.lattice()
-    if not g.is_generalized:
-        grid = EpsilonGrid(grid.values[:1])
-    return image_bound_check(lambda eps: g.apply_points(lattice, eps), grid, slope_tol)
+    return image_bound_check(g.apply_points(box.lattice(), grid.values, sup=True), grid)

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
+from . import expr as ex
 from .colombeau import EpsilonGrid, Net
 from .groups import GroupElement, PlanarFactor
 
@@ -314,25 +315,28 @@ def full_lorentz_decompose(L) -> FullLorentzDecomposition:
 # Net-valued matrices
 
 
-def _entry_value(entry, eps: float) -> float:
-    if isinstance(entry, Net):
-        return entry.value_at(eps)
-    return float(entry)
-
-
-def _freeze_matrix(M: Sequence, eps: float) -> np.ndarray:
-    return np.array([[_entry_value(v, eps) for v in row] for row in M], dtype=float)
-
-
 def decompose_net_matrix(M, grid: EpsilonGrid, kind: str):
     """Factor a matrix of scalar nets eps-by-eps, collecting each angle slot
-    into a tabulated net.  Any per-eps failure aborts with the offending eps."""
+    into a tabulated net.  Any per-eps failure aborts with the offending eps.
+
+    The entries are evaluated over the whole grid in one compiled pass.  An
+    evaluation error is raised once the eps before it are factored, so the
+    first failure is the one an eps-by-eps walk, entries in row-major order,
+    would meet."""
     if kind not in ("rotation", "lorentz"):
         raise ValueError("kind must be 'rotation' or 'lorentz'")
     rows = [list(r) for r in M]
+    entries = [v.body if isinstance(v, Net) else ex.Const(float(v)) for row in rows for v in row]
+    eps_values, failure = grid.values, None
+    try:
+        columns = ex.eval_many(entries, eps_values, np.zeros((1, 0)))
+    except ex.EvalError as err:
+        eps_values, failure = eps_values[: eps_values.index(err.eps)], err
+        columns = ex.eval_many(entries, eps_values, np.zeros((1, 0)))
+    values = iter(columns)
+    stack = np.array([[next(values)[:, 0] for _ in row] for row in rows])
     per_eps = []
-    for eps in grid:
-        A = _freeze_matrix(rows, eps)
+    for eps, A in zip(eps_values, np.ascontiguousarray(np.moveaxis(stack, -1, 0))):
         try:
             if kind == "rotation":
                 per_eps.append(givens_decompose(A))
@@ -340,6 +344,8 @@ def decompose_net_matrix(M, grid: EpsilonGrid, kind: str):
                 per_eps.append(lorentz_decompose(A))
         except DecompositionError as err:
             raise DecompositionError(f"factorization failed at eps={eps!r}: {err}") from None
+    if failure is not None:
+        raise failure
 
     def tabulate(values) -> Net:
         return Net.tabulated(zip(grid.values, values))

@@ -486,10 +486,13 @@ def eval_points(e: Expr, eps, points, sup: bool = False, partials=None):
     return out[:, 0] if scalar else out
 
 
-def eval_many(es: Sequence[Expr], eps: float, points) -> list:
-    """Evaluate several expressions at one eps, compiled together so that the
-    subexpressions they share are computed once; one array (n,) each."""
-    return [out[0] for out in _evaluate(tuple(es), (eps,), points, False)]
+def eval_many(es: Sequence[Expr], eps, points, sup: bool = False) -> list:
+    """Evaluate several expressions, compiled together so that the
+    subexpressions they share are computed once; one result each, shaped as
+    :func:`eval_points` shapes it for the same ``eps`` and ``sup``."""
+    scalar = np.ndim(eps) == 0
+    outs = _evaluate(tuple(es), (eps,) if scalar else eps, points, sup)
+    return [out[0] for out in outs] if scalar else outs
 
 
 def evaluate(e: Expr, eps: float, x: Point = ()) -> float:

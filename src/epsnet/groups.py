@@ -210,9 +210,15 @@ class GroupElement:
         mapping = {f"x{k + 1}": other.coords[k] for k in range(self.dimension)}
         return GroupElement(self.dimension, (ex.subst(c, mapping) for c in self.coords))
 
-    def apply_points(self, X, eps: Optional[float] = None) -> np.ndarray:
+    def apply_points(self, X, eps=None, sup: bool = False) -> np.ndarray:
         """Images of the rows of ``X`` (or of one point) at one eps; ``eps``
-        may be omitted when the element does not depend on it."""
+        may be omitted when the element does not depend on it.
+
+        With ``sup``, ``eps`` is a sequence and the result is the per-axis max
+        |image| over the rows per eps, shape (len(eps), d), from one compiled
+        pass."""
+        if sup != (np.ndim(eps) == 1):
+            raise ValueError("a sequence of eps goes with sup=True, one eps without it")
         X = np.asarray(X, dtype=float)
         squeeze = X.ndim == 1
         if squeeze:
@@ -223,12 +229,9 @@ class GroupElement:
             if self.is_generalized:
                 raise ValueError("eps is required: element depends on eps")
             eps = 0.5  # irrelevant placeholder, no eps in the expressions
-        # one contiguous row per coordinate, so that per-axis reductions over
-        # the images (as in the c-boundedness check) run along memory
-        Y = np.empty((self.dimension, len(X)))
-        for k, column in enumerate(ex.eval_many(self.coords, eps, X)):
-            Y[k] = column
-        return Y[:, 0] if squeeze else Y.T
+        columns = ex.eval_many(self.coords, eps, X, sup=sup)
+        Y = np.array(columns).reshape(self.dimension, len(eps) if sup else len(X)).T
+        return Y[0] if squeeze and not sup else Y
 
     def to_json_dict(self) -> dict:
         return self.source or {

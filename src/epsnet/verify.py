@@ -49,7 +49,7 @@ NOISE_ATOL = 1e-12
 _MACHINE_EPS = float(np.finfo(float).eps)
 
 
-class CBoundednessError(RuntimeError):
+class CBoundednessError(ValueError):
     """The transformation does not map the box into a fixed compact set."""
 
 
@@ -84,7 +84,7 @@ def _check_c_bounded(g: GroupElement, box: CompactBox, grid: EpsilonGrid, strict
     if not ok:
         message = "transformation is not c-bounded on the box"
         if strict:
-            raise CBoundednessError(message)
+            raise CBoundednessError(f"{message}; --no-strict waives this check")
         warnings.warn(message, RuntimeWarning, stacklevel=3)
     return ok
 

@@ -117,7 +117,9 @@ class TestExitCodes:
         )
         assert code == EXIT_ERROR
         assert data is None
-        assert assert_one_line_error(capsys).startswith("evaluation error:")
+        assert assert_one_line_error(capsys) == (
+            "error: transformation is not c-bounded on the box; --no-strict waives this check\n"
+        )
 
     def test_waived_c_boundedness_warns_on_one_line(self, tmp_path, capsys):
         code, data = run_cmd(
@@ -146,6 +148,35 @@ class TestExitCodes:
         jsonschema.validate(data, schema)
         assert data["evidence"]["c_bounded"] is False
         assert capsys.readouterr().err == "warning: transformation is not c-bounded on the box\n"
+
+    @pytest.mark.parametrize("dim", ["2", "3"])
+    def test_short_grid_isometry_is_c_bounded(self, tmp_path, capsys, dim):
+        # the image radius swings between 1 and sqrt(2): no sustained growth
+        f = "exp(-x1^2-x2^2)" if dim == "2" else "exp(-x1^2-x2^2-x3^2)"
+        code, data = run_cmd(tmp_path, ["invariance", "--f", f, "--dim", dim,
+                                        "--rotation", "1,2,1/eps", "--k-min", "3", "--k-max", "5"])
+        assert code == EXIT_POSITIVE
+        assert data["verdict"] == "positive" and data["evidence"]["c_bounded"] is True
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("grid", [["--k-min", "3", "--k-max", "5"], []], ids=["k3-5", "default"])
+    @pytest.mark.parametrize(
+        "element",
+        [
+            ["--boost", "1,2,1/eps"],
+            ["--boost", "1,2,ln(1/eps)"],
+            ["--element", '{"dimension":2,"factors":[{"kind":"translation","offset":["1/eps",0]}]}'],
+            ["--element", '{"dimension":2,"coords":["x1/eps","x2"]}'],
+        ],
+        ids=["boost", "log-boost", "translation", "expanding"],
+    )
+    def test_growing_controls_are_not_c_bounded(self, tmp_path, capsys, element, grid):
+        code, data = run_cmd(tmp_path, ["invariance", "--f", "exp(-x1^2-x2^2)", "--dim", "2",
+                                        *element, *grid])
+        assert code == EXIT_ERROR and data is None
+        assert assert_one_line_error(capsys) == (
+            "error: transformation is not c-bounded on the box; --no-strict waives this check\n"
+        )
 
     @pytest.mark.parametrize(
         "dim, element, fragment",

@@ -8,9 +8,10 @@ from epsnet import expr as ex
 from epsnet.colombeau import (
     CompactBox,
     EpsilonGrid,
+    SLOPE_TOL,
     Net,
     classify,
-    image_bound_check,
+    fit_decay_exponent,
     is_bounded_generalized_number,
     is_c_bounded,
     seminorm,
@@ -261,22 +262,107 @@ class TestCBounded:
             GroupElement.from_matrix([[2.0, 1.0], [0.5, -3.0]]),
             _coords("x1^3 - x2", "exp(x1)*x2 + 4"),
             _coords("exp(exp(50*x1))", "x2"),
+            GroupElement.rotation(2, 1, 2, Net.tabulated((e, 1.0 / e) for e in GRID)),
         ],
-        ids=["rotation", "boost", "matrix", "coords", "overflow"],
+        ids=["rotation", "boost", "matrix", "coords", "overflow", "table"],
     )
     def test_eps_free_image_taken_once_matches_full_grid(self, g):
-        # oracle: the image bound over every grid eps, as for an eps-dependent map
+        # oracle: the images eps by eps, each at its own eps, and the growth
+        # rule written out over their per-axis sups
         box = CompactBox.cube(-1, 1, 2, samples_per_axis=9)
-        lattice = box.lattice()
-        calls = []
-
-        def sample(eps):
-            calls.append(eps)
-            return g.apply_points(lattice, eps)
-
-        assert not g.is_generalized
-        want_ok, want_box = image_bound_check(sample, GRID)
+        images = [g.apply_points(box.lattice(), eps) for eps in GRID]
+        sups = np.array([np.max(np.abs(Y), axis=0) for Y in images])
         got_ok, got_box = is_c_bounded(g, box, GRID)
-        assert got_ok == want_ok
-        assert got_box == want_box
-        assert len(calls) == (len(GRID) if want_ok else 1)
+        if not np.isfinite(sups).all():
+            assert not got_ok and got_box is None
+            return
+        radii = sups.max(axis=1)
+        slope = fit_decay_exponent(tuple(zip(GRID.values, radii)))
+        swing = math.sqrt(2) * (1.0 + 1e-9)
+        grows = slope < -SLOPE_TOL and radii[-1] > swing * radii[radii > 0].min()
+        assert got_ok == (not grows)
+        if got_ok:
+            m = sups.max(axis=0).tolist()
+            assert got_box == CompactBox(tuple((-r, r) for r in m))
+            lo = np.min([Y.min(axis=0) for Y in images], axis=0).tolist()
+            hi = np.max([Y.max(axis=0) for Y in images], axis=0).tolist()
+            assert got_box.contains_box(CompactBox(tuple(zip(lo, hi))), tol=0.0)
+        else:
+            assert got_box is None
+
+
+SHORT_GRID = EpsilonGrid.dyadic(3, 5)
+
+
+class TestSustainedGrowth:
+    """Growth is a sustained rise: an isometry's image radius swings between
+    1 and sqrt(2) on a short grid without counting as growth."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("grid", [SHORT_GRID, GRID], ids=["k3-5", "default"])
+    def test_rotation_by_inverse_eps_is_c_bounded(self, d, grid):
+        g = GroupElement.rotation(d, 1, 2, Net.parse("1/eps", 0))
+        ok, witness = is_c_bounded(g, CompactBox.cube(-1, 1, d), grid)
+        assert ok
+        r = math.sqrt(2) + 1e-9
+        assert CompactBox(((-r, r),) * d).contains_box(witness)
+
+    @pytest.mark.parametrize("grid", [SHORT_GRID, GRID], ids=["k3-5", "default"])
+    @pytest.mark.parametrize(
+        "g",
+        [
+            GroupElement.translation(2, (Net.parse("1/eps", 0), 0.0)),
+            GroupElement.boost(2, 1, 2, Net.parse("1/eps", 0)),
+            GroupElement.boost(2, 1, 2, Net.parse("ln(1/eps)", 0)),
+            _coords("x1/eps", "x2"),
+        ],
+        ids=["translation", "boost", "log-boost", "expanding"],
+    )
+    def test_growing_controls_are_not_c_bounded(self, g, grid):
+        ok, witness = is_c_bounded(g, CompactBox.cube(-1, 1, 2), grid)
+        assert not ok and witness is None
+
+    @pytest.mark.parametrize("grid", [SHORT_GRID, GRID], ids=["k3-5", "default"])
+    def test_inverse_eps_is_not_a_bounded_number(self, grid):
+        assert not is_bounded_generalized_number(Net.parse("1/eps", 0), grid)
+
+    @pytest.mark.parametrize("grid", [SHORT_GRID, GRID], ids=["k3-5", "default"])
+    def test_slow_scalar_power_still_grows(self, grid):
+        # a scalar has no swing to tolerate: eps^-0.15 rises by 1.23 on k 3..5
+        assert not is_bounded_generalized_number(Net.parse("eps^(-0.15)", 0), grid)
+        assert not classify(Net.parse("eps^(-0.15)+0*x1", 1), BOX1, 0, grid).bounded
+
+    def test_slow_drift_within_the_swing_passes_only_on_a_short_grid(self):
+        # the limit of a short grid: a drift by eps^-0.2 lifts the image radius
+        # by 1.19 < sqrt(2) on k 3..5, no more than a rotation may swing it
+        g = GroupElement.translation(2, (Net.parse("eps^(-0.2)", 0), 0.0))
+        box = CompactBox.cube(-1, 1, 2)
+        assert is_c_bounded(g, box, SHORT_GRID)[0]
+        assert not is_c_bounded(g, box, GRID)[0]
+
+
+class _CountingProgram(ex._Program):
+    built = 0
+
+    def __init__(self, roots):
+        type(self).built += 1
+        super().__init__(roots)
+
+
+@pytest.mark.parametrize("grid", [SHORT_GRID, GRID], ids=["k3-5", "default"])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda grid: is_c_bounded(
+            GroupElement.rotation(2, 1, 2, Net.parse("sin(1/eps)", 0)), CompactBox.cube(-1, 1, 2), grid
+        ),
+        lambda grid: is_c_bounded(GroupElement.rotation(2, 1, 2, 0.3), CompactBox.cube(-1, 1, 2), grid),
+        lambda grid: is_bounded_generalized_number(Net.parse("2+sin(1/eps)", 0), grid),
+    ],
+    ids=["c-bounded", "c-bounded-eps-free", "bounded-number"],
+)
+def test_grid_checks_compile_one_program(monkeypatch, check, grid):
+    monkeypatch.setattr(ex, "_Program", _CountingProgram)
+    monkeypatch.setattr(_CountingProgram, "built", 0)
+    check(grid)
+    assert _CountingProgram.built == 1

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epsnet import expr as ex
 from epsnet.colombeau import EpsilonGrid, Net
 from epsnet.expr import Table
 from epsnet.decompose import (
@@ -231,3 +232,34 @@ class TestNetMatrix:
         one = Net.parse("1", 0)
         with pytest.raises(DecompositionError, match="eps="):
             decompose_net_matrix([[bad, zero], [zero, one]], GRID, "rotation")
+
+    @pytest.mark.parametrize(
+        "texts, error",
+        [
+            # (2,2) fails at 2^-10, before (1,1) fails at 2^-12
+            ((("cos(eps) + 0*ln(eps - 2^-12)", "-sin(eps)"),
+              ("sin(eps)", "cos(eps) + 0*sqrt(eps - 2^-9)")), ex.EvalError),
+            # (1,2) and (2,1) both fail first at 2^-10: row-major order names (1,2)
+            ((("cos(eps)", "-sin(eps) + 0*ln(eps - 2^-9 + 2^-11)"),
+              ("sin(eps) + 0*sqrt(eps - 2^-9)", "cos(eps)")), ex.EvalError),
+            # not orthogonal at the first eps, long before the entry fails
+            ((("1 + eps + 0*sqrt(eps - 2^-9)", "0"), ("0", "1")), DecompositionError),
+        ],
+        ids=["later-entry-fails-first", "same-eps", "factoring-fails-first"],
+    )
+    def test_first_failure_is_that_of_an_eps_by_eps_walk(self, texts, error):
+        rows = [[Net.parse(t, 0) for t in row] for row in texts]
+
+        def walk():  # oracle: each entry evaluated on its own, eps by eps
+            for eps in GRID:
+                A = np.array([[ex.evaluate(v.body, eps) for v in row] for row in rows])
+                try:
+                    givens_decompose(A)
+                except DecompositionError as err:
+                    raise DecompositionError(f"factorization failed at eps={eps!r}: {err}") from None
+
+        with pytest.raises(error) as want:
+            walk()
+        with pytest.raises(error) as got:
+            decompose_net_matrix(rows, GRID, "rotation")
+        assert str(got.value) == str(want.value)

@@ -67,6 +67,34 @@ class TestApply:
         g = GroupElement.from_matrix(M)
         assert np.allclose(g.apply_points((1.0, 0.0)), (0.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "g, special",
+        [
+            (GroupElement.rotation(2, 1, 2, Net.parse("sin(1/eps)", 0)), None),
+            (GroupElement.translation(2, (Net.parse("exp(1/eps)", 0), 0.0)), np.isinf),
+            (GroupElement.from_matrix([[2.0, 1.0], [0.5, -3.0]]), None),
+            (GroupElement.from_coords(
+                2, (ex.parse("exp(x1/eps) - exp(x1/eps)", 2), ex.parse("x2 + 1/eps", 2))
+            ), np.isnan),
+        ],
+        ids=["rotation", "overflowing-translation", "matrix", "nan"],
+    )
+    def test_grid_sups_match_per_eps_images_bit_for_bit(self, g, special):
+        X = BOX2.lattice()
+        got = g.apply_points(X, GRID.values, sup=True)
+        assert got.shape == (len(GRID), 2)
+        for k, eps in enumerate(GRID):
+            want = np.max(np.abs(g.apply_points(X, eps)), axis=0)
+            assert got[k].tobytes() == want.tobytes()
+        assert np.isfinite(got).all() if special is None else special(got).any()
+
+    def test_sup_goes_with_a_sequence_of_eps_only(self):
+        g = GroupElement.rotation(2, 1, 2, Net.parse("eps", 0))
+        X = BOX2.lattice()
+        for eps, sup in ((0.3, True), (None, True), (GRID.values, False)):
+            with pytest.raises(ValueError, match="sequence of eps"):
+                g.apply_points(X, eps, sup=sup)
+
     def test_composition_with_a_map_matches_pointwise_application(self):
         # g o v evaluated symbolically equals g applied to the points v(X)
         g = GroupElement.rotation(2, 1, 2, 0.5)

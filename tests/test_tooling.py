@@ -7,16 +7,29 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 LAUNCHER = Path(__file__).resolve().parents[1] / "bench" / "launcher.py"
 
 
+WORKLOADS = LAUNCHER.parent / "workloads.py"
+
+
+def _exec_source(path: Path, name: str) -> dict:
+    # executed from its source text, so no bytecode is written next to it;
+    # registered while it runs, as dataclasses look their module up
+    module = types.ModuleType(name)
+    sys.modules[name] = module
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(module))
+    finally:
+        del sys.modules[name]
+    return vars(module)
+
+
 def _launcher_layers():
-    # executed from its source text, so no bytecode is written next to it
-    namespace = {"__name__": "launcher_under_test"}
-    exec(compile(LAUNCHER.read_text(encoding="utf-8"), str(LAUNCHER), "exec"), namespace)
-    return namespace["LAYERS"]
+    return _exec_source(LAUNCHER, "launcher_under_test")["LAYERS"]
 
 
 def test_every_traced_layer_target_resolves():
@@ -66,3 +79,16 @@ def test_traced_classify_enters_eval_and_diff_through_their_wrapped_names(tmp_pa
     counters = record["counters"]
     assert counters["expr.eval.rows"] == 6  # one row per multi-index of order <= 2 in d=2
     assert counters["expr.diff.tree_nodes"] > 0 and counters["expr.eval.elem_ops"] > 0
+
+
+def test_traced_group_job_records_every_required_layer(tmp_path):
+    # the group-fixed workload fails its run when one of these records no call
+    workloads = _exec_source(WORKLOADS, "workloads_under_test")["WORKLOADS"]
+    required = set(workloads["group-fixed"].required_layers)
+    assert required == {"colombeau.image_bound", "groups.apply", "expr.eval",
+                        "groups.compose", "decompose"}
+    c, s = 0.6, 0.8
+    (tmp_path / "so3.json").write_text(json.dumps([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]))
+    _, called = _traced(tmp_path, ["rotation", "--f", "exp(-(x1^2+x2^2+x3^2))", "--dim", "3",
+                                   "--samples", "9", "--k-max", "8", "--matrix", "so3.json"])
+    assert required <= called
