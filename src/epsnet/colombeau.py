@@ -146,11 +146,6 @@ class Net:
             raise ValueError("tabulated eps values must be strictly decreasing")
         return cls(ex.Table(pairs), 0)
 
-    def value_at(self, eps: float) -> float:
-        if self.dimension != 0:
-            raise ValueError("value_at is only defined for scalar nets (d=0)")
-        return ex.evaluate(self.body, eps, ())
-
     def __str__(self) -> str:
         return ex.to_text(self.body)
 

@@ -6,20 +6,21 @@ adds one fixed reflection.  Proper orthochronous Lorentz matrices factor into
 spatial rotation, single boost, spatial rotation; the full Lorentz group adds
 fixed time and space inversions.  Matrices whose entries are scalar nets are
 factored eps-by-eps; each angle slot becomes a tabulated scalar net
-(:meth:`Net.tabulated`), known only on the grid it was factored on.
+(:meth:`Net.tabulated`), known only on the grid it was factored on.  Numeric
+matrices exist for real angles only; a tabulated factorization is evaluated
+through its group element.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import expr as ex
 from .colombeau import EpsilonGrid, Net
-from .groups import GroupElement, PlanarFactor
+from .groups import GroupElement, PlanarFactor, _scalar_expr
 
 ORTHOGONALITY_TOL = 1e-8
 FORM_TOL = 1e-8
@@ -51,13 +52,13 @@ class RotationSchedule:
     def pairs(self) -> tuple:
         return tuple((f.i, f.j) for f in self.factors)
 
-    def angles(self, eps: Optional[float] = None) -> tuple:
-        return tuple(f.theta_at(eps) for f in self.factors)
+    def angles(self) -> tuple:
+        return tuple(float(f.theta) for f in self.factors)
 
-    def matrix(self, eps: Optional[float] = None) -> np.ndarray:
+    def matrix(self) -> np.ndarray:
         M = np.eye(self.dimension)
         for f in self.factors:
-            M = M @ f.matrix(self.dimension, eps)
+            M = M @ f.matrix(self.dimension)
         return M
 
     def as_group_element(self) -> GroupElement:
@@ -76,9 +77,17 @@ class RotationSchedule:
         }
 
 
+def _check_finite(M: np.ndarray):
+    # NaN compares false against every tolerance, so a NaN matrix would pass
+    # the form checks and factor as the identity
+    if not np.all(np.isfinite(M)):
+        raise DecompositionError("matrix has non-finite entries")
+
+
 def _check_orthogonal(M: np.ndarray, tol: float = ORTHOGONALITY_TOL):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DecompositionError("matrix must be square")
+    _check_finite(M)
     defect = float(np.max(np.abs(M.T @ M - np.eye(M.shape[0]))))
     if defect > tol:
         raise DecompositionError(f"matrix is not orthogonal within {tol} (defect {defect:.3e})")
@@ -160,6 +169,7 @@ def quadratic_form(X: np.ndarray) -> np.ndarray:
 def _check_lorentz_form(L: np.ndarray, tol: float = FORM_TOL):
     if L.ndim != 2 or L.shape[0] != L.shape[1] or L.shape[0] < 2:
         raise DecompositionError("matrix must be square of size >= 2")
+    _check_finite(L)
     eta = minkowski_metric(L.shape[0])
     defect = float(np.max(np.abs(L.T @ eta @ L - eta)))
     if defect > tol:
@@ -207,15 +217,17 @@ class LorentzFactorization:
     def boost_factor(self) -> PlanarFactor:
         return PlanarFactor("boost", 1, 2, self.theta)
 
-    def all_factors(self) -> tuple:
+    @property
+    def factors(self) -> tuple:
+        """r1's factors (n-2 slots), the boost, then r2's."""
         return self.r1.factors + (self.boost_factor(),) + self.r2.factors
 
     def as_group_element(self) -> GroupElement:
-        return GroupElement.from_factors(self.dimension, self.all_factors())
+        return GroupElement.from_factors(self.dimension, self.factors)
 
-    def matrix(self, eps: Optional[float] = None) -> np.ndarray:
-        boost = self.boost_factor().matrix(self.dimension, eps)
-        return self.r1.matrix(eps) @ boost @ self.r2.matrix(eps)
+    def matrix(self) -> np.ndarray:
+        boost = self.boost_factor().matrix(self.dimension)
+        return self.r1.matrix() @ boost @ self.r2.matrix()
 
     def to_json_dict(self) -> dict:
         return {
@@ -242,8 +254,8 @@ def lorentz_decompose(L) -> LorentzFactorization:
     v = L[1:, 0]
     norm = float(np.linalg.norm(v))
     if norm < ELIMINATION_TIE_TOL:
-        # identity alignment, kept at full slot count so eps-wise tabulation
-        # of net-valued matrices stays aligned
+        # identity alignment, kept at the n-2 slots of the general case:
+        # decompose_net_matrix splits the tabulated slots by that count
         r1_factors = [PlanarFactor("rotation", 2, i + 1, 0.0) for i in range(2, n)]
         R1 = np.eye(n)
     else:
@@ -285,9 +297,9 @@ class FullLorentzDecomposition:
     time_inverted: bool
     orientation_inverted: bool
 
-    def matrix(self, eps: Optional[float] = None) -> np.ndarray:
+    def matrix(self) -> np.ndarray:
         n = self.factorization.dimension
-        M = self.factorization.matrix(eps)
+        M = self.factorization.matrix()
         if self.orientation_inverted:
             M = reflection_matrix(n) @ M
         if self.time_inverted:
@@ -325,8 +337,9 @@ def decompose_net_matrix(M, grid: EpsilonGrid, kind: str):
     would meet."""
     if kind not in ("rotation", "lorentz"):
         raise ValueError("kind must be 'rotation' or 'lorentz'")
+    factorize = givens_decompose if kind == "rotation" else lorentz_decompose
     rows = [list(r) for r in M]
-    entries = [v.body if isinstance(v, Net) else ex.Const(float(v)) for row in rows for v in row]
+    entries = [_scalar_expr(v) for row in rows for v in row]
     eps_values, failure = grid.values, None
     try:
         columns = ex.eval_many(entries, eps_values, np.zeros((1, 0)))
@@ -338,42 +351,23 @@ def decompose_net_matrix(M, grid: EpsilonGrid, kind: str):
     per_eps = []
     for eps, A in zip(eps_values, np.ascontiguousarray(np.moveaxis(stack, -1, 0))):
         try:
-            if kind == "rotation":
-                per_eps.append(givens_decompose(A))
-            else:
-                per_eps.append(lorentz_decompose(A))
+            per_eps.append(factorize(A).factors)
         except DecompositionError as err:
             raise DecompositionError(f"factorization failed at eps={eps!r}: {err}") from None
     if failure is not None:
         raise failure
-
-    def tabulate(values) -> Net:
-        return Net.tabulated(zip(grid.values, values))
-
+    # every eps yields the same slots (kind and axes), so each slot is one
+    # tabulated net over the grid
+    n = len(rows)
+    factors = tuple(
+        PlanarFactor(f.kind, f.i, f.j, Net.tabulated(zip(grid.values, (s[m].theta for s in per_eps))))
+        for m, f in enumerate(per_eps[0])
+    )
     if kind == "rotation":
-        first = per_eps[0]
-        factors = tuple(
-            PlanarFactor("rotation", f.i, f.j, tabulate([s.factors[m].theta_at() for s in per_eps]))
-            for m, f in enumerate(first.factors)
-        )
-        return RotationSchedule(first.dimension, factors)
-
-    first = per_eps[0]
-    n = first.dimension
-
-    def tabulated_schedule(pick) -> RotationSchedule:
-        template = pick(first)
-        factors = tuple(
-            PlanarFactor(
-                "rotation", f.i, f.j, tabulate([pick(s).factors[m].theta_at() for s in per_eps])
-            )
-            for m, f in enumerate(template.factors)
-        )
         return RotationSchedule(n, factors)
-
     return LorentzFactorization(
         n,
-        tabulated_schedule(lambda s: s.r1),
-        tabulate([s.theta for s in per_eps]),
-        tabulated_schedule(lambda s: s.r2),
+        RotationSchedule(n, factors[: n - 2]),
+        factors[n - 2].theta,
+        RotationSchedule(n, factors[n - 1 :]),
     )

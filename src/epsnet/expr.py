@@ -15,7 +15,6 @@ accepted silently, domain violations raise :class:`EvalError`.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -165,15 +164,7 @@ def variables(e: Expr) -> set:
             out.add(node.name)
         elif isinstance(node, Table):
             out.add("eps")
-        elif isinstance(node, Neg):
-            stack.append(node.arg)
-        elif isinstance(node, BinOp):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, IntPow):
-            stack.append(node.base)
-        elif isinstance(node, Call):
-            stack.append(node.arg)
+        stack.extend(_children(node))
     return out
 
 
@@ -930,64 +921,3 @@ def subst(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     if isinstance(e, Call):
         return c_call(e.fn, subst(e.arg, mapping))
     raise TypeError(f"not an expression node: {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# Random expressions (test corpus generation)
-
-_LEAF_WEIGHTS = (("const", 2), ("var", 5))
-_NODE_WEIGHTS = (
-    ("+", 5),
-    ("-", 4),
-    ("*", 5),
-    ("/", 2),
-    ("neg", 2),
-    ("pow", 3),
-    ("sin", 3),
-    ("cos", 3),
-    ("exp", 1),
-    ("cosh", 1),
-    ("sinh", 1),
-    ("tanh", 2),
-    ("sqrt", 1),
-    ("ln", 1),
-)
-
-
-def _weighted_choice(rng: random.Random, pairs):
-    total = sum(w for _, w in pairs)
-    r = rng.uniform(0, total)
-    acc = 0.0
-    for item, w in pairs:
-        acc += w
-        if r <= acc:
-            return item
-    return pairs[-1][0]
-
-
-def random_expr(rng: random.Random, dimension: int, max_depth: int = 5, allow_eps: bool = True) -> Expr:
-    """Draw a random expression from the grammar, biased toward smooth,
-    well-conditioned shapes.  Deterministic for a given ``rng`` state."""
-    if max_depth <= 0:
-        kind = _weighted_choice(rng, _LEAF_WEIGHTS)
-        if kind == "const" or dimension == 0 and not allow_eps:
-            return Const(round(rng.uniform(-3.0, 3.0), 3))
-        names = [f"x{i}" for i in range(1, dimension + 1)]
-        if allow_eps:
-            names.append("eps")
-        if not names:
-            return Const(round(rng.uniform(-3.0, 3.0), 3))
-        return Var(rng.choice(names))
-    kind = _weighted_choice(rng, _NODE_WEIGHTS)
-    sub = lambda: random_expr(rng, dimension, max_depth - 1, allow_eps)  # noqa: E731
-    if kind in "+-*/":
-        return BinOp(kind, sub(), sub())
-    if kind == "neg":
-        return Neg(sub())
-    if kind == "pow":
-        return IntPow(sub(), rng.randint(2, 4))
-    if kind in ("sqrt", "ln"):
-        # keep the argument strictly positive so the draw stays inside the domain
-        inner = BinOp("+", Const(round(rng.uniform(0.5, 2.0), 3)), IntPow(sub(), 2))
-        return Call(kind, inner)
-    return Call(kind, sub())

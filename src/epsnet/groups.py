@@ -6,8 +6,9 @@ and offsets may be plain reals or scalar nets in eps; in the latter case the
 element depends on the scale parameter and ``eps`` must be supplied when the
 element is applied numerically.  Angles produced by per-eps factorization are
 tabulated nets: they compose symbolically like any other net, but evaluate
-only at the eps of their own grid.  Single factors also give their numeric
-matrix, which the factorizations use.
+only at the eps of their own grid.  Such an angle is evaluated only through its
+element (:meth:`GroupElement.apply_points`); a factor with a real angle also
+gives its numeric matrix, which the factorizations use.
 """
 
 from __future__ import annotations
@@ -22,14 +23,6 @@ from . import expr as ex
 from .colombeau import CompactBox, Net
 
 Angle = Union[float, Net]
-
-
-def _scalar_at(value: Angle, eps: Optional[float]) -> float:
-    if isinstance(value, Net):
-        if eps is None:
-            raise ValueError("eps is required: element carries generalized scalars")
-        return value.value_at(eps)
-    return float(value)
 
 
 def _scalar_expr(value: Angle) -> ex.Expr:
@@ -61,30 +54,25 @@ class PlanarFactor:
         if not 1 <= self.i < self.j:
             raise ValueError(f"need 1 <= i < j, got ({self.i}, {self.j})")
 
-    def theta_at(self, eps: Optional[float] = None) -> float:
-        return _scalar_at(self.theta, eps)
-
     def theta_expr(self) -> ex.Expr:
         return _scalar_expr(self.theta)
 
-    def _cs(self, eps: Optional[float]):
-        th = self.theta_at(eps)
-        if self.kind == "rotation":
-            return math.cos(th), math.sin(th)
-        return math.cosh(th), math.sinh(th)
-
-    def matrix(self, dimension: int, eps: Optional[float] = None) -> np.ndarray:
+    def matrix(self, dimension: int) -> np.ndarray:
+        """The numeric matrix of a factor with a real angle."""
+        if isinstance(self.theta, Net):
+            raise ValueError("a generalized angle has no numeric matrix; apply the element at an eps")
         if self.j > dimension:
             raise ValueError(f"factor axes ({self.i},{self.j}) exceed dimension {dimension}")
-        c, s = self._cs(eps)
+        th = float(self.theta)
         M = np.eye(dimension)
         ii, jj = self.i - 1, self.j - 1
         if self.kind == "rotation":
-            M[ii, ii], M[ii, jj] = c, -s
-            M[jj, ii], M[jj, jj] = s, c
+            c, s = math.cos(th), math.sin(th)
+            M[ii, jj] = -s
         else:
-            M[ii, ii], M[ii, jj] = c, s
-            M[jj, ii], M[jj, jj] = s, c
+            c, s = math.cosh(th), math.sinh(th)
+            M[ii, jj] = s
+        M[ii, ii], M[jj, ii], M[jj, jj] = c, s, c
         return M
 
     def compose_exprs(self, coords: Sequence[ex.Expr]) -> list:

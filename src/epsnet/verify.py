@@ -243,6 +243,30 @@ def _pipeline(f, factors, full_element, box, grid, p, strict) -> PipelineReport:
     return PipelineReport(p, factor_reports, full_report, verdict, consistent)
 
 
+def _factored_pipeline(kind, f, M, box, grid, p, strict) -> PipelineReport:
+    """Factor ``M`` (a factorization of ``kind``, passed through; a real
+    matrix, factored once; or a matrix of scalar nets, factored eps by eps)
+    and run the pipeline on its factors."""
+    # decomposers are read off the module, so that a rebinding of them (as by
+    # bench/launcher.py) is the one called
+    from . import decompose
+
+    grid = grid or EpsilonGrid.dyadic()
+    rotation = kind == "rotation"
+    if isinstance(M, decompose.RotationSchedule if rotation else decompose.LorentzFactorization):
+        fact = M
+    elif isinstance(M, (decompose.RotationSchedule, decompose.LorentzFactorization)):
+        raise TypeError(f"the {kind} pipeline cannot run a {type(M).__name__}")
+    elif isinstance(M, np.ndarray) or (
+        isinstance(M, (list, tuple)) and all(isinstance(v, (int, float)) for row in M for v in row)
+    ):
+        factorize = decompose.givens_decompose if rotation else decompose.lorentz_decompose
+        fact = factorize(np.asarray(M, dtype=float))
+    else:
+        fact = decompose.decompose_net_matrix(M, grid, kind)
+    return _pipeline(f, fact.factors, fact.as_group_element(), box, grid, p, strict)
+
+
 def rotation_invariance_pipeline(
     f: Net,
     M,
@@ -253,18 +277,7 @@ def rotation_invariance_pipeline(
 ) -> PipelineReport:
     """Factor a special orthogonal element into planar rotations and check
     invariance factor-by-factor and for the full composition."""
-    from .decompose import RotationSchedule, decompose_net_matrix, givens_decompose
-
-    grid = grid or EpsilonGrid.dyadic()
-    if isinstance(M, RotationSchedule):
-        schedule = M
-    elif isinstance(M, np.ndarray) or (
-        isinstance(M, (list, tuple)) and all(isinstance(v, (int, float)) for row in M for v in row)
-    ):
-        schedule = givens_decompose(np.asarray(M, dtype=float))
-    else:
-        schedule = decompose_net_matrix(M, grid, "rotation")
-    return _pipeline(f, schedule.factors, schedule.as_group_element(), box, grid, p, strict)
+    return _factored_pipeline("rotation", f, M, box, grid, p, strict)
 
 
 def lorentz_invariance_pipeline(
@@ -276,18 +289,7 @@ def lorentz_invariance_pipeline(
     strict: bool = True,
 ) -> PipelineReport:
     """As the rotation pipeline, via the rotation-boost-rotation factorization."""
-    from .decompose import LorentzFactorization, decompose_net_matrix, lorentz_decompose
-
-    grid = grid or EpsilonGrid.dyadic()
-    if isinstance(L, LorentzFactorization):
-        fact = L
-    elif isinstance(L, np.ndarray) or (
-        isinstance(L, (list, tuple)) and all(isinstance(v, (int, float)) for row in L for v in row)
-    ):
-        fact = lorentz_decompose(np.asarray(L, dtype=float))
-    else:
-        fact = decompose_net_matrix(L, grid, "lorentz")
-    return _pipeline(f, fact.all_factors(), fact.as_group_element(), box, grid, p, strict)
+    return _factored_pipeline("lorentz", f, L, box, grid, p, strict)
 
 
 def check_periodicity(

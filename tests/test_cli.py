@@ -9,9 +9,10 @@ import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import random_expr
 
 from epsnet.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_POSITIVE, run, schema_path
-from epsnet.expr import random_expr, to_text
+from epsnet.expr import to_text
 
 
 @pytest.fixture()
@@ -258,6 +259,29 @@ class TestExitCodes:
         code, data = run_cmd(tmp_path, ["invariance", "--f", "x1", "--dim", "1", f"--translate={spec}"])
         assert code == EXIT_ERROR and data is None
         assert_one_line_error(capsys, "--translate", "must be finite", repr(spec))
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["rotation", "--f", "x1^2+2*x2^2", "--dim", "2", "--matrix", "[[NaN,0],[0,1]]"], "error:"),
+            (["rotation", "--f", "x1^2+2*x2^2+x3^2", "--dim", "3",
+              "--matrix", "[[1,0,0],[0,1,0],[0,0,NaN]]"], "error:"),
+            (["rotation", "--f", "x1^2+2*x2^2", "--dim", "2",
+              "--matrix-net", '[["1+0*exp(exp(1/eps))","0"],["0","1"]]'], "factorization failed at eps="),
+            (["decompose-so", "--matrix", "[[NaN,0],[0,1]]"], "error:"),
+            (["decompose-lorentz", "--matrix", "[[NaN,0],[0,1]]"], "error:"),
+            (["decompose-lorentz", "--matrix", "[[Infinity,0],[0,1]]"], "error:"),
+        ],
+        ids=["rotation-d2", "rotation-d3", "rotation-net", "decompose-so", "decompose-lorentz",
+             "decompose-lorentz-inf"],
+    )
+    def test_non_finite_matrix_is_an_error(self, tmp_path, capsys, argv, fragment):
+        # NaN passes every tolerance comparison, so such a matrix used to
+        # factor as the identity and give a positive verdict
+        code, data = run_cmd(tmp_path, argv)
+        assert code == EXIT_ERROR and data is None
+        err = assert_one_line_error(capsys, "error:", "non-finite entries", fragment)
+        assert "warning:" not in err
 
     def test_unexpected_failure_is_one_line_exit_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"

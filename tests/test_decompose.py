@@ -21,7 +21,7 @@ from epsnet.decompose import (
     rotation_schedule_pairs,
     time_inversion_matrix,
 )
-from epsnet.groups import PlanarFactor
+from epsnet.groups import GroupElement, PlanarFactor
 from epsnet.sampling import random_proper_lorentz, random_special_orthogonal
 
 GRID = EpsilonGrid.dyadic(4, 20)
@@ -201,21 +201,21 @@ class TestNetMatrix:
         assert isinstance(sched.factors[0].theta.body, Table)
         for eps in GRID:
             want = math.sin(1.0 / eps) % (2 * math.pi)
-            assert sched.factors[0].theta_at(eps) == pytest.approx(want, abs=1e-10)
+            assert ex.evaluate(sched.factors[0].theta.body, eps) == pytest.approx(want, abs=1e-10)
 
     def test_identity_all_zero(self):
         one = Net.parse("1", 0)
         zero = Net.parse("0", 0)
         sched = decompose_net_matrix([[one, zero], [zero, one]], GRID, "rotation")
         for f in sched.factors:
-            assert all(f.theta_at(eps) == 0.0 for eps in GRID)
+            assert all(ex.evaluate(f.theta.body, eps) == 0.0 for eps in GRID)
 
     def test_boost_net_recovery(self):
         ch = Net.parse("cosh(1+eps)", 0)
         sh = Net.parse("sinh(1+eps)", 0)
         fact = decompose_net_matrix([[ch, sh], [sh, ch]], GRID, "lorentz")
         for eps in GRID:
-            assert fact.theta.value_at(eps) == pytest.approx(1.0 + eps, abs=1e-10)
+            assert ex.evaluate(fact.theta.body, eps) == pytest.approx(1.0 + eps, abs=1e-10)
 
     def test_reconstruction_per_eps(self):
         c = Net.parse("cos(eps)", 0)
@@ -224,7 +224,43 @@ class TestNetMatrix:
         sched = decompose_net_matrix([[c, minus_s], [s, c]], GRID, "rotation")
         for eps in list(GRID)[:5]:
             M = np.array([[math.cos(eps), -math.sin(eps)], [math.sin(eps), math.cos(eps)]])
-            assert np.max(np.abs(sched.matrix(eps) - M)) <= 1e-9
+            got = sched.as_group_element().apply_points(np.eye(2), eps).T
+            assert np.max(np.abs(got - M)) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "n, factors",
+        [
+            (3, (("rotation", 2, 3, "eps"), ("boost", 1, 2, "0.5"), ("rotation", 2, 3, "0.3+eps"))),
+            (4, (("rotation", 2, 3, "eps"), ("rotation", 2, 4, "1-eps"), ("boost", 1, 2, "0.4+eps"),
+                 ("rotation", 3, 4, "2*eps"), ("rotation", 2, 3, "0.7"))),
+        ],
+        ids=["n3", "n4"],
+    )
+    def test_lorentz_slots_match_per_eps_factorization(self, n, factors):
+        # oracle: lorentz_decompose of the numeric matrix at each grid eps
+        g = GroupElement.from_factors(n, [PlanarFactor(k, i, j, Net.parse(t, 0)) for k, i, j, t in factors])
+        rows = [
+            [Net(ex.subst(c, {f"x{m}": ex.Const(float(m == k)) for m in range(1, n + 1)}), 0)
+             for k in range(1, n + 1)]
+            for c in g.coords
+        ]
+        fact = decompose_net_matrix(rows, GRID, "lorentz")
+        assert (len(fact.r1.factors), len(fact.r2.factors)) == (n - 2, (n - 1) * (n - 2) // 2)
+        element = fact.as_group_element()
+        r1_angles = set()
+        for eps in GRID:
+            M = np.array([[ex.evaluate(v.body, eps) for v in row] for row in rows])
+            want = lorentz_decompose(M).factors
+            assert [(f.kind, f.i, f.j) for f in fact.factors] == [(f.kind, f.i, f.j) for f in want]
+            assert [ex.evaluate(f.theta.body, eps) for f in fact.factors] == [f.theta for f in want]
+            assert np.max(np.abs(element.apply_points(np.eye(n), eps).T - M)) <= 1e-9
+            r1_angles.add(want[0].theta)
+        assert len(r1_angles) > 1  # r1 depends on eps
+
+    def test_tabulated_angle_has_no_numeric_matrix(self):
+        theta = Net.tabulated(((0.5, 1.0), (0.25, 2.0)))
+        with pytest.raises(ValueError, match="generalized angle"):
+            PlanarFactor("rotation", 1, 2, theta).matrix(2)
 
     def test_per_eps_failure_carries_eps(self):
         bad = Net.parse("1+eps", 0)  # not orthogonal for eps > 0

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import random_expr
 from reference_eval import reference_eval_points
 
 from epsnet import expr as ex
 from epsnet.colombeau import CompactBox, EpsilonGrid, _spatial_multi_indices, grid_sups
-from epsnet.expr import EvalError, MultiIndex, Table, parse, partial_multi, random_expr, to_text
+from epsnet.expr import EvalError, MultiIndex, Table, parse, partial_multi, to_text
 
 GRID = (0.5, 0.25, 0.125, 0.03125, 1e-3)
 #: small enough that a 125-row lattice takes many chunks, ragged at the end

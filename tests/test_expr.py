@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import random_expr
 from mpmath import mp
 
 from epsnet import expr as ex
@@ -17,7 +18,6 @@ from epsnet.expr import (
     parse,
     partial,
     partial_multi,
-    random_expr,
     subst,
     to_text,
 )

@@ -89,6 +89,14 @@ def test_traced_group_job_records_every_required_layer(tmp_path):
                         "groups.compose", "decompose"}
     c, s = 0.6, 0.8
     (tmp_path / "so3.json").write_text(json.dumps([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]))
-    _, called = _traced(tmp_path, ["rotation", "--f", "exp(-(x1^2+x2^2+x3^2))", "--dim", "3",
-                                   "--samples", "9", "--k-max", "8", "--matrix", "so3.json"])
-    assert required <= called
+    # a net matrix is factored eps by eps inside the pipeline
+    boost = [["cosh(1+eps)", "sinh(1+eps)", "0"], ["sinh(1+eps)", "cosh(1+eps)", "0"], ["0", "0", "1"]]
+    jobs = (
+        ["rotation", "--f", "exp(-(x1^2+x2^2+x3^2))", "--dim", "3",
+         "--samples", "9", "--k-max", "8", "--matrix", "so3.json"],
+        ["lorentz", "--f", "exp(-(x1^2-x2^2-x3^2)^2)", "--dim", "3",
+         "--samples", "5", "--k-max", "8", "--matrix-net", json.dumps(boost)],
+    )
+    for job in jobs:
+        _, called = _traced(tmp_path, job)
+        assert required <= called, job[0]

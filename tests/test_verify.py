@@ -166,6 +166,16 @@ class TestRotationPipeline:
             rep = rotation_invariance_pipeline(f, M, box, GRID, p=4)
             assert rep.consistent
 
+    def test_factorization_of_its_own_kind_only(self):
+        from epsnet.decompose import givens_decompose, lorentz_decompose
+
+        M = random_special_orthogonal(random.Random(8), 2)
+        f = Net.parse("x1", 2)
+        direct = rotation_invariance_pipeline(f, M, BOX2, GRID, p=1).to_json_dict()
+        assert rotation_invariance_pipeline(f, givens_decompose(M), BOX2, GRID, p=1).to_json_dict() == direct
+        with pytest.raises(TypeError, match="rotation pipeline cannot run a LorentzFactorization"):
+            rotation_invariance_pipeline(f, lorentz_decompose(np.eye(2)), BOX2, GRID, p=1)
+
 
 class TestLorentzPipeline:
     def test_form_function_invariant(self):
@@ -206,6 +216,17 @@ class TestLorentzPipeline:
         box = CompactBox.cube(-1, 1, 3, samples_per_axis=9)
         rep = lorentz_invariance_pipeline(f, L, box, GRID, p=6)
         assert rep.verdict and rep.consistent
+
+    def test_factorization_of_its_own_kind_only(self):
+        from epsnet.decompose import boost_matrix, givens_decompose, lorentz_decompose
+
+        f = Net.parse("x1", 3)
+        box = CompactBox.cube(-1, 1, 3, samples_per_axis=9)
+        L = boost_matrix(3, 0.7)
+        direct = lorentz_invariance_pipeline(f, L, box, GRID, p=1).to_json_dict()
+        assert lorentz_invariance_pipeline(f, lorentz_decompose(L), box, GRID, p=1).to_json_dict() == direct
+        with pytest.raises(TypeError, match="lorentz pipeline cannot run a RotationSchedule"):
+            lorentz_invariance_pipeline(f, givens_decompose(np.eye(3)), box, GRID, p=1)
 
 
 class TestPeriodicity:
