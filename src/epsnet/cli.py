@@ -66,8 +66,37 @@ def _parse_box(spec: str, dimension: int, samples: int):
     return CompactBox(tuple(intervals), samples)
 
 
-def _parse_vector(spec: str) -> tuple:
-    return tuple(float(v) for v in spec.split(",") if v != "")
+def _reals(option: str, spec: str) -> tuple:
+    """The finite reals of a comma-separated option value, at least one."""
+    try:
+        values = tuple(float(v) for v in spec.split(",") if v != "")
+    except ValueError:
+        values = ()
+    if not values:
+        raise UsageError(f"{option} must be comma-separated numbers, got {spec!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"{option} values must be finite, got {spec!r}")
+    return values
+
+
+def _matrix_rows(option: str, text: str, strings: bool = False) -> list:
+    """A JSON array of equal-length rows of numbers (or, with ``strings``,
+    of numbers and expression strings)."""
+    rows = _load_json_arg(text)
+    if not (rows and isinstance(rows, list)
+            and all(isinstance(r, list) and len(r) == len(rows[0]) for r in rows)):
+        raise UsageError(f"{option} must be a JSON array of equal-length rows")
+    kinds = (int, float, str) if strings else (int, float)
+    if not all(isinstance(v, kinds) and not isinstance(v, bool) for row in rows for v in row):
+        raise UsageError(f"{option} entries must be numbers{' or strings' if strings else ''}")
+    return rows
+
+
+def _matrix(args):
+    """The --matrix option as a float array."""
+    import numpy as np
+
+    return np.asarray(_matrix_rows("--matrix", args.matrix), dtype=float)
 
 
 def _algebraic(spec: str):
@@ -81,24 +110,12 @@ def _algebraic(spec: str):
     return alg
 
 
-def _plain_json(value):
-    """Copy of a report value in plain JSON types, with non-finite floats
-    written as the strings "inf", "-inf" and "nan"."""
-    if isinstance(value, dict):
-        return {k: _plain_json(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain_json(v) for v in value]
-    np = sys.modules.get("numpy")  # a numpy scalar implies numpy is loaded
-    if np is not None and isinstance(value, np.generic):
-        value = value.item()
-    if isinstance(value, float) and not math.isfinite(value):
-        return "nan" if math.isnan(value) else "inf" if value > 0 else "-inf"
-    return value
-
-
 def write_report(path: str, command: str, verdict: str, order, evidence) -> None:
+    """Write the report envelope; ``evidence`` may be a report record."""
+    from .report import plain_json
+
     payload = {"command": command, "verdict": verdict, "order": order, "evidence": evidence}
-    text = json.dumps(_plain_json(payload), sort_keys=True, indent=2, allow_nan=False)
+    text = json.dumps(plain_json(payload), sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
@@ -140,15 +157,7 @@ def _element(args, dimension: int):
         except (AttributeError, TypeError, ValueError) as err:
             raise UsageError(f"--element is not a group element: {err}") from None
     if args.translate is not None:
-        try:
-            offset = _parse_vector(args.translate)
-        except ValueError:
-            raise UsageError(
-                f"--translate must be comma-separated numbers, got {args.translate!r}"
-            ) from None
-        if not all(math.isfinite(v) for v in offset):
-            raise UsageError(f"--translate offsets must be finite, got {args.translate!r}")
-        return GroupElement.translation(dimension, offset)
+        return GroupElement.translation(dimension, _reals("--translate", args.translate))
     spec = args.rotation if args.rotation is not None else args.boost
     kind = "rotation" if args.rotation is not None else "boost"
     try:
@@ -161,29 +170,26 @@ def _element(args, dimension: int):
             f"--{kind} must be i,j,theta with integer axes 1 <= i < j <= {dimension}, got {spec!r}"
         ) from None
     try:
-        theta = float(theta_s)
+        float(theta_s)
     except ValueError:
         theta = Net.parse(theta_s, 0)
+    else:
+        (theta,) = _reals(f"--{kind}", theta_s)
     return planar_flow(kind, dimension, i, j)(theta)
 
 
 def _matrix_argument(args, rng: random.Random):
     """Resolve --matrix / --matrix-net / --random into a pipeline input."""
-    import numpy as np
-
     from .colombeau import Net
 
     given = [args.matrix is not None, args.matrix_net is not None, args.random]
     if sum(given) != 1:
         raise UsageError("provide exactly one of --matrix/--matrix-net/--random")
     if args.matrix is not None:
-        return np.asarray(_load_json_arg(args.matrix), dtype=float)
+        return _matrix(args)
     if args.matrix_net is not None:
-        rows = _load_json_arg(args.matrix_net)
-        if not (rows and isinstance(rows, list)
-                and all(isinstance(r, list) and len(r) == len(rows[0]) for r in rows)):
-            raise UsageError("--matrix-net must be a JSON array of equal-length rows")
-        return [[Net.parse(str(v), 0) if isinstance(v, str) else float(v) for v in row] for row in rows]
+        rows = _matrix_rows("--matrix-net", args.matrix_net, strings=True)
+        return [[Net.parse(v, 0) if isinstance(v, str) else float(v) for v in row] for row in rows]
     from .sampling import random_proper_lorentz, random_special_orthogonal
 
     if args.command == "rotation":
@@ -198,8 +204,6 @@ def _matrix_argument(args, rng: random.Random):
 def _cmd_classify(args, rng):
     from .colombeau import classify
 
-    if args.max_order < 0:
-        raise UsageError(f"--max-order must be >= 0, got {args.max_order}")
     net = _net(args)
     box = _parse_box(args.box, args.dim, args.samples)
     report = classify(net, box, max_order=args.max_order, grid=_grid(args), p_max=args.p_max)
@@ -207,7 +211,7 @@ def _cmd_classify(args, rng):
         f"moderate={report.moderate} negligible_order={report.negligible_order} "
         f"fitted_exponent={report.fitted_exponent:.4g}"
     )
-    return "computed", None, report.to_json_dict(), summary
+    return "computed", None, report, summary
 
 
 def _cmd_invariance(args, rng):
@@ -218,7 +222,7 @@ def _cmd_invariance(args, rng):
     g = _element(args, args.dim)
     rep = check_invariance(net, g, box, _grid(args), args.p, strict=args.strict)
     verdict = "positive" if rep.invariant else "negative"
-    return verdict, args.p, rep.to_json_dict(), f"invariant={rep.invariant} at order p={args.p}"
+    return verdict, args.p, rep, f"invariant={rep.invariant} at order p={args.p}"
 
 
 def _cmd_one_param(args, rng):
@@ -228,7 +232,7 @@ def _cmd_one_param(args, rng):
 
     net = _net(args)
     box = _parse_box(args.box, args.dim, args.samples)
-    real_thetas = _parse_vector(args.real_thetas) if args.real_thetas else None
+    real_thetas = _reals("--real-thetas", args.real_thetas) if args.real_thetas else None
     gen_thetas = tuple(Net.parse(t, 0) for t in (args.gen_theta or ()))
     flow = planar_flow(args.kind, args.dim, args.i, args.j)
     kwargs = {} if real_thetas is None else {"real_thetas": real_thetas}
@@ -237,7 +241,7 @@ def _cmd_one_param(args, rng):
     )
     verdict = "positive" if rep.verdict else "negative"
     note = "HYPOTHESIS_FAILED" if rep.hypothesis_failed else "hypothesis holds"
-    return verdict, args.p, rep.to_json_dict(), f"{note}; verdict={rep.verdict}"
+    return verdict, args.p, rep, f"{note}; verdict={rep.verdict}"
 
 
 def _cmd_pipeline(args, rng):
@@ -250,28 +254,22 @@ def _cmd_pipeline(args, rng):
     pipeline = {"rotation": rotation_invariance_pipeline, "lorentz": lorentz_invariance_pipeline}
     rep = pipeline[args.command](net, matrix, box, grid, args.p, strict=args.strict)
     verdict = "positive" if rep.verdict else "negative"
-    return verdict, args.p, rep.to_json_dict(), f"invariant={rep.verdict} (consistent={rep.consistent})"
+    return verdict, args.p, rep, f"invariant={rep.verdict} (consistent={rep.consistent})"
 
 
 def _cmd_decompose_so(args, rng):
-    import numpy as np
-
     from .decompose import orthogonal_decompose
 
-    M = np.asarray(_load_json_arg(args.matrix), dtype=float)
-    schedule, reflected = orthogonal_decompose(M)
-    evidence = {"schedule": schedule.to_json_dict(), "reflected": reflected}
+    schedule, reflected = orthogonal_decompose(_matrix(args))
+    evidence = {"schedule": schedule, "reflected": reflected}
     angles = ", ".join(f"{t:.6g}" for t in schedule.angles())
     return "computed", None, evidence, f"factors=[{angles}] reflected={reflected}"
 
 
 def _cmd_decompose_lorentz(args, rng):
-    import numpy as np
-
     from .decompose import full_lorentz_decompose
 
-    L = np.asarray(_load_json_arg(args.matrix), dtype=float)
-    full = full_lorentz_decompose(L)
+    full = full_lorentz_decompose(_matrix(args))
     fact = full.factorization
     evidence = {
         **fact.to_json_dict(),
@@ -344,25 +342,17 @@ def _cmd_corollary_pair(args, rng):
     )
 
 
-def _check_two_period_options(args) -> None:
-    if args.p < 1:
-        raise UsageError(f"--p must be >= 1, got {args.p}")
-    if args.samples < 2:
-        raise UsageError(f"--samples: need at least 2 samples per axis, got {args.samples}")
-
-
 def _cmd_two_period(args, rng):
     from .colombeau import Net
     from .verify import two_period_constancy
 
-    _check_two_period_options(args)
     net = Net.parse(args.f, 1)
     alg = _algebraic(args.alpha)
     rep = two_period_constancy(net, alg, args.R, args.p, _grid(args), samples=args.samples)
     verdict = {"constant": "positive", "not-certified": "negative", "not-applicable": "not-applicable"}[
         rep.verdict
     ]
-    return verdict, args.p, rep.to_json_dict(), rep.verdict
+    return verdict, args.p, rep, rep.verdict
 
 
 def _cmd_translation(args, rng):
@@ -370,11 +360,11 @@ def _cmd_translation(args, rng):
 
     net = _net(args)
     box = _parse_box(args.box, args.dim, args.samples)
-    hs = tuple(_parse_vector(part) for part in args.h_samples.split(";")) if args.h_samples else ((0.5,) * args.dim, (1.0,) * args.dim)
+    hs = tuple(_reals("--h-samples", part) for part in args.h_samples.split(";")) if args.h_samples else ((0.5,) * args.dim, (1.0,) * args.dim)
     rep = translation_constancy(net, box, _grid(args), args.p, h_samples=hs)
     verdict = "positive" if rep.verdict else "negative"
     note = "HYPOTHESIS_FAILED" if rep.hypothesis_failed else "constant" if rep.verdict else "not constant"
-    return verdict, args.p, rep.to_json_dict(), note
+    return verdict, args.p, rep, note
 
 
 def _cmd_explore(args, rng):
@@ -382,7 +372,6 @@ def _cmd_explore(args, rng):
     from .numbertheory import resolve_alpha
     from .verify import open_question_explorer
 
-    _check_two_period_options(args)
     net = Net.parse(args.f, 1)
     provider, name, _ = resolve_alpha(args.alpha)
     rep = open_question_explorer(provider, net, args.R, args.p, _grid(args), samples=args.samples)
@@ -390,7 +379,7 @@ def _cmd_explore(args, rng):
     return (
         "exploratory",
         args.p,
-        rep.to_json_dict(),
+        rep,
         f"NON-THEOREM exploration: alpha={name} applicable={rep.applicable} effective_M~{effective}",
     )
 
@@ -542,6 +531,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Least values of the integer options, checked after the config merge.
+_MINIMA = {"p": 1, "samples": 2, "max_order": 0}
+
+
+def _check_minima(args: argparse.Namespace) -> None:
+    for key, least in _MINIMA.items():
+        if getattr(args, key, least) < least:
+            option = "--" + key.replace("_", "-")
+            raise UsageError(f"{option} must be >= {least}, got {getattr(args, key)}")
+
+
 def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     """Precedence: explicit flags, then config-file values, then defaults."""
     config = {}
@@ -573,6 +573,7 @@ def run(argv) -> int:
             setattr(args, key, None)
     try:
         args = _apply_config(args)
+        _check_minima(args)
         rng = random.Random(args.seed if args.seed is not None else DEFAULTS["seed"])
         handler = _HANDLERS[args.command]
         with warnings.catch_warnings():

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import expr as ex
+from .report import Record
 
 DEFAULT_P_MAX = 8
 DEFAULT_RC_BOUND = 1e6
@@ -151,7 +152,7 @@ class Net:
 
 
 @dataclass(frozen=True)
-class AsymptoticReport:
+class AsymptoticReport(Record):
     """Per-eps sup data with the fitted decay exponent and verdicts."""
 
     sups: tuple  # ((eps, sup), ...) in grid order
@@ -159,17 +160,6 @@ class AsymptoticReport:
     moderate: bool
     negligible_order: int
     bounded: bool
-    per_alpha: tuple = field(default=(), compare=False)  # ((alpha, exponent), ...)
-
-    def to_json_dict(self) -> dict:
-        b = self.fitted_exponent
-        return {
-            "sups": [[e, s] for e, s in self.sups],
-            "fitted_exponent": "inf" if math.isinf(b) else b,
-            "moderate": self.moderate,
-            "negligible_order": self.negligible_order,
-            "bounded": self.bounded,
-        }
 
 
 def fit_decay_exponent(pairs: Sequence) -> float:
@@ -209,7 +199,6 @@ def report_from_sups(
     sups: Sequence[float],
     p_max: int = DEFAULT_P_MAX,
     bound: float = DEFAULT_RC_BOUND,
-    per_alpha: tuple = (),
 ) -> AsymptoticReport:
     """Assemble an :class:`AsymptoticReport` from one sup value per grid eps."""
     sups = [float(s) for s in sups]
@@ -229,7 +218,7 @@ def report_from_sups(
                 break
 
     bounded = moderate and not _grows(pairs, exponent) and max(sups) <= bound
-    return AsymptoticReport(pairs, exponent, moderate, negligible_order, bounded, per_alpha)
+    return AsymptoticReport(pairs, exponent, moderate, negligible_order, bounded)
 
 
 def _spatial_multi_indices(dimension: int, max_order: int):
@@ -243,17 +232,13 @@ def _spatial_multi_indices(dimension: int, max_order: int):
     return out
 
 
-def grid_sups(body: ex.Expr, eps_values, points: np.ndarray, alpha=None) -> list[float]:
+def grid_sups(body: ex.Expr, eps_values, points: np.ndarray) -> list[float]:
     """Max of |body| over the rows of ``points``, one value per eps, in order.
 
     A NaN anywhere on the points makes that eps's sup NaN, which every verdict
     reads as non-finite.  An :class:`~epsnet.expr.EvalError` carries the first
-    failing eps and is re-raised with the multi-index ``alpha``, when given.
-    """
-    try:
-        return ex.eval_points(body, tuple(eps_values), points, sup=True).tolist()
-    except ex.EvalError as err:
-        raise err.with_context(alpha=alpha) from None
+    failing eps and point."""
+    return ex.eval_points(body, tuple(eps_values), points, sup=True).tolist()
 
 
 def seminorm(
@@ -299,13 +284,7 @@ def classify(
         raise ValueError(f"max_order must be >= 0, got {max_order}")
     alphas = _spatial_multi_indices(f.dimension, max_order)
     sups = ex.eval_points(f.body, grid.values, box.lattice(), sup=True, partials=alphas)
-    per_alpha = tuple(
-        (alpha.orders, fit_decay_exponent(tuple(zip(grid.values, row.tolist()))))
-        for alpha, row in zip(alphas, sups)
-    )
-    return report_from_sups(
-        grid, np.max(sups, axis=0).tolist(), p_max=p_max, bound=bound, per_alpha=per_alpha
-    )
+    return report_from_sups(grid, np.max(sups, axis=0).tolist(), p_max=p_max, bound=bound)
 
 
 def is_bounded_generalized_number(

@@ -21,6 +21,7 @@ import numpy as np
 from . import expr as ex
 from .colombeau import EpsilonGrid, Net
 from .groups import GroupElement, PlanarFactor, _scalar_expr
+from .report import Record
 
 ORTHOGONALITY_TOL = 1e-8
 FORM_TOL = 1e-8
@@ -42,7 +43,7 @@ def rotation_schedule_pairs(d: int) -> tuple:
 
 
 @dataclass(frozen=True)
-class RotationSchedule:
+class RotationSchedule(Record):
     """An ordered product of planar rotations with a fixed axis schedule."""
 
     dimension: int
@@ -69,12 +70,6 @@ class RotationSchedule:
             PlanarFactor(f.kind, f.i + offset, f.j + offset, f.theta) for f in self.factors
         )
         return RotationSchedule(dimension, factors)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "factors": [f.to_json_dict() for f in self.factors],
-        }
 
 
 def _check_finite(M: np.ndarray):

@@ -57,14 +57,9 @@ class EvalError(ArithmeticError):
             parts.append(f"alpha={tuple(alpha)!r}")
         super().__init__("; ".join(parts))
 
-    def with_context(self, eps=None, point=None, alpha=None) -> "EvalError":
-        return EvalError(
-            self.reason,
-            self.subexpr,
-            eps=self.eps if eps is None else eps,
-            point=self.point if point is None else point,
-            alpha=self.alpha if alpha is None else alpha,
-        )
+    def with_context(self, alpha) -> "EvalError":
+        """The same error, naming the multi-index ``alpha``."""
+        return EvalError(self.reason, self.subexpr, eps=self.eps, point=self.point, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .colombeau import (
     report_from_sups,
 )
 from .groups import GroupElement, compose_net
+from .report import Record, plain_json
 
 if TYPE_CHECKING:
     from .numbertheory import AlgebraicNumber
@@ -54,27 +55,24 @@ class CBoundednessError(ValueError):
 
 
 @dataclass(frozen=True)
-class InvarianceReport:
-    """Per-eps sup of |f(g(x)) - f(x)| over the box, with verdict at order p.
+class InvarianceReport(Record):
+    """Per-eps sup of |f(g(x)) - f(x)| over the box (``asymptotic.sups``),
+    with verdict at order p.
 
     ``c_bounded`` is the c-boundedness check's verdict; it can be False only
     when the check was waived (``strict=False``)."""
 
     order: int
-    sups: tuple  # ((eps, sup), ...)
     asymptotic: AsymptoticReport
     invariant: bool
     c_bounded: bool
     element: dict = field(default_factory=dict, compare=False)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "invariant": self.invariant,
-            "c_bounded": self.c_bounded,
-            "element": self.element,
-            "asymptotic": self.asymptotic.to_json_dict(),
-        }
+
+def _check_order(p: int) -> None:
+    # at p = 0 the bound eps^p is 1, which an O(1) deviation meets
+    if p < 1:
+        raise ValueError(f"order p must be >= 1, got {p}")
 
 
 def _check_c_bounded(g: GroupElement, box: CompactBox, grid: EpsilonGrid, strict: bool) -> bool:
@@ -133,7 +131,8 @@ def check_invariance(
     deviation is non-finite and fails the check.  With ``strict`` a
     transformation that is not c-bounded on the box raises
     :class:`CBoundednessError`, otherwise it warns and the report records
-    ``c_bounded=False``."""
+    ``c_bounded=False``.  An order ``p`` below 1 raises ValueError."""
+    _check_order(p)
     grid = grid or EpsilonGrid.dyadic()
     if g.dimension != f.dimension:
         raise ValueError("element dimension does not match net dimension")
@@ -147,7 +146,6 @@ def check_invariance(
     )
     return InvarianceReport(
         order=p,
-        sups=tuple(zip(grid.values, sups)),
         asymptotic=report,
         invariant=report.negligible_order >= p and whole_grid_ok,
         c_bounded=c_bounded,
@@ -167,7 +165,7 @@ class OneParamReport:
     verdict: bool
 
     def to_json_dict(self) -> dict:
-        return {
+        return plain_json({
             "order": self.order,
             "hypothesis_failed": self.hypothesis_failed,
             "verdict": self.verdict,
@@ -177,7 +175,7 @@ class OneParamReport:
             "conclusion": [
                 {"theta": label, **r.to_json_dict()} for label, r in self.conclusion
             ],
-        }
+        })
 
 
 def one_param_theorem_harness(
@@ -192,7 +190,10 @@ def one_param_theorem_harness(
 ) -> OneParamReport:
     """Sample the real-parameter hypothesis of the lifting theorem, then test
     the generalized-parameter conclusion.  If any real-parameter check fails
-    the conclusion block is informational only."""
+    the conclusion block is informational only.  An empty ``real_thetas``
+    raises ValueError: it would leave the hypothesis untested."""
+    if not real_thetas:
+        raise ValueError("the hypothesis needs at least one real theta")
     grid = grid or EpsilonGrid.dyadic()
     box = box or CompactBox.cube(-1.0, 1.0, f.dimension)
     hypothesis = []
@@ -212,23 +213,14 @@ def one_param_theorem_harness(
 
 
 @dataclass(frozen=True)
-class PipelineReport:
+class PipelineReport(Record):
     """Factor-by-factor and full-composition invariance for a factored element."""
 
     order: int
-    factor_reports: tuple
-    full_report: InvarianceReport
+    factors: tuple  # InvarianceReport per factor
+    full: InvarianceReport
     verdict: bool
     consistent: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "verdict": self.verdict,
-            "consistent": self.consistent,
-            "factors": [r.to_json_dict() for r in self.factor_reports],
-            "full": self.full_report.to_json_dict(),
-        }
 
 
 def _pipeline(f, factors, full_element, box, grid, p, strict) -> PipelineReport:
@@ -312,7 +304,7 @@ def check_periodicity(
 
 
 @dataclass(frozen=True)
-class ChainPairResult:
+class ChainPairResult(Record):
     k: int
     l: int
     certified: float
@@ -323,38 +315,15 @@ class ChainPairResult:
     path: tuple  # audit steps from one representative start point
     path_ok: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "l": self.l,
-            "certified": self.certified,
-            "measured": self.measured,
-            "tested_points": self.tested_points,
-            "excluded_points": self.excluded_points,
-            "hypothesis_violated": self.hypothesis_violated,
-            "path_ok": self.path_ok,
-            "path": list(self.path),
-        }
-
 
 @dataclass(frozen=True)
-class ChainBoundReport:
+class ChainBoundReport(Record):
     interval: tuple
     h1: float
     h2: float
     tolerance: float
     pairs: tuple  # ChainPairResult tuple
     all_certified: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "interval": list(self.interval),
-            "h1": self.h1,
-            "h2": self.h2,
-            "tolerance": self.tolerance,
-            "all_certified": self.all_certified,
-            "pairs": [p.to_json_dict() for p in self.pairs],
-        }
 
 
 def _chain_path(x: float, k: int, l: int, h1: float, h2: float, a: float, b: float, tol: float):
@@ -441,7 +410,7 @@ def chain_bound(
 
 
 @dataclass(frozen=True)
-class ConstancyEvidence:
+class ConstancyEvidence(Record):
     eps: float
     k: int
     l: int
@@ -451,21 +420,18 @@ class ConstancyEvidence:
     certified_ok: bool
     bounds_ok: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "k": self.k,
-            "l": self.l,
-            "h_log2": self.h_log2,
-            "measured": self.measured,
-            "certified": self.certified,
-            "certified_ok": self.certified_ok,
-            "bounds_ok": self.bounds_ok,
-        }
+
+@dataclass(frozen=True)
+class OrderCertificate(Record):
+    """Whether order ``p`` was certified, from the detected ``eps0`` on."""
+
+    p: int
+    eps0: Optional[float]
+    certified: bool
 
 
 @dataclass(frozen=True)
-class ConstancyReport:
+class ConstancyReport(Record):
     radius: float
     order: int
     verdict: str  # "constant" | "not-certified" | "not-applicable"
@@ -475,30 +441,15 @@ class ConstancyReport:
     c_empirical: Optional[float]
     derivative_exponent: int
     evidence: tuple  # ConstancyEvidence rows for the requested order
-    per_order: tuple  # ((p', eps0, certified), ...)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "order": self.order,
-            "verdict": self.verdict,
-            "eps0": self.eps0,
-            "failing_period": self.failing_period,
-            "c_structural": self.c_structural,
-            "c_empirical": self.c_empirical,
-            "derivative_exponent": self.derivative_exponent,
-            "evidence": [row.to_json_dict() for row in self.evidence],
-            "per_order": [
-                {"p": q, "eps0": e0, "certified": ok} for q, e0, ok in self.per_order
-            ],
-        }
+    per_order: tuple  # OrderCertificate per order 1..p
 
 
-def _check_order_and_samples(p: int, samples: int) -> None:
-    if p < 1:
-        raise ValueError(f"order p must be >= 1, got {p}")
+def _check_two_period_inputs(p: int, samples: int, radius: float) -> None:
+    _check_order(p)
     if samples < 2:
         raise ValueError(f"need at least 2 samples per axis, got {samples}")
+    if not math.isfinite(radius):
+        raise ValueError(f"radius must be finite, got {radius}")
 
 
 def _two_period_sups(f: Net, alpha: float, radius: float, grid: EpsilonGrid, samples: int):
@@ -565,7 +516,7 @@ def two_period_constancy(
 
     if f.dimension != 1:
         raise ValueError("the two-period theorem concerns one-dimensional nets")
-    _check_order_and_samples(p, samples)
+    _check_two_period_inputs(p, samples, radius)
     grid = grid or EpsilonGrid.dyadic()
     alpha = a.value_float
     if not radius > alpha + 2:
@@ -583,7 +534,7 @@ def two_period_constancy(
     for q in range(1, p + 1):
         eps0, start = _detect_eps0(grid, dev1, dev2, (M + 2) * q)
         if eps0 is None:
-            per_order.append((q, None, False))
+            per_order.append(OrderCertificate(q, None, False))
             failing = worst
             continue
         ok_all = True
@@ -608,14 +559,14 @@ def two_period_constancy(
                         eps, pair.k, pair.l, h_log2, measured[idx], certified, certified_ok, bounds_ok
                     )
                 )
-        per_order.append((q, eps0, ok_all))
+        per_order.append(OrderCertificate(q, eps0, ok_all))
         if q == p:
             eps0_main = eps0
             c_emp_main = c_emp
 
     if failing is not None:
         verdict = "not-applicable"
-    elif all(ok for _, _, ok in per_order):
+    elif all(c.certified for c in per_order):
         verdict = "constant"
     else:
         verdict = "not-certified"
@@ -646,15 +597,13 @@ class TranslationReport:
     verdict: bool
 
     def to_json_dict(self) -> dict:
-        return {
+        return plain_json({
             "order": self.order,
             "hypothesis_failed": self.hypothesis_failed,
             "verdict": self.verdict,
-            "hypothesis": [
-                {"h": list(h), **r.to_json_dict()} for h, r in self.hypothesis
-            ],
-            "conclusion": self.conclusion.to_json_dict(),
-        }
+            "hypothesis": [{"h": h, **r.to_json_dict()} for h, r in self.hypothesis],
+            "conclusion": self.conclusion,
+        })
 
 
 def translation_constancy(
@@ -667,6 +616,7 @@ def translation_constancy(
 ) -> TranslationReport:
     """Hypothesis: invariance under each sampled translation.  Conclusion:
     x -> f(x) - f(0) is negligible at order p on the box."""
+    _check_order(p)
     grid = grid or EpsilonGrid.dyadic()
     hypothesis = []
     for h in h_samples:
@@ -687,7 +637,7 @@ def translation_constancy(
 
 
 @dataclass(frozen=True)
-class ExplorerRow:
+class ExplorerRow(Record):
     eps: float
     k: int
     l: int
@@ -695,19 +645,9 @@ class ExplorerRow:
     effective_M: float
     measured: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "k": self.k,
-            "l": self.l,
-            "defect_log2": self.defect_log2,
-            "effective_M": self.effective_M,
-            "measured": self.measured,
-        }
-
 
 @dataclass(frozen=True)
-class ExplorerReport:
+class ExplorerReport(Record):
     """Exploratory two-period data for a non-algebraic ratio.  Explicitly not
     backed by a theorem; never emits a theorem-grade verdict."""
 
@@ -718,21 +658,8 @@ class ExplorerReport:
     failing_period: Optional[float]
     effective_M: Optional[float]
     rows: tuple
-
-    theorem_grade: bool = False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "note": "exploratory output; no theorem backs these numbers",
-            "theorem_grade": False,
-            "alpha": self.alpha,
-            "radius": self.radius,
-            "order": self.order,
-            "applicable": self.applicable,
-            "failing_period": self.failing_period,
-            "effective_M": self.effective_M,
-            "rows": [r.to_json_dict() for r in self.rows],
-        }
+    note: str = field(default="exploratory output; no theorem backs these numbers", init=False)
+    theorem_grade: bool = field(default=False, init=False)
 
 
 def open_question_explorer(
@@ -752,7 +679,7 @@ def open_question_explorer(
 
     if f.dimension != 1:
         raise ValueError("one-dimensional nets only")
-    _check_order_and_samples(p, samples)
+    _check_two_period_inputs(p, samples, radius)
     grid = grid or EpsilonGrid.dyadic()
     with mp.workprec(96):
         alpha = float(alpha_provider(96) if callable(alpha_provider) else alpha_provider)

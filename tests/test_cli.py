@@ -248,11 +248,18 @@ class TestExitCodes:
         assert code == EXIT_ERROR and data is None
         assert_one_line_error(capsys, flag, repr(spec))
 
-    @pytest.mark.parametrize("spec", ["1/eps", "0.5,x"])
+    @pytest.mark.parametrize("spec", ["1/eps", "0.5,x", ","])
     def test_non_numeric_translation_is_a_usage_error(self, tmp_path, capsys, spec):
         code, data = run_cmd(tmp_path, ["invariance", "--f", "x1", "--dim", "2", "--translate", spec])
         assert code == EXIT_ERROR and data is None
         assert_one_line_error(capsys, "--translate", repr(spec))
+
+    def test_empty_real_thetas_is_a_usage_error(self, tmp_path, capsys):
+        # no real theta left the hypothesis untested: x1 came out positive
+        code, data = run_cmd(tmp_path, ["one-param", "--f", "x1", "--dim", "2", "--kind", "rotation",
+                                        "--i", "1", "--j", "2", "--real-thetas", ",", *FAST_GRID])
+        assert code == EXIT_ERROR and data is None
+        assert_one_line_error(capsys, "--real-thetas", "','")
 
     @pytest.mark.parametrize("spec", ["inf", "nan"])
     def test_non_finite_translation_is_a_usage_error(self, tmp_path, capsys, spec):
@@ -282,6 +289,76 @@ class TestExitCodes:
         assert code == EXIT_ERROR and data is None
         err = assert_one_line_error(capsys, "error:", "non-finite entries", fragment)
         assert "warning:" not in err
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["invariance", "--f", "x1", "--dim", "1", "--translate", "1", "--p", "0"], "--p"),
+            (["invariance", "--f", "x1^2+2*x2^2", "--dim", "2", "--rotation", "1,2,0.3",
+              "--p", "0"], "--p"),
+            (["translation", "--f", "sin(x1)", "--dim", "1", "--p", "0"], "--p"),
+            (["rotation", "--f", "x1^2+x2^2", "--dim", "2", "--matrix", "[[0,-1],[1,0]]",
+              "--p", "-1"], "--p"),
+            (["classify", "--f", "x1", "--dim", "1", "--samples", "1"], "--samples"),
+        ],
+        ids=["translate", "rotation", "translation", "pipeline", "classify-samples"],
+    )
+    def test_integer_option_below_its_bound_is_a_usage_error(self, tmp_path, capsys, argv, fragment):
+        # at p = 0 the bound eps^p is 1: these once gave positive verdicts
+        code, data = run_cmd(tmp_path, [*argv, *FAST_GRID])
+        assert code == EXIT_ERROR and data is None
+        err = assert_one_line_error(capsys, "error: " + fragment)
+        assert "warning:" not in err
+
+    def test_config_values_are_checked_too(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"p": 0}')
+        code, data = run_cmd(tmp_path, ["--config", str(config), "invariance", "--f", "x1",
+                                        "--dim", "1", "--translate", "1", *FAST_GRID])
+        assert code == EXIT_ERROR and data is None
+        assert_one_line_error(capsys, "error: --p must be >= 1, got 0")
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["invariance", "--f", "x1^2+x2^2", "--dim", "2", "--rotation", "1,2,inf"],
+             "--rotation"),
+            (["invariance", "--f", "x1^2-x2^2", "--dim", "2", "--boost", "1,2,nan"], "--boost"),
+            (["one-param", "--f", "x1", "--dim", "2", "--kind", "rotation", "--i", "1", "--j", "2",
+              "--real-thetas", "nan"], "--real-thetas"),
+            (["translation", "--f", "3", "--dim", "1", "--h-samples", "inf"], "--h-samples"),
+            (["two-period", "--f", "1", "--alpha", "sqrt2", "--R", "inf", "--p", "1"], "radius"),
+            (["explore-open-question", "--f", "1", "--alpha", "pi", "--R", "inf", "--p", "1"],
+             "radius"),
+        ],
+        ids=["rotation", "boost", "real-thetas", "h-samples", "two-period", "explore"],
+    )
+    def test_non_finite_real_is_a_usage_error(self, tmp_path, capsys, argv, fragment):
+        code, data = run_cmd(tmp_path, [*argv, *FAST_GRID])
+        assert code == EXIT_ERROR and data is None
+        err = assert_one_line_error(capsys, "error:", fragment, "finite")
+        assert "warning:" not in err
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["rotation", "--f", "x1", "--dim", "2", "--matrix", '{"a":1}'], "--matrix"),
+            (["lorentz", "--f", "x1", "--dim", "2", "--matrix", '{"a":1}'], "--matrix"),
+            (["decompose-so", "--matrix", '{"a":1}'], "--matrix"),
+            (["decompose-lorentz", "--matrix", '{"a":1}'], "--matrix"),
+            (["rotation", "--f", "x1", "--dim", "2", "--matrix", "[[1,0],[0]]"], "--matrix"),
+            (["decompose-so", "--matrix", "[[1,0],[0,true]]"], "--matrix"),
+            (["rotation", "--f", "x1", "--dim", "2", "--matrix-net", "[[1,null],[0,1]]"],
+             "--matrix-net"),
+        ],
+        ids=["rotation", "lorentz", "decompose-so", "decompose-lorentz", "ragged", "boolean",
+             "matrix-net-null"],
+    )
+    def test_malformed_matrix_is_a_usage_error(self, tmp_path, capsys, argv, fragment):
+        code, data = run_cmd(tmp_path, argv)
+        assert code == EXIT_ERROR and data is None
+        err = assert_one_line_error(capsys, "error: " + fragment)
+        assert "unexpected" not in err and "warning:" not in err
 
     def test_unexpected_failure_is_one_line_exit_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -156,8 +156,6 @@ class TestClassify:
         rep = classify(Net.parse("sin(x1/eps)", 1), BOX1, max_order=1, grid=GRID)
         assert rep.moderate
         assert rep.fitted_exponent == pytest.approx(-1.0, abs=0.1)
-        slopes = dict(rep.per_alpha)
-        assert slopes[(1,)] == pytest.approx(-1.0, abs=0.1)
 
     def test_overflowing_net_is_not_moderate(self):
         # the second net overflows to sin(inf) = NaN: a NaN sup is non-finite,

@@ -128,13 +128,6 @@ def test_first_failing_eps_wins_over_node_order():
     assert info.value.eps == 0.25 and tuple(info.value.point) == (0.0,)
 
 
-def test_grid_sups_attaches_alpha_to_the_first_failure():
-    X = np.linspace(0.0, 1.0, 11)[:, None]
-    with pytest.raises(EvalError) as info:
-        grid_sups(parse("sqrt(x1-eps)", 1), (0.5, 0.25), X, alpha=(1,))
-    assert (info.value.eps, info.value.alpha, tuple(info.value.point)) == (0.5, (1,), (0.0,))
-
-
 def test_shared_child_read_twice():
     X = np.linspace(-1.0, 1.0, 41)[:, None]
     e = parse("(x1*x1)*(x1*x1)-sin(x1*x1)+x1*x1", 1)

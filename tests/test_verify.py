@@ -52,8 +52,19 @@ class TestCheckInvariance:
         rep = check_invariance(f, g, BOX2, GRID, p=1)
         assert not rep.invariant
         # the deviation stays O(1) along the whole grid
-        sups = [s for _, s in rep.sups]
+        sups = [s for _, s in rep.asymptotic.sups]
         assert min(sups) > 1.0
+
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_order_below_one_is_rejected(self, p):
+        # at p = 0 the bound eps^p is 1, so an O(1) deviation once passed
+        f = Net.parse("x1", 1)
+        g = GroupElement.translation(1, (1.0,))
+        with pytest.raises(ValueError, match="order p must be >= 1"):
+            check_invariance(f, g, CompactBox.cube(-1.0, 1.0, 1), GRID, p=p)
+        with pytest.raises(ValueError, match="order p must be >= 1"):
+            translation_constancy(Net.parse("sin(x1)", 1), CompactBox.cube(-1.0, 1.0, 1), GRID,
+                                  p=p, h_samples=())
 
     def test_strict_c_boundedness_raises(self):
         f = Net.parse("x1", 1)
@@ -115,6 +126,12 @@ class TestOneParam:
         )
         assert rep.hypothesis_failed
         assert not rep.verdict
+
+    def test_empty_hypothesis_is_rejected(self):
+        # with no real theta the hypothesis held vacuously: x1 read as invariant
+        with pytest.raises(ValueError, match="at least one real theta"):
+            one_param_theorem_harness(Net.parse("x1", 2), planar_flow("rotation", 2, 1, 2),
+                                      real_thetas=(), box=BOX2, grid=GRID, p=2)
 
     def test_unbounded_generalized_theta_rejected(self):
         with pytest.raises(ValueError, match="bounded"):
@@ -236,7 +253,7 @@ class TestPeriodicity:
         f = Net.parse(f"sin(2*{PI_LIT}*x1)", 1)
         rep = check_periodicity(f, 1.0, self.BOX, GRID, p=6)
         assert rep.invariant
-        assert max(s for _, s in rep.sups) <= 1e-12
+        assert max(s for _, s in rep.asymptotic.sups) <= 1e-12
 
     def test_wrong_period(self):
         # oracle: direct scan shows an O(1) deviation
@@ -331,6 +348,14 @@ class TestTwoPeriod:
             two_period_constancy(f, self.SQRT2, 5.0, p, GRID, samples=samples)
         with pytest.raises(ValueError, match=message):
             open_question_explorer(resolve_alpha("pi")[0], f, 7.0, p, GRID, samples=samples)
+
+    @pytest.mark.parametrize("radius", [math.inf, math.nan])
+    def test_two_period_harnesses_reject_a_non_finite_radius(self, radius):
+        f = Net.parse("1", 1)
+        with pytest.raises(ValueError, match="radius"):
+            two_period_constancy(f, self.SQRT2, radius, 2, GRID)
+        with pytest.raises(ValueError, match="radius"):
+            open_question_explorer(resolve_alpha("pi")[0], f, radius, 2, GRID)
 
 
 class TestTranslation:
