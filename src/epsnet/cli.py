@@ -99,15 +99,27 @@ def _matrix(args):
     return np.asarray(_matrix_rows("--matrix", args.matrix), dtype=float)
 
 
-def _algebraic(spec: str):
-    from .numbertheory import catalog, resolve_alpha
+def _alpha(spec: str):
+    """The --alpha value as (value provider, display name, algebraic number
+    or None)."""
+    from .numbertheory import resolve_alpha
 
-    _, name, alg = resolve_alpha(spec)
-    if alg is None:
+    try:
+        return resolve_alpha(spec)
+    except ValueError as err:
+        raise UsageError(f"--alpha: {err}") from None
+
+
+def _algebraic(spec: str):
+    """The --alpha value, which must name a number of the algebraic catalog."""
+    from .numbertheory import catalog
+
+    numbers = catalog()
+    if spec not in numbers:
         raise UsageError(
-            f"{spec!r} is not in the algebraic catalog ({', '.join(sorted(catalog()))})"
+            f"--alpha: {spec!r} is not in the algebraic catalog ({', '.join(sorted(numbers))})"
         )
-    return alg
+    return numbers[spec]
 
 
 def write_report(path: str, command: str, verdict: str, order, evidence) -> None:
@@ -123,7 +135,10 @@ def write_report(path: str, command: str, verdict: str, order, evidence) -> None
 def _grid(args):
     from .colombeau import EpsilonGrid
 
-    return EpsilonGrid.dyadic(args.k_min, args.k_max)
+    try:
+        return EpsilonGrid.dyadic(args.k_min, args.k_max)
+    except ValueError as err:
+        raise UsageError(f"--k-min/--k-max: {err}") from None
 
 
 def _net(args):
@@ -286,9 +301,9 @@ def _cmd_decompose_lorentz(args, rng):
 
 
 def _cmd_dirichlet(args, rng):
-    from .numbertheory import dirichlet, resolve_alpha
+    from .numbertheory import dirichlet
 
-    provider, name, _ = resolve_alpha(args.alpha)
+    provider, name, _ = _alpha(args.alpha)
     pair = dirichlet(provider, args.N)
     evidence = {
         "alpha": name,
@@ -369,11 +384,10 @@ def _cmd_translation(args, rng):
 
 def _cmd_explore(args, rng):
     from .colombeau import Net
-    from .numbertheory import resolve_alpha
     from .verify import open_question_explorer
 
     net = Net.parse(args.f, 1)
-    provider, name, _ = resolve_alpha(args.alpha)
+    provider, name, _ = _alpha(args.alpha)
     rep = open_question_explorer(provider, net, args.R, args.p, _grid(args), samples=args.samples)
     effective = "nan" if rep.effective_M is None else f"{rep.effective_M:.3f}"
     return (
@@ -532,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: Least values of the integer options, checked after the config merge.
-_MINIMA = {"p": 1, "samples": 2, "max_order": 0}
+_MINIMA = {"p": 1, "p_max": 1, "samples": 2, "max_order": 0}
 
 
 def _check_minima(args: argparse.Namespace) -> None:

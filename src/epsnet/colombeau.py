@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import expr as ex
-from .report import Record
+from .report import Record, record
 
 DEFAULT_P_MAX = 8
 DEFAULT_RC_BOUND = 1e6
@@ -31,16 +30,17 @@ DEFAULT_RC_BOUND = 1e6
 SLOPE_TOL = 0.1
 
 
-@dataclass(frozen=True)
+@record
 class EpsilonGrid:
-    """Strictly decreasing sample of the scale parameter inside (0, 1)."""
+    """Strictly decreasing sample of the scale parameter inside (0, 1), of at
+    least two values: a decay exponent fitted to one value would read 0."""
 
     values: tuple
 
     def __post_init__(self):
         vals = self.values
-        if not vals:
-            raise ValueError("epsilon grid must be non-empty")
+        if len(vals) < 2:
+            raise ValueError(f"an epsilon grid needs at least two values, got {len(vals)}")
         if any(not (0.0 < v < 1.0) for v in vals):
             raise ValueError("epsilon grid values must lie in (0, 1)")
         if any(vals[i + 1] >= vals[i] for i in range(len(vals) - 1)):
@@ -48,8 +48,8 @@ class EpsilonGrid:
 
     @classmethod
     def dyadic(cls, k_min: int = 4, k_max: int = 40) -> "EpsilonGrid":
-        if not 0 < k_min <= k_max:
-            raise ValueError("need 0 < k_min <= k_max")
+        if not 0 < k_min < k_max:
+            raise ValueError(f"need 0 < k_min < k_max (two eps at least), got {k_min} and {k_max}")
         return cls(tuple(2.0**-k for k in range(k_min, k_max + 1)))
 
     def __iter__(self):
@@ -59,7 +59,7 @@ class EpsilonGrid:
         return len(self.values)
 
 
-@dataclass(frozen=True)
+@record
 class CompactBox:
     """Axis-aligned compact box with a uniform sample lattice."""
 
@@ -108,7 +108,7 @@ class CompactBox:
         )
 
 
-@dataclass(frozen=True)
+@record
 class Net:
     """A representative net: an expression in eps and x1..xd.
 
@@ -151,7 +151,7 @@ class Net:
         return ex.to_text(self.body)
 
 
-@dataclass(frozen=True)
+@record
 class AsymptoticReport(Record):
     """Per-eps sup data with the fitted decay exponent and verdicts."""
 
@@ -200,7 +200,10 @@ def report_from_sups(
     p_max: int = DEFAULT_P_MAX,
     bound: float = DEFAULT_RC_BOUND,
 ) -> AsymptoticReport:
-    """Assemble an :class:`AsymptoticReport` from one sup value per grid eps."""
+    """Assemble an :class:`AsymptoticReport` from one sup value per grid eps;
+    negligibility is tested at the orders 1..``p_max``."""
+    if p_max < 1:
+        raise ValueError(f"p_max must be >= 1, got {p_max}")
     sups = [float(s) for s in sups]
     if len(sups) != len(grid):
         raise ValueError("need exactly one sup per grid value")

@@ -14,14 +14,13 @@ through its group element.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr as ex
 from .colombeau import EpsilonGrid, Net
 from .groups import GroupElement, PlanarFactor, _scalar_expr
-from .report import Record
+from .report import Record, record
 
 ORTHOGONALITY_TOL = 1e-8
 FORM_TOL = 1e-8
@@ -42,7 +41,7 @@ def rotation_schedule_pairs(d: int) -> tuple:
     return tuple((i, j) for j in range(d, 1, -1) for i in range(1, j))
 
 
-@dataclass(frozen=True)
+@record
 class RotationSchedule(Record):
     """An ordered product of planar rotations with a fixed axis schedule."""
 
@@ -200,7 +199,7 @@ def _align_first_axis(v: np.ndarray) -> list:
     return inverse_factors
 
 
-@dataclass(frozen=True)
+@record
 class LorentzFactorization:
     """g = R1 o boost(1,2,theta) o R2 with spatial rotations R1, R2."""
 
@@ -286,7 +285,7 @@ def time_inversion_matrix(n: int) -> np.ndarray:
     return T
 
 
-@dataclass(frozen=True)
+@record
 class FullLorentzDecomposition:
     factorization: LorentzFactorization
     time_inverted: bool

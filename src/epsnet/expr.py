@@ -15,10 +15,11 @@ accepted silently, domain violations raise :class:`EvalError`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+
+from .report import record
 
 FUNCTIONS = ("sin", "cos", "exp", "cosh", "sinh", "tanh", "sqrt", "ln")
 
@@ -75,41 +76,41 @@ class Expr:
         return to_text(self)
 
 
-@dataclass(frozen=True)
+@record
 class Const(Expr):
     value: float
 
 
-@dataclass(frozen=True)
+@record
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@record
 class BinOp(Expr):
     op: str  # one of + - * /
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@record
 class IntPow(Expr):
     base: Expr
     exponent: int
 
 
-@dataclass(frozen=True)
+@record
 class Call(Expr):
     fn: str
     arg: Expr
 
 
-@dataclass(frozen=True)
+@record
 class Table(Expr):
     """A scalar given by ``((eps, value), ...)`` pairs; any other eps is an
     evaluation error."""
@@ -117,7 +118,7 @@ class Table(Expr):
     pairs: tuple
 
 
-@dataclass(frozen=True)
+@record
 class MultiIndex:
     """A multi-index of partial-derivative orders, one entry per spatial axis."""
 

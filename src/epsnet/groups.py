@@ -14,13 +14,13 @@ gives its numeric matrix, which the factorizations use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import expr as ex
 from .colombeau import CompactBox, Net
+from .report import record
 
 Angle = Union[float, Net]
 
@@ -39,7 +39,7 @@ def _scalar_json(value: Angle):
     return ex.format_const(float(value))
 
 
-@dataclass(frozen=True)
+@record
 class PlanarFactor:
     """One rotation or boost acting in the (e_i, e_j) coordinate plane."""
 
@@ -93,7 +93,7 @@ class PlanarFactor:
         return {"kind": self.kind, "i": self.i, "j": self.j, "theta": _scalar_json(self.theta)}
 
 
-@dataclass(frozen=True)
+@record
 class Translation:
     """Translation by a vector of reals or scalar nets."""
 
@@ -282,7 +282,7 @@ def group_law_check(kind: str, i: int, j: int, theta1: float, theta2: float, box
     return float(np.max(np.linalg.norm(lhs - rhs, axis=1)))
 
 
-@dataclass(frozen=True)
+@record
 class CoordinateFlow:
     """A user-supplied one-parameter family given by coordinate expressions
     over x1..xd and the reserved parameter name ``theta``."""

@@ -15,10 +15,11 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf
+
+from .report import record
 
 _MIN_PREC = 96
 #: bounds of the memo caches: alphas with a continued-fraction table (a few
@@ -84,7 +85,7 @@ def _newton_root(coeffs: tuple, seed: float, prec: int):
         return +x
 
 
-@dataclass(frozen=True)
+@record
 class AlgebraicNumber:
     """A positive algebraic irrational: value plus integer minimal polynomial
     (ascending coefficients), degree >= 2.  Irreducibility is asserted by the
@@ -140,7 +141,7 @@ _TRANSCENDENTALS = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class RealAlpha:
     """A positive real alpha outside the algebraic catalog: a transcendental
     known by name ('pi', 'e') or a finite float.  Like an AlgebraicNumber it
@@ -179,7 +180,12 @@ def resolve_alpha(spec):
             return a, a.name, a
         if spec in _TRANSCENDENTALS:
             return RealAlpha(spec), spec, None
-    alpha = RealAlpha(float(spec))
+    try:
+        value = float(spec)
+    except (TypeError, ValueError):
+        raise ValueError(f"alpha must be a catalog name ({', '.join(sorted(catalog()))}), "
+                         f"pi, e or a number, got {spec!r}") from None
+    alpha = RealAlpha(value)
     return alpha, repr(alpha.spec), None
 
 
@@ -285,7 +291,7 @@ def _table(alpha) -> _ConvergentTable:
     return _ConvergentTable(alpha)
 
 
-@dataclass(frozen=True)
+@record
 class DirichletPair:
     """Integers with 0 < l <= N and |k - l*alpha| <= 1/N; ``defect`` is kept
     in extended precision."""
@@ -326,7 +332,7 @@ def dirichlet(alpha, N: int) -> DirichletPair:
         return DirichletPair(k, l, abs(k - l * alpha_mp))
 
 
-@dataclass(frozen=True)
+@record
 class LiouvilleData:
     """Lower-bound data |alpha - k/l| >= c / l^degree and the exponent M with
     1/R^M <= |k - l*alpha| for the combined pair, any R >= 2."""
@@ -366,7 +372,7 @@ def liouville_constant(a: AlgebraicNumber) -> LiouvilleData:
     return data
 
 
-@dataclass(frozen=True)
+@record
 class CorollaryPair:
     k: int
     l: int

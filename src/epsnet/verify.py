@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
@@ -32,7 +31,7 @@ from .colombeau import (
     report_from_sups,
 )
 from .groups import GroupElement, compose_net
-from .report import Record, plain_json
+from .report import Record, field, plain_json, record
 
 if TYPE_CHECKING:
     from .numbertheory import AlgebraicNumber
@@ -54,7 +53,7 @@ class CBoundednessError(ValueError):
     """The transformation does not map the box into a fixed compact set."""
 
 
-@dataclass(frozen=True)
+@record
 class InvarianceReport(Record):
     """Per-eps sup of |f(g(x)) - f(x)| over the box (``asymptotic.sups``),
     with verdict at order p.
@@ -153,7 +152,7 @@ def check_invariance(
     )
 
 
-@dataclass(frozen=True)
+@record
 class OneParamReport:
     """Hypothesis block (real parameters) and conclusion block (generalized
     parameters) for one flow."""
@@ -212,7 +211,7 @@ def one_param_theorem_harness(
     return OneParamReport(p, tuple(hypothesis), tuple(conclusion), hypothesis_failed, verdict)
 
 
-@dataclass(frozen=True)
+@record
 class PipelineReport(Record):
     """Factor-by-factor and full-composition invariance for a factored element."""
 
@@ -303,7 +302,7 @@ def check_periodicity(
 # Almost-period chaining
 
 
-@dataclass(frozen=True)
+@record
 class ChainPairResult(Record):
     k: int
     l: int
@@ -316,7 +315,7 @@ class ChainPairResult(Record):
     path_ok: bool
 
 
-@dataclass(frozen=True)
+@record
 class ChainBoundReport(Record):
     interval: tuple
     h1: float
@@ -409,7 +408,7 @@ def chain_bound(
 # Two periods force constancy
 
 
-@dataclass(frozen=True)
+@record
 class ConstancyEvidence(Record):
     eps: float
     k: int
@@ -421,7 +420,7 @@ class ConstancyEvidence(Record):
     bounds_ok: bool
 
 
-@dataclass(frozen=True)
+@record
 class OrderCertificate(Record):
     """Whether order ``p`` was certified, from the detected ``eps0`` on."""
 
@@ -430,7 +429,7 @@ class OrderCertificate(Record):
     certified: bool
 
 
-@dataclass(frozen=True)
+@record
 class ConstancyReport(Record):
     radius: float
     order: int
@@ -588,7 +587,7 @@ def two_period_constancy(
 # Translation invariance forces constancy
 
 
-@dataclass(frozen=True)
+@record
 class TranslationReport:
     order: int
     hypothesis: tuple  # ((offset tuple, InvarianceReport), ...)
@@ -636,7 +635,7 @@ def translation_constancy(
 # Open-question explorer (non-theorem output)
 
 
-@dataclass(frozen=True)
+@record
 class ExplorerRow(Record):
     eps: float
     k: int
@@ -646,7 +645,7 @@ class ExplorerRow(Record):
     measured: float
 
 
-@dataclass(frozen=True)
+@record
 class ExplorerReport(Record):
     """Exploratory two-period data for a non-algebraic ratio.  Explicitly not
     backed by a theorem; never emits a theorem-grade verdict."""

@@ -310,6 +310,37 @@ class TestExitCodes:
         err = assert_one_line_error(capsys, "error: " + fragment)
         assert "warning:" not in err
 
+    def test_p_max_below_one_is_a_usage_error(self, tmp_path, capsys):
+        # negligibility was tested at no order at all and reported as order 0
+        code, data = run_cmd(tmp_path, ["classify", "--f", "eps^9*x1", "--dim", "1",
+                                        "--k-max", "12", "--p-max", "0"])
+        assert code == EXIT_ERROR and data is None
+        err = assert_one_line_error(capsys)
+        assert err == "error: --p-max must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("k_min, k_max", [("5", "5"), ("6", "5"), ("0", "5")])
+    def test_grid_of_fewer_than_two_eps_is_a_usage_error(self, tmp_path, capsys, k_min, k_max):
+        # one eps once fitted exponent 0 and reported x1/eps bounded
+        code, data = run_cmd(tmp_path, ["classify", "--f", "x1/eps", "--dim", "1",
+                                        "--k-min", k_min, "--k-max", k_max])
+        assert code == EXIT_ERROR and data is None
+        assert_one_line_error(capsys, "error: --k-min/--k-max", f"got {k_min} and {k_max}")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dirichlet", "--alpha", "1/2", "--N", "10"],
+            ["two-period", "--f", "3", "--alpha", "1/2", "--R", "6", "--p", "1"],
+            ["explore-open-question", "--f", "3", "--alpha", "1/2", "--R", "7", "--p", "1"],
+        ],
+        ids=["dirichlet", "two-period", "explore-open-question"],
+    )
+    def test_alpha_that_names_nothing_is_a_usage_error(self, tmp_path, capsys, argv):
+        code, data = run_cmd(tmp_path, argv)
+        assert code == EXIT_ERROR and data is None
+        err = assert_one_line_error(capsys, "error: --alpha: ", "'1/2'", "sqrt2")
+        assert "could not convert" not in err
+
     def test_config_values_are_checked_too(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text('{"p": 0}')

@@ -1,6 +1,7 @@
 """The package loads its modules on first use: the Diophantine subcommands
 run without numpy, ``classify`` and the group subcommands run without
-mpmath, and every name the package has exported still imports from it."""
+mpmath, no subcommand loads ``dataclasses``, and every name the package has
+exported still imports from it."""
 
 import importlib
 import json
@@ -66,6 +67,7 @@ def test_diophantine_subcommands_never_load_numpy(tmp_path):
     )
     assert "numpy" not in modules
     assert "epsnet.numbertheory" in modules
+    assert not modules & {"dataclasses", "inspect"}
 
 
 def test_classify_never_loads_mpmath(tmp_path):
@@ -74,6 +76,11 @@ def test_classify_never_loads_mpmath(tmp_path):
     )
     assert "mpmath" not in modules
     assert "epsnet.verify" not in modules
+    assert "dataclasses" not in modules
+
+
+def test_importing_the_command_line_loads_no_dataclasses(tmp_path):
+    assert "dataclasses" not in _modules_after_cli(tmp_path)
 
 
 def test_every_exported_name_still_imports_from_the_package():
@@ -112,7 +119,7 @@ def test_group_subcommands_never_load_mpmath_or_number_theory(tmp_path):
          "--j", "2", "--gen-theta", "eps", "--out", "o.json", *fast],
     )
     assert "epsnet.decompose" in modules
-    assert not modules & set(NOT_ON_THE_GROUP_PATH)
+    assert not modules & {*NOT_ON_THE_GROUP_PATH, "dataclasses"}
 
 
 def test_two_period_never_loads_the_decomposition(tmp_path):
@@ -122,4 +129,13 @@ def test_two_period_never_loads_the_decomposition(tmp_path):
          "--p", "1", "--k-max", "10", "--out", "t.json"],
     )
     assert "epsnet.numbertheory" in modules
-    assert "epsnet.decompose" not in modules
+    assert not modules & {"epsnet.decompose", "dataclasses"}
+
+
+def test_explorer_never_loads_dataclasses(tmp_path):
+    modules = _modules_after_cli(
+        tmp_path,
+        ["explore-open-question", "--f", "3", "--alpha", "pi", "--R", "7", "--p", "1",
+         "--k-max", "10", "--out", "e.json"],
+    )
+    assert "dataclasses" not in modules

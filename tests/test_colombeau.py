@@ -14,6 +14,7 @@ from epsnet.colombeau import (
     fit_decay_exponent,
     is_bounded_generalized_number,
     is_c_bounded,
+    report_from_sups,
     seminorm,
 )
 from epsnet.groups import GroupElement
@@ -31,6 +32,18 @@ class TestTypes:
             EpsilonGrid((1.5, 0.5))
         g = EpsilonGrid.dyadic(4, 40)
         assert len(g) == 37 and g.values[0] == 2.0**-4
+
+    @pytest.mark.parametrize("make", [lambda: EpsilonGrid((0.5,)), lambda: EpsilonGrid(()),
+                                      lambda: EpsilonGrid.dyadic(5, 5)])
+    def test_grid_needs_two_values(self, make):
+        # a decay exponent fitted to one value reads 0, a verdict from nothing
+        with pytest.raises(ValueError, match="two"):
+            make()
+
+    def test_negligibility_needs_an_order(self):
+        grid = EpsilonGrid.dyadic(4, 8)
+        with pytest.raises(ValueError, match="p_max must be >= 1, got 0"):
+            report_from_sups(grid, [0.0] * len(grid), p_max=0)
 
     def test_box_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
-"""A report record's JSON is its fields, by name, in plain JSON types."""
+"""A record behaves as a frozen dataclass of the same fields, and a report
+record's JSON is its fields, by name, in plain JSON types."""
 
+import dataclasses
 import json
 import math
 from dataclasses import fields
@@ -7,11 +9,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from epsnet import expr as ex
 from epsnet.colombeau import CompactBox, EpsilonGrid, Net, classify
 from epsnet.decompose import givens_decompose
 from epsnet.groups import GroupElement, planar_flow
 from epsnet.numbertheory import catalog, resolve_alpha
-from epsnet.report import Record, plain_json
+from epsnet.report import Record, field, plain_json, record
 from epsnet.verify import (
     chain_bound,
     check_invariance,
@@ -65,7 +68,7 @@ def test_json_keys_are_the_field_names(records, kind):
     record = records[kind]
     assert type(record).__name__ == kind and isinstance(record, Record)
     data = record.to_json_dict()
-    assert set(data) == {f.name for f in fields(record)}
+    assert list(data) == [f.name for f in fields(record)]
     assert json.loads(json.dumps(data, allow_nan=False)) == data
 
 
@@ -108,3 +111,125 @@ def test_reports_with_their_own_shape_are_plain_json_too():
         data = rep.to_json_dict()
         assert json.loads(json.dumps(data, allow_nan=False)) == data
         assert data["hypothesis"][0][key] == value
+
+
+# ---------------------------------------------------------------------------
+# record semantics, against a frozen dataclass of the same body
+
+
+def _sample_class(decorate, field):
+    class Sample:
+        name: str
+        size: int = 3
+        tags: dict = field(default_factory=dict, compare=False)
+        note: str = field(default="fixed", init=False)
+
+        def __post_init__(self):
+            object.__setattr__(self, "size", int(self.size))
+
+    return decorate(Sample)
+
+
+def _node_classes(decorate):
+    class Leaf:
+        value: float
+
+    class Node:
+        op: str
+        left: object
+        right: object
+
+    return decorate(Leaf), decorate(Node)
+
+
+FROZEN = dataclasses.dataclass(frozen=True)
+Sample, RefSample = _sample_class(record, field), _sample_class(FROZEN, dataclasses.field)
+(Leaf, Node), (RefLeaf, RefNode) = _node_classes(record), _node_classes(FROZEN)
+
+CALLS = [
+    (("a",), {}),
+    (("a", 4), {}),
+    (("a",), {"size": "4"}),
+    ((), {"name": "b", "size": 4, "tags": {"x": 1}}),
+    (("a", 4, {"y": 2}), {}),
+    ((), {"tags": {}, "name": "a"}),
+]
+
+
+@pytest.mark.parametrize("call", CALLS)
+def test_record_values_match_the_dataclass(call):
+    args, kwargs = call
+    rec, ref = Sample(*args, **kwargs), RefSample(*args, **kwargs)
+    assert repr(rec) == repr(ref)
+    assert hash(rec) == hash(ref)
+    assert (rec.name, rec.size, rec.tags, rec.note) == (ref.name, ref.size, ref.tags, ref.note)
+    for other_args, other_kwargs in CALLS:
+        equal = rec == Sample(*other_args, **other_kwargs)
+        assert equal == (ref == RefSample(*other_args, **other_kwargs))
+
+
+def test_nested_records_hash_and_print_as_the_dataclass():
+    rec = Node("+", Leaf(1.0), Node("*", Leaf(2.0), Leaf(-0.5)))
+    ref = RefNode("+", RefLeaf(1.0), RefNode("*", RefLeaf(2.0), RefLeaf(-0.5)))
+    assert hash(rec) == hash(ref) and repr(rec) == repr(ref)
+    assert rec == Node("+", Leaf(1.0), Node("*", Leaf(2.0), Leaf(-0.5)))
+    assert rec != Node("+", Leaf(1.0), Leaf(2.0))
+    assert Leaf(1.0).__eq__(RefLeaf(1.0)) is NotImplemented and Leaf(1.0) != RefLeaf(1.0)
+    assert hash(ex.BinOp("+", ex.Const(1.0), ex.Var("x1"))) == hash(
+        RefNode("+", RefLeaf(1.0), RefLeaf("x1")))
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [((), {}), (("a", 1, {}, 2), {}), (("a",), {"colour": 1}), (("a",), {"name": "b"}),
+     (("a",), {"note": "x"})],
+    ids=["missing", "too-many", "unexpected", "twice", "init-false"],
+)
+def test_bad_calls_are_type_errors(args, kwargs):
+    for cls in (Sample, RefSample):
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+
+def test_fields_cannot_be_assigned_or_deleted():
+    for rec in (Sample("a"), Leaf(1.0), ex.Const(1.0)):
+        with pytest.raises(AttributeError):
+            rec.name = "b"
+        with pytest.raises(AttributeError):
+            del rec.note
+
+
+def test_post_init_defaults_and_factories():
+    rec = Sample("a", "5")
+    assert rec.size == 5 and rec.note == "fixed" and Sample.note == "fixed"
+    assert Sample("a").tags == {} and Sample("a").tags is not Sample("a").tags
+    assert Sample("a", tags={"x": 1}) == Sample("a")
+    assert hash(Sample("a", tags={"x": 1})) == hash(Sample("a"))
+    assert Sample("a") != Sample("a", 4)
+    with pytest.raises(ValueError):  # a record with __post_init__ and no init=False field
+        ex.MultiIndex((-1,))
+
+
+def test_cached_lattice_stays_out_of_equality():
+    box = CompactBox.cube(-1.0, 1.0, 2, 5)
+    assert box.lattice() is box.lattice()
+    assert box == CompactBox.cube(-1.0, 1.0, 2, 5)
+    assert hash(box) == hash(CompactBox.cube(-1.0, 1.0, 2, 5))
+
+
+SAMPLE_FIELDS = ["name", "size", "tags", "note"]
+
+
+@pytest.mark.parametrize(
+    "target, names",
+    [(RefSample, SAMPLE_FIELDS), (Sample, SAMPLE_FIELDS), (Sample("a"), SAMPLE_FIELDS),
+     (ex.BinOp, ["op", "left", "right"]), (ex.c_add(ex.Var("x1"), ex.Var("x2")), ["op", "left", "right"]),
+     (ex.Const(2.0), ["value"])],
+)
+def test_dataclass_fields_give_the_declared_names_in_order(target, names):
+    assert dataclasses.is_dataclass(target)
+    assert [f.name for f in fields(target)] == names
+
+
+def test_only_records_are_dataclasses():
+    assert not dataclasses.is_dataclass(ex.Expr) and not dataclasses.is_dataclass((1.0,))
