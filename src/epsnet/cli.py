@@ -19,7 +19,6 @@ import argparse
 import json
 import math
 import os
-import random
 import sys
 import warnings
 from importlib import resources
@@ -193,8 +192,9 @@ def _element(args, dimension: int):
     return planar_flow(kind, dimension, i, j)(theta)
 
 
-def _matrix_argument(args, rng: random.Random):
-    """Resolve --matrix / --matrix-net / --random into a pipeline input."""
+def _matrix_argument(args):
+    """Resolve --matrix / --matrix-net / --random into a pipeline input; a
+    random matrix is drawn from --seed."""
     from .colombeau import Net
 
     given = [args.matrix is not None, args.matrix_net is not None, args.random]
@@ -205,8 +205,11 @@ def _matrix_argument(args, rng: random.Random):
     if args.matrix_net is not None:
         rows = _matrix_rows("--matrix-net", args.matrix_net, strings=True)
         return [[Net.parse(v, 0) if isinstance(v, str) else float(v) for v in row] for row in rows]
+    import random
+
     from .sampling import random_proper_lorentz, random_special_orthogonal
 
+    rng = random.Random(args.seed if args.seed is not None else DEFAULTS["seed"])
     if args.command == "rotation":
         return random_special_orthogonal(rng, args.dim)
     return random_proper_lorentz(rng, args.dim)
@@ -216,7 +219,7 @@ def _matrix_argument(args, rng: random.Random):
 # Subcommand handlers; each returns (verdict, order, evidence, summary)
 
 
-def _cmd_classify(args, rng):
+def _cmd_classify(args):
     from .colombeau import classify
 
     net = _net(args)
@@ -229,7 +232,7 @@ def _cmd_classify(args, rng):
     return "computed", None, report, summary
 
 
-def _cmd_invariance(args, rng):
+def _cmd_invariance(args):
     from .verify import check_invariance
 
     net = _net(args)
@@ -240,7 +243,7 @@ def _cmd_invariance(args, rng):
     return verdict, args.p, rep, f"invariant={rep.invariant} at order p={args.p}"
 
 
-def _cmd_one_param(args, rng):
+def _cmd_one_param(args):
     from .colombeau import Net
     from .groups import planar_flow
     from .verify import one_param_theorem_harness
@@ -259,20 +262,20 @@ def _cmd_one_param(args, rng):
     return verdict, args.p, rep, f"{note}; verdict={rep.verdict}"
 
 
-def _cmd_pipeline(args, rng):
+def _cmd_pipeline(args):
     from .verify import lorentz_invariance_pipeline, rotation_invariance_pipeline
 
     net = _net(args)
     box = _parse_box(args.box, args.dim, args.samples)
     grid = _grid(args)
-    matrix = _matrix_argument(args, rng)
+    matrix = _matrix_argument(args)
     pipeline = {"rotation": rotation_invariance_pipeline, "lorentz": lorentz_invariance_pipeline}
     rep = pipeline[args.command](net, matrix, box, grid, args.p, strict=args.strict)
     verdict = "positive" if rep.verdict else "negative"
     return verdict, args.p, rep, f"invariant={rep.verdict} (consistent={rep.consistent})"
 
 
-def _cmd_decompose_so(args, rng):
+def _cmd_decompose_so(args):
     from .decompose import orthogonal_decompose
 
     schedule, reflected = orthogonal_decompose(_matrix(args))
@@ -281,7 +284,7 @@ def _cmd_decompose_so(args, rng):
     return "computed", None, evidence, f"factors=[{angles}] reflected={reflected}"
 
 
-def _cmd_decompose_lorentz(args, rng):
+def _cmd_decompose_lorentz(args):
     from .decompose import full_lorentz_decompose
 
     full = full_lorentz_decompose(_matrix(args))
@@ -300,7 +303,7 @@ def _cmd_decompose_lorentz(args, rng):
     )
 
 
-def _cmd_dirichlet(args, rng):
+def _cmd_dirichlet(args):
     from .numbertheory import dirichlet
 
     provider, name, _ = _alpha(args.alpha)
@@ -320,7 +323,7 @@ def _cmd_dirichlet(args, rng):
     )
 
 
-def _cmd_liouville(args, rng):
+def _cmd_liouville(args):
     from .numbertheory import liouville_constant
 
     alg = _algebraic(args.alpha)
@@ -335,7 +338,7 @@ def _cmd_liouville(args, rng):
     return "computed", None, evidence, f"c~{data.c:.6g} M={data.M}"
 
 
-def _cmd_corollary_pair(args, rng):
+def _cmd_corollary_pair(args):
     from .numbertheory import corollary_pair
 
     alg = _algebraic(args.alpha)
@@ -357,7 +360,7 @@ def _cmd_corollary_pair(args, rng):
     )
 
 
-def _cmd_two_period(args, rng):
+def _cmd_two_period(args):
     from .colombeau import Net
     from .verify import two_period_constancy
 
@@ -370,7 +373,7 @@ def _cmd_two_period(args, rng):
     return verdict, args.p, rep, rep.verdict
 
 
-def _cmd_translation(args, rng):
+def _cmd_translation(args):
     from .verify import translation_constancy
 
     net = _net(args)
@@ -382,7 +385,7 @@ def _cmd_translation(args, rng):
     return verdict, args.p, rep, note
 
 
-def _cmd_explore(args, rng):
+def _cmd_explore(args):
     from .colombeau import Net
     from .verify import open_question_explorer
 
@@ -588,11 +591,10 @@ def run(argv) -> int:
     try:
         args = _apply_config(args)
         _check_minima(args)
-        rng = random.Random(args.seed if args.seed is not None else DEFAULTS["seed"])
         handler = _HANDLERS[args.command]
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning
-            verdict, order, evidence, summary = handler(args, rng)
+            verdict, order, evidence, summary = handler(args)
     except (UsageError, ValueError) as err:  # ParseError, DecompositionError, CBoundednessError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR

@@ -1,14 +1,17 @@
 """Constructive factorizations of orthogonal and Lorentz matrices.
 
+A factorization is a dimension and a tuple of one-parameter factors in
+composition order; its matrix is the product of the factor matrices.
 Special orthogonal matrices factor into a fixed, dimension-dependent schedule
 of planar rotations obtained by Givens elimination; the full orthogonal group
 adds one fixed reflection.  Proper orthochronous Lorentz matrices factor into
-spatial rotation, single boost, spatial rotation; the full Lorentz group adds
-fixed time and space inversions.  Matrices whose entries are scalar nets are
-factored eps-by-eps; each angle slot becomes a tabulated scalar net
-(:meth:`Net.tabulated`), known only on the grid it was factored on.  Numeric
-matrices exist for real angles only; a tabulated factorization is evaluated
-through its group element.
+spatial rotation, single boost, spatial rotation, held as the slots of R1,
+the boost and R2 in that order; the full Lorentz group adds fixed time and
+space inversions.  Matrices whose entries are scalar nets are factored
+eps-by-eps into the same slots; each angle slot becomes a tabulated scalar
+net (:meth:`Net.tabulated`), known only on the grid it was factored on.
+Numeric matrices exist for real angles only; a tabulated factorization is
+evaluated through its group element.
 """
 
 from __future__ import annotations
@@ -19,12 +22,11 @@ import numpy as np
 
 from . import expr as ex
 from .colombeau import EpsilonGrid, Net
-from .groups import GroupElement, PlanarFactor, _scalar_expr
+from .groups import GroupElement, PlanarFactor, _scalar_expr, _scalar_json
 from .report import Record, record
 
 ORTHOGONALITY_TOL = 1e-8
 FORM_TOL = 1e-8
-RECONSTRUCTION_TOL = 1e-10
 LORENTZ_RECONSTRUCTION_TOL = 1e-9
 TIME_FIX_TOL = 1e-9
 ELIMINATION_TIE_TOL = 1e-14
@@ -41,12 +43,31 @@ def rotation_schedule_pairs(d: int) -> tuple:
     return tuple((i, j) for j in range(d, 1, -1) for i in range(1, j))
 
 
+def factor_product(dimension: int, factors) -> np.ndarray:
+    """The matrix of a product of real-angle factors in composition order."""
+    M = np.eye(dimension)
+    for f in factors:
+        M = M @ f.matrix(dimension)
+    return M
+
+
+class Factorization(Record):
+    """An ordered product of one-parameter factors, ``factors`` in
+    composition order (applied right to left)."""
+
+    def matrix(self) -> np.ndarray:
+        return factor_product(self.dimension, self.factors)
+
+    def as_group_element(self) -> GroupElement:
+        return GroupElement.from_factors(self.dimension, self.factors)
+
+
 @record
-class RotationSchedule(Record):
-    """An ordered product of planar rotations with a fixed axis schedule."""
+class RotationSchedule(Factorization):
+    """A product of planar rotations with a fixed axis schedule."""
 
     dimension: int
-    factors: tuple  # PlanarFactor tuple, composition order (applied right to left)
+    factors: tuple  # PlanarFactor tuple
 
     @property
     def pairs(self) -> tuple:
@@ -54,21 +75,6 @@ class RotationSchedule(Record):
 
     def angles(self) -> tuple:
         return tuple(float(f.theta) for f in self.factors)
-
-    def matrix(self) -> np.ndarray:
-        M = np.eye(self.dimension)
-        for f in self.factors:
-            M = M @ f.matrix(self.dimension)
-        return M
-
-    def as_group_element(self) -> GroupElement:
-        return GroupElement.from_factors(self.dimension, self.factors)
-
-    def shift_axes(self, offset: int, dimension: int) -> "RotationSchedule":
-        factors = tuple(
-            PlanarFactor(f.kind, f.i + offset, f.j + offset, f.theta) for f in self.factors
-        )
-        return RotationSchedule(dimension, factors)
 
 
 def _check_finite(M: np.ndarray):
@@ -79,21 +85,30 @@ def _check_finite(M: np.ndarray):
 
 
 def _check_orthogonal(M: np.ndarray, tol: float = ORTHOGONALITY_TOL):
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DecompositionError("matrix must be square")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
+        raise DecompositionError("matrix must be square of size >= 1")
     _check_finite(M)
     defect = float(np.max(np.abs(M.T @ M - np.eye(M.shape[0]))))
     if defect > tol:
         raise DecompositionError(f"matrix is not orthogonal within {tol} (defect {defect:.3e})")
 
 
-def _elimination_angle(target: float, pivot: float) -> float:
-    """Rotation angle zeroing ``target`` into ``pivot`` (pivot becomes >= 0)."""
+def _givens_step(A: np.ndarray, ii: int, jj: int, target: float, pivot: float) -> float:
+    """Rotate entries (rows of a matrix) ``ii`` and ``jj`` of ``A`` in place by
+    the angle zeroing ``target`` into ``pivot`` (pivot becomes >= 0); return
+    the angle of the factor that undoes the step, in [0, 2*pi)."""
     if abs(target) < ELIMINATION_TIE_TOL:
         # deterministic tie-break at degenerate inputs; a negative pivot still
         # needs the half turn
-        return 0.0 if pivot >= 0.0 else math.pi
-    return math.atan2(target, pivot)
+        phi = 0.0 if pivot >= 0.0 else math.pi
+    else:
+        phi = math.atan2(target, pivot)
+    if phi != 0.0:
+        c, s = math.cos(phi), math.sin(phi)
+        row_i = c * A[ii] - s * A[jj]
+        row_j = s * A[ii] + c * A[jj]
+        A[ii], A[jj] = row_i, row_j
+    return (-phi) % TWO_PI
 
 
 def givens_decompose(M) -> RotationSchedule:
@@ -108,23 +123,16 @@ def givens_decompose(M) -> RotationSchedule:
             "matrix has determinant -1; use orthogonal_decompose"
         )
     A = M.copy()
-    factors = []
-    for i, j in rotation_schedule_pairs(d):
-        ii, jj = i - 1, j - 1
-        phi = _elimination_angle(A[ii, jj], A[jj, jj])
-        if phi != 0.0:
-            c, s = math.cos(phi), math.sin(phi)
-            row_i = c * A[ii, :] - s * A[jj, :]
-            row_j = s * A[ii, :] + c * A[jj, :]
-            A[ii, :] = row_i
-            A[jj, :] = row_j
-        factors.append(PlanarFactor("rotation", i, j, (-phi) % TWO_PI))
-    residue = float(np.max(np.abs(A - np.eye(d)))) if d else 0.0
+    factors = tuple(
+        PlanarFactor("rotation", i, j, _givens_step(A, i - 1, j - 1, A[i - 1, j - 1], A[j - 1, j - 1]))
+        for i, j in rotation_schedule_pairs(d)
+    )
+    residue = float(np.max(np.abs(A - np.eye(d))))
     if residue > 1e-7:
         raise DecompositionError(
             f"elimination failed to reach the identity (residue {residue:.3e})"
         )
-    return RotationSchedule(d, tuple(factors))
+    return RotationSchedule(d, factors)
 
 
 def reflection_matrix(d: int) -> np.ndarray:
@@ -173,61 +181,46 @@ def _check_lorentz_form(L: np.ndarray, tol: float = FORM_TOL):
 
 
 def boost_matrix(n: int, theta: float) -> np.ndarray:
-    B = np.eye(n)
-    c, s = math.cosh(theta), math.sinh(theta)
-    B[0, 0], B[0, 1] = c, s
-    B[1, 0], B[1, 1] = s, c
-    return B
+    """The boost in the (e_1, e_2) plane: time and the first space axis."""
+    return factor_product(n, (PlanarFactor("boost", 1, 2, theta),))
 
 
-def _align_first_axis(v: np.ndarray) -> list:
-    """Spatial rotation factors (pairs (1,i)) mapping e_1 to the unit vector
-    v; deterministic Givens elimination of the trailing components."""
-    d = v.shape[0]
+def _align_first_axis(v: np.ndarray) -> tuple:
+    """Angles of the rotations in the planes (1, i), i = 2..d, whose product
+    maps e_1 to the unit vector v; deterministic Givens elimination of the
+    trailing components."""
     w = v.copy()
-    inverse_factors = []
-    for i in range(2, d + 1):
-        # pivot is the leading slot here, so the zeroed component enters
-        # atan2 with a flipped sign
-        phi = _elimination_angle(-w[i - 1], w[0])
-        if phi != 0.0:
-            c, s = math.cos(phi), math.sin(phi)
-            w0 = c * w[0] - s * w[i - 1]
-            wi = s * w[0] + c * w[i - 1]
-            w[0], w[i - 1] = w0, wi
-        inverse_factors.append(PlanarFactor("rotation", 1, i, (-phi) % TWO_PI))
-    return inverse_factors
+    # the pivot is the leading entry, so the zeroed entry enters with a
+    # flipped sign
+    return tuple(_givens_step(w, 0, k, -w[k], w[0]) for k in range(1, w.shape[0]))
 
 
 @record
-class LorentzFactorization:
-    """g = R1 o boost(1,2,theta) o R2 with spatial rotations R1, R2."""
+class LorentzFactorization(Factorization):
+    """g = R1 o boost(1,2,theta) o R2 with spatial rotations R1, R2.  The
+    factors are in slot order: R1's n-2 rotations, the boost, then R2's."""
 
-    dimension: int  # full spacetime dimension d+1
-    r1: RotationSchedule
-    theta: object  # float or tabulated Net
-    r2: RotationSchedule
-
-    def boost_factor(self) -> PlanarFactor:
-        return PlanarFactor("boost", 1, 2, self.theta)
+    dimension: int  # full spacetime dimension n = d+1
+    factors: tuple  # PlanarFactor tuple
 
     @property
-    def factors(self) -> tuple:
-        """r1's factors (n-2 slots), the boost, then r2's."""
-        return self.r1.factors + (self.boost_factor(),) + self.r2.factors
+    def r1(self) -> RotationSchedule:
+        return RotationSchedule(self.dimension, self.factors[: self.dimension - 2])
 
-    def as_group_element(self) -> GroupElement:
-        return GroupElement.from_factors(self.dimension, self.factors)
+    @property
+    def theta(self):
+        """The boost angle: a float or a tabulated Net."""
+        return self.factors[self.dimension - 2].theta
 
-    def matrix(self) -> np.ndarray:
-        boost = self.boost_factor().matrix(self.dimension)
-        return self.r1.matrix() @ boost @ self.r2.matrix()
+    @property
+    def r2(self) -> RotationSchedule:
+        return RotationSchedule(self.dimension, self.factors[self.dimension - 1 :])
 
     def to_json_dict(self) -> dict:
         return {
             "dimension": self.dimension,
             "r1": self.r1.to_json_dict(),
-            "theta": self.boost_factor().to_json_dict()["theta"],
+            "theta": _scalar_json(self.theta),
             "r2": self.r2.to_json_dict(),
         }
 
@@ -247,32 +240,27 @@ def lorentz_decompose(L) -> LorentzFactorization:
     theta = math.acosh(max(L[0, 0], 1.0))
     v = L[1:, 0]
     norm = float(np.linalg.norm(v))
-    if norm < ELIMINATION_TIE_TOL:
-        # identity alignment, kept at the n-2 slots of the general case:
-        # decompose_net_matrix splits the tabulated slots by that count
-        r1_factors = [PlanarFactor("rotation", 2, i + 1, 0.0) for i in range(2, n)]
-        R1 = np.eye(n)
-    else:
-        spatial = _align_first_axis(v / norm)
-        r1_factors = [
-            PlanarFactor("rotation", f.i + 1, f.j + 1, f.theta) for f in spatial
-        ]
-        R1 = np.eye(n)
-        for f in r1_factors:
-            R1 = R1 @ f.matrix(n)
-    r1 = RotationSchedule(n, tuple(r1_factors))
+    # with no boost direction R1 aligns e_1 with itself: the identity, with
+    # the slots of the general case, as a net matrix must factor into the
+    # same slots at every eps
+    u = v / norm if norm >= ELIMINATION_TIE_TOL else np.eye(n - 1)[0]
+    r1 = tuple(PlanarFactor("rotation", 2, j, a) for j, a in zip(range(3, n + 1), _align_first_axis(u)))
+    R1 = factor_product(n, r1)
     R2 = boost_matrix(n, -theta) @ R1.T @ L
     time_defect = max(
         abs(R2[0, 0] - 1.0),
-        float(np.max(np.abs(R2[0, 1:]))) if n > 1 else 0.0,
-        float(np.max(np.abs(R2[1:, 0]))) if n > 1 else 0.0,
+        float(np.max(np.abs(R2[0, 1:]))),
+        float(np.max(np.abs(R2[1:, 0]))),
     )
     if time_defect > TIME_FIX_TOL:
         raise DecompositionError(
             f"residual factor does not fix the time axis (defect {time_defect:.3e})"
         )
-    r2 = givens_decompose(R2[1:, 1:]).shift_axes(1, n)
-    fact = LorentzFactorization(n, r1, theta, r2)
+    r2 = tuple(
+        PlanarFactor("rotation", f.i + 1, f.j + 1, f.theta)
+        for f in givens_decompose(R2[1:, 1:]).factors
+    )
+    fact = LorentzFactorization(n, r1 + (PlanarFactor("boost", 1, 2, theta),) + r2)
     recon = float(np.max(np.abs(fact.matrix() - L)))
     if recon > LORENTZ_RECONSTRUCTION_TOL:
         raise DecompositionError(f"reconstruction defect {recon:.3e} exceeds tolerance")
@@ -345,23 +333,16 @@ def decompose_net_matrix(M, grid: EpsilonGrid, kind: str):
     per_eps = []
     for eps, A in zip(eps_values, np.ascontiguousarray(np.moveaxis(stack, -1, 0))):
         try:
-            per_eps.append(factorize(A).factors)
+            per_eps.append(factorize(A))
         except DecompositionError as err:
             raise DecompositionError(f"factorization failed at eps={eps!r}: {err}") from None
     if failure is not None:
         raise failure
     # every eps yields the same slots (kind and axes), so each slot is one
     # tabulated net over the grid
-    n = len(rows)
+    first = per_eps[0]
     factors = tuple(
-        PlanarFactor(f.kind, f.i, f.j, Net.tabulated(zip(grid.values, (s[m].theta for s in per_eps))))
-        for m, f in enumerate(per_eps[0])
+        PlanarFactor(f.kind, f.i, f.j, Net.tabulated(zip(grid.values, (s.factors[m].theta for s in per_eps))))
+        for m, f in enumerate(first.factors)
     )
-    if kind == "rotation":
-        return RotationSchedule(n, factors)
-    return LorentzFactorization(
-        n,
-        RotationSchedule(n, factors[: n - 2]),
-        factors[n - 2].theta,
-        RotationSchedule(n, factors[n - 1 :]),
-    )
+    return type(first)(len(rows), factors)

@@ -6,17 +6,16 @@ import random
 
 import numpy as np
 
-from .decompose import boost_matrix, rotation_schedule_pairs
+from .decompose import boost_matrix, factor_product, rotation_schedule_pairs
 from .groups import PlanarFactor
 
 
 def random_special_orthogonal(rng: random.Random, d: int) -> np.ndarray:
     """Product of one random planar rotation per coordinate pair."""
-    M = np.eye(d)
-    for i, j in rotation_schedule_pairs(d):
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        M = M @ PlanarFactor("rotation", i, j, theta).matrix(d)
-    return M
+    return factor_product(d, [
+        PlanarFactor("rotation", i, j, rng.uniform(0.0, 2.0 * np.pi))
+        for i, j in rotation_schedule_pairs(d)
+    ])
 
 
 def random_spatial_rotation(rng: random.Random, n: int) -> np.ndarray:
@@ -27,7 +26,10 @@ def random_spatial_rotation(rng: random.Random, n: int) -> np.ndarray:
 
 
 def random_proper_lorentz(rng: random.Random, n: int, theta_max: float = 3.0) -> np.ndarray:
-    """Random R * boost(theta) * R' with theta drawn from [0, theta_max]."""
+    """Random R * boost(theta) * R' with theta drawn from [0, theta_max];
+    ``n`` below 2 raises ValueError."""
+    if n < 2:
+        raise ValueError(f"a Lorentz matrix needs size >= 2, got {n}")
     theta = rng.uniform(0.0, theta_max)
     return (
         random_spatial_rotation(rng, n)

@@ -118,7 +118,6 @@ def check_invariance(
     grid: Optional[EpsilonGrid] = None,
     p: int = 4,
     strict: bool = True,
-    p_max: Optional[int] = None,
 ) -> InvarianceReport:
     """Measure sup |f(g(x)) - f(x)| over the box per eps and test whether the
     deviation is negligible at order ``p``.
@@ -137,7 +136,7 @@ def check_invariance(
         raise ValueError("element dimension does not match net dimension")
     c_bounded = _check_c_bounded(g, box, grid, strict)
     sups, floors = _deviation_sups(f, g, box, grid)
-    report = report_from_sups(grid, sups, p_max=max(p_max or DEFAULT_P_MAX, p))
+    report = report_from_sups(grid, sups, p_max=max(DEFAULT_P_MAX, p))
     # beyond the finest-quarter rule, require sup <= eps^p wherever the
     # deviation is large enough to be measurable at all
     whole_grid_ok = all(
@@ -234,25 +233,31 @@ def _pipeline(f, factors, full_element, box, grid, p, strict) -> PipelineReport:
     return PipelineReport(p, factor_reports, full_report, verdict, consistent)
 
 
+#: Each pipeline kind's factorization class and decomposer, by name in
+#: ``epsnet.decompose``: read when a pipeline runs, so that a rebinding of a
+#: decomposer (as by bench/launcher.py) is the one called.
+_FACTORIZATIONS = {
+    "rotation": ("RotationSchedule", "givens_decompose"),
+    "lorentz": ("LorentzFactorization", "lorentz_decompose"),
+}
+
+
 def _factored_pipeline(kind, f, M, box, grid, p, strict) -> PipelineReport:
     """Factor ``M`` (a factorization of ``kind``, passed through; a real
     matrix, factored once; or a matrix of scalar nets, factored eps by eps)
     and run the pipeline on its factors."""
-    # decomposers are read off the module, so that a rebinding of them (as by
-    # bench/launcher.py) is the one called
     from . import decompose
 
     grid = grid or EpsilonGrid.dyadic()
-    rotation = kind == "rotation"
-    if isinstance(M, decompose.RotationSchedule if rotation else decompose.LorentzFactorization):
+    cls_name, decomposer = _FACTORIZATIONS[kind]
+    if isinstance(M, getattr(decompose, cls_name)):
         fact = M
-    elif isinstance(M, (decompose.RotationSchedule, decompose.LorentzFactorization)):
+    elif isinstance(M, decompose.Factorization):
         raise TypeError(f"the {kind} pipeline cannot run a {type(M).__name__}")
     elif isinstance(M, np.ndarray) or (
         isinstance(M, (list, tuple)) and all(isinstance(v, (int, float)) for row in M for v in row)
     ):
-        factorize = decompose.givens_decompose if rotation else decompose.lorentz_decompose
-        fact = factorize(np.asarray(M, dtype=float))
+        fact = getattr(decompose, decomposer)(np.asarray(M, dtype=float))
     else:
         fact = decompose.decompose_net_matrix(M, grid, kind)
     return _pipeline(f, fact.factors, fact.as_group_element(), box, grid, p, strict)

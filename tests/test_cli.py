@@ -381,9 +381,13 @@ class TestExitCodes:
             (["decompose-so", "--matrix", "[[1,0],[0,true]]"], "--matrix"),
             (["rotation", "--f", "x1", "--dim", "2", "--matrix-net", "[[1,null],[0,1]]"],
              "--matrix-net"),
+            (["lorentz", "--f", "x1", "--dim", "1", "--random"],
+             "a Lorentz matrix needs size >= 2, got 1"),
+            (["rotation", "--f", "1", "--dim", "0", "--random"],
+             "matrix must be square of size >= 1"),
         ],
         ids=["rotation", "lorentz", "decompose-so", "decompose-lorentz", "ragged", "boolean",
-             "matrix-net-null"],
+             "matrix-net-null", "lorentz-random-dim-1", "rotation-random-dim-0"],
     )
     def test_malformed_matrix_is_a_usage_error(self, tmp_path, capsys, argv, fragment):
         code, data = run_cmd(tmp_path, argv)
@@ -484,7 +488,15 @@ class TestMoreCommands:
         m.write_text(json.dumps(boost_matrix(3, 1.25).tolist()))
         code, data = run_cmd(tmp_path, ["decompose-lorentz", "--matrix", str(m)])
         assert code == EXIT_POSITIVE
-        assert data["evidence"]["theta"] == "1.25"
+        identity = {"dimension": 3, "factors": [{"kind": "rotation", "i": 2, "j": 3, "theta": "0"}]}
+        assert data["evidence"] == {
+            "dimension": 3,
+            "r1": identity,
+            "theta": "1.25",
+            "r2": identity,
+            "time_inverted": False,
+            "orientation_inverted": False,
+        }
 
     def test_translation(self, tmp_path, schema):
         code, data = run_cmd(

@@ -11,6 +11,7 @@ from epsnet.colombeau import EpsilonGrid, Net
 from epsnet.expr import Table
 from epsnet.decompose import (
     DecompositionError,
+    LorentzFactorization,
     boost_matrix,
     decompose_net_matrix,
     full_lorentz_decompose,
@@ -66,6 +67,10 @@ class TestGivens:
     def test_rejects_non_orthogonal(self):
         with pytest.raises(DecompositionError, match="orthogonal"):
             givens_decompose(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(DecompositionError, match="size >= 1"):
+            givens_decompose(np.eye(0))
 
     def test_schedule_is_fixed_per_dimension(self):
         rng = random.Random(11)
@@ -126,6 +131,13 @@ class TestLorentz:
         assert fact.theta == pytest.approx(0.8, abs=1e-12)
         assert all(a == 0.0 for a in fact.r1.angles())
         assert all(a == 0.0 for a in fact.r2.angles())
+
+    def test_views_are_the_slots_of_the_factors(self):
+        fact = lorentz_decompose(random_proper_lorentz(random.Random(3), 4))
+        assert LorentzFactorization._fields == ("dimension", "factors")
+        boost = PlanarFactor("boost", 1, 2, fact.theta)
+        assert fact.r1.factors + (boost,) + fact.r2.factors == fact.factors
+        assert fact.r1.pairs == ((2, 3), (2, 4))
 
     def test_random_reconstruction_and_theta(self):
         rng = random.Random(5)
@@ -233,8 +245,11 @@ class TestNetMatrix:
             (3, (("rotation", 2, 3, "eps"), ("boost", 1, 2, "0.5"), ("rotation", 2, 3, "0.3+eps"))),
             (4, (("rotation", 2, 3, "eps"), ("rotation", 2, 4, "1-eps"), ("boost", 1, 2, "0.4+eps"),
                  ("rotation", 3, 4, "2*eps"), ("rotation", 2, 3, "0.7"))),
+            # the boost vanishes at the grid eps 2^-6 only, where r1 takes the
+            # identity-alignment slots
+            (3, (("rotation", 2, 3, "eps"), ("boost", 1, 2, "eps-2^-6"), ("rotation", 2, 3, "0.3+eps"))),
         ],
-        ids=["n3", "n4"],
+        ids=["n3", "n4", "n3-boost-vanishes"],
     )
     def test_lorentz_slots_match_per_eps_factorization(self, n, factors):
         # oracle: lorentz_decompose of the numeric matrix at each grid eps

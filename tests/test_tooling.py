@@ -4,6 +4,7 @@ fails here rather than in a traced benchmark run."""
 
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -89,14 +90,26 @@ def test_traced_group_job_records_every_required_layer(tmp_path):
                         "groups.compose", "decompose"}
     c, s = 0.6, 0.8
     (tmp_path / "so3.json").write_text(json.dumps([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]))
+    ch, sh = math.cosh(0.5), math.sinh(0.5)
+    (tmp_path / "boost3.json").write_text(json.dumps([[ch, sh, 0.0], [sh, ch, 0.0], [0.0, 0.0, 1.0]]))
     # a net matrix is factored eps by eps inside the pipeline
     boost = [["cosh(1+eps)", "sinh(1+eps)", "0"], ["sinh(1+eps)", "cosh(1+eps)", "0"], ["0", "0", "1"]]
     jobs = (
         ["rotation", "--f", "exp(-(x1^2+x2^2+x3^2))", "--dim", "3",
          "--samples", "9", "--k-max", "8", "--matrix", "so3.json"],
         ["lorentz", "--f", "exp(-(x1^2-x2^2-x3^2)^2)", "--dim", "3",
+         "--samples", "5", "--k-max", "8", "--matrix", "boost3.json"],
+        ["lorentz", "--f", "exp(-(x1^2-x2^2-x3^2)^2)", "--dim", "3",
          "--samples", "5", "--k-max", "8", "--matrix-net", json.dumps(boost)],
     )
+    records = []
     for job in jobs:
-        _, called = _traced(tmp_path, job)
+        record, called = _traced(tmp_path, job)
         assert required <= called, job[0]
+        records.append(record)
+    # a real Lorentz matrix is factored by lorentz_decompose, whose span holds
+    # that of the givens_decompose it calls on the spatial residue; called
+    # through a name bound before the launcher wrapped it, the inner span
+    # would be the only one
+    spans, layer = records[1]["spans"], records[1]["layers"].index("decompose")
+    assert [span[0] for span in spans if span[3] >= 0 and spans[span[3]][0] == layer] == [layer]
