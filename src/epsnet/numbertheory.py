@@ -1,13 +1,14 @@
 """Diophantine approximation engine: Dirichlet pairs, Liouville constants for
 algebraic irrationals, and the combined pair finder with two-sided bounds.
 
-Defects |k - l*alpha| are computed in extended precision (mpmath); algebraic
-numbers carry their minimal polynomial and are refined by Newton iteration to
-whatever precision a computation needs, so denominators far beyond double
-precision remain exact.  Each alpha value keeps one continued-fraction table
-that serves every N (the convergents of alpha are its best approximations);
-the table, the Newton roots and the Liouville data are memoized by value in
-bounded caches, and the module needs no numpy.
+Defects |k - l*alpha| are computed in extended precision (mpmath), so
+denominators far beyond double precision remain exact.  Algebraic numbers
+carry their minimal polynomial; each keeps one root, Newton-refined from the
+root it holds whenever a computation needs more bits (to twice as many at
+least) and rounded to each call's precision.  Each alpha value keeps one
+continued-fraction table that serves every N (the convergents of alpha are
+its best approximations); the tables, the roots and the Liouville data are
+memoized by value in bounded caches, and the module needs no numpy.
 """
 
 from __future__ import annotations
@@ -22,11 +23,9 @@ from mpmath import mp, mpf
 from .report import record
 
 _MIN_PREC = 96
-#: bounds of the memo caches: alphas with a continued-fraction table (a few
-#: kilobytes each) or Liouville data, and Newton roots (one mpf each; a
-#: two-period run asks for roots of one polynomial at a few hundred precisions)
+#: bound of the memo caches: alphas with a continued-fraction table (a few
+#: kilobytes each), a Newton root (one mpf) or Liouville data
 _ALPHAS = 64
-_ROOTS = 1024
 
 
 def _poly_eval(coeffs, x):
@@ -69,13 +68,12 @@ def _distinct_roots(coeffs) -> list:
     return mp.polyroots([mpf(c.numerator) / c.denominator for c in reversed(squarefree)])
 
 
-@functools.lru_cache(maxsize=_ROOTS)
-def _newton_root(coeffs: tuple, seed: float, prec: int):
-    """The root of the polynomial near ``seed``, Newton-refined to ``prec``
-    bits (prec >= _MIN_PREC)."""
+def _newton(coeffs: tuple, x, prec: int):
+    """The root of the polynomial near ``x``, Newton-refined from ``x`` to
+    ``prec`` bits (held at prec + 32)."""
     dcoeffs = _poly_derivative(coeffs)
     with mp.workprec(prec + 32):
-        x = mpf(seed)
+        x = mpf(x)
         tol = mpf(2) ** (-(prec + 16))
         for _ in range(300):
             step = _poly_eval(coeffs, x) / _poly_eval(dcoeffs, x)
@@ -83,6 +81,34 @@ def _newton_root(coeffs: tuple, seed: float, prec: int):
             if abs(step) <= tol * max(1, abs(x)):
                 break
         return +x
+
+
+class _Root:
+    """One root of one polynomial, held at ``prec`` bits for calls at every
+    precision, and grown like the convergent table.
+
+    A call that needs ``prec`` bits while the held root has fewer than
+    prec + 64 refines it, starting from the held root, to the larger of
+    prec + 64 bits and twice the held precision; each call gets the held
+    root rounded to prec + 32 bits.
+    """
+
+    def __init__(self, coeffs: tuple, seed: float):
+        self.coeffs = coeffs
+        self.x = seed
+        self.prec = 0
+
+    def at(self, prec: int):
+        if self.prec < prec + 64:
+            self.prec = max(prec + 64, 2 * self.prec)
+            self.x = _newton(self.coeffs, self.x, self.prec)
+        with mp.workprec(prec + 32):
+            return +self.x
+
+
+@functools.lru_cache(maxsize=_ALPHAS)
+def _root(coeffs: tuple, seed: float) -> _Root:
+    return _Root(coeffs, seed)
 
 
 @record
@@ -113,8 +139,8 @@ class AlgebraicNumber:
         return len(self.coeffs) - 1
 
     def value(self, prec: int = 80):
-        """The root near the seed, Newton-refined to ``prec`` bits."""
-        return _newton_root(self.coeffs, self.seed, max(prec, _MIN_PREC))
+        """The root near the seed, to ``prec`` bits."""
+        return _root(self.coeffs, self.seed).at(max(prec, _MIN_PREC))
 
     __call__ = value
 
@@ -402,7 +428,7 @@ def corollary_pair(a: AlgebraicNumber, R: float) -> CorollaryPair:
         if not defect > 0:
             raise ValueError("defect vanished: alpha is rational to working precision")
         upper_ok = defect <= mpf(2) / mpf(R)
-        lower_ok = mp.log(defect) >= -data.M * mp.log(mpf(R))
+        lower_ok = defect * mpf(R) ** data.M >= 1
     if not (pair.l <= R and upper_ok and lower_ok):
         raise AssertionError("combined pair violates its two-sided bounds")
     return CorollaryPair(pair.k, pair.l, pair.defect, data.M, N)

@@ -41,9 +41,9 @@ DEFAULT_REAL_THETAS = (0.1, -0.1, 1.0, -1.0, math.pi, -math.pi, 3.0, -3.0)
 
 #: Deviations below this many ulps of the function's own magnitude, or below
 #: the absolute floor, are floating-point evaluation noise, not evidence
-#: against invariance; they are snapped to zero before the negligibility test
-#: (raw sups stay reported).  The absolute floor covers cancellation through
-#: boosted coordinates (cosh 3 ~ 10) in low-degree forms.
+#: against invariance; they are snapped to zero before the negligibility test,
+#: and the report holds the snapped sups.  The absolute floor covers
+#: cancellation through boosted coordinates (cosh 3 ~ 10) in low-degree forms.
 NOISE_ULPS = 64.0
 NOISE_ATOL = 1e-12
 _MACHINE_EPS = float(np.finfo(float).eps)
@@ -448,12 +448,20 @@ class ConstancyReport(Record):
     per_order: tuple  # OrderCertificate per order 1..p
 
 
-def _check_two_period_inputs(p: int, samples: int, radius: float) -> None:
+def _check_two_period_inputs(p: int, samples: int, radius: float, grid: EpsilonGrid) -> None:
     _check_order(p)
     if samples < 2:
         raise ValueError(f"need at least 2 samples per axis, got {samples}")
     if not math.isfinite(radius):
         raise ValueError(f"radius must be finite, got {radius}")
+    # both harnesses draw their pairs at R = eps^-p, a double
+    eps = grid.values[-1]
+    try:
+        eps**-p
+    except OverflowError:
+        largest = math.ceil(1024 / -math.log2(eps)) - 1
+        raise ValueError(f"--p {p} makes R = eps^-p overflow at the finest grid eps {eps:g}; "
+                         f"the largest p on this grid is {largest}") from None
 
 
 def _two_period_sups(f: Net, alpha: float, radius: float, grid: EpsilonGrid, samples: int):
@@ -520,8 +528,8 @@ def two_period_constancy(
 
     if f.dimension != 1:
         raise ValueError("the two-period theorem concerns one-dimensional nets")
-    _check_two_period_inputs(p, samples, radius)
     grid = grid or EpsilonGrid.dyadic()
+    _check_two_period_inputs(p, samples, radius, grid)
     alpha = a.value_float
     if not radius > alpha + 2:
         raise ValueError("radius must exceed alpha + 2")
@@ -683,8 +691,8 @@ def open_question_explorer(
 
     if f.dimension != 1:
         raise ValueError("one-dimensional nets only")
-    _check_two_period_inputs(p, samples, radius)
     grid = grid or EpsilonGrid.dyadic()
+    _check_two_period_inputs(p, samples, radius, grid)
     with mp.workprec(96):
         alpha = float(alpha_provider(96) if callable(alpha_provider) else alpha_provider)
     if not radius > alpha + 2:

@@ -1,19 +1,44 @@
 """Reference Diophantine routines: one fresh continued-fraction expansion per
-Dirichlet call, and Liouville data with the critical points of p' taken from
-``numpy.roots``.
+Dirichlet call, a Newton root refined from its float seed at every precision
+asked, Liouville data with the critical points of p' taken from
+``numpy.roots``, and the combined pair with its lower bound checked in log
+form.
 
-The package keeps one convergent table per alpha, grown geometrically, and
-finds those critical points with ``mpmath.polyroots``; these are the plain
-per-call forms it replaced, kept as the oracle that the cached forms must
-match exactly.
+The package keeps one convergent table and one root per alpha, both grown
+geometrically, and finds those critical points with ``mpmath.polyroots``;
+these are the plain per-call forms it replaced, kept as the oracle that the
+cached forms must match exactly.
 """
+
+import math
 
 import numpy as np
 from mpmath import mp, mpf
 
-from epsnet.numbertheory import LiouvilleData, _poly_derivative, _poly_eval
+from epsnet.numbertheory import LiouvilleData, _poly_derivative, _poly_eval, dirichlet
 
 _MIN_PREC = 96
+
+
+def reference_root(coeffs: tuple, seed: float, prec: int):
+    """The root of the polynomial (ascending integer coefficients) near
+    ``seed``, Newton-refined from the seed to ``prec`` bits."""
+    dcoeffs = _poly_derivative(coeffs)
+    with mp.workprec(prec + 32):
+        x = mpf(seed)
+        tol = mpf(2) ** (-(prec + 16))
+        for _ in range(300):
+            step = _poly_eval(coeffs, x) / _poly_eval(dcoeffs, x)
+            x = x - step
+            if abs(step) <= tol * max(1, abs(x)):
+                break
+        return +x
+
+
+def reference_provider(a):
+    """The value provider of an AlgebraicNumber with its root refined by
+    ``reference_root`` at each call."""
+    return lambda prec: reference_root(a.coeffs, a.seed, max(prec, _MIN_PREC))
 
 
 def reference_dirichlet(provider, N: int) -> tuple:
@@ -55,3 +80,16 @@ def reference_liouville(a) -> LiouvilleData:
         c = min(mpf(1), 1 / sup)
         M = int(mp.ceil((a.degree - 1) + mp.log(1 + 1 / c, 2)))
     return LiouvilleData(float(c), M)
+
+
+def reference_corollary(a, R: float, M: float) -> tuple:
+    """(k, l, defect, M, N, bounds_hold) for the pair at N = floor(R), the
+    lower bound 1/R^M <= defect checked as log(defect) >= -M log(R) at the
+    call's precision.  The pair is the package's ``dirichlet``, which the
+    oracles above check on their own."""
+    N = int(math.floor(R))
+    pair = dirichlet(a, N)
+    with mp.workprec(max(_MIN_PREC, 4 * max(N, 2).bit_length() + 128)):
+        upper_ok = pair.defect <= mpf(2) / mpf(R)
+        lower_ok = mp.log(pair.defect) >= -M * mp.log(mpf(R))
+    return pair.k, pair.l, pair.defect, M, N, pair.l <= R and upper_ok and lower_ok

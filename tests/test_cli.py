@@ -233,6 +233,22 @@ class TestExitCodes:
         assert code == EXIT_ERROR and data is None
         assert_one_line_error(capsys, "error: " + flag)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["two-period", "--f", "1", "--alpha", "phi", "--R", "6", "--p", "30"],
+            ["two-period", "--f", "sin(2*3.141592653589793*x1)", "--alpha", "phi", "--R", "6",
+             "--p", "26"],
+            ["explore-open-question", "--f", "1", "--alpha", "pi", "--R", "6", "--p", "26"],
+        ],
+        ids=["two-period", "two-period-not-applicable", "explore"],
+    )
+    def test_p_beyond_double_range_is_a_usage_error(self, tmp_path, capsys, argv):
+        # the finest default eps is 2^-40, and 2^(40*26) overflows a double
+        code, data = run_cmd(tmp_path, argv)
+        assert code == EXIT_ERROR and data is None
+        assert_one_line_error(capsys, "error: --p ", "9.09495e-13", "the largest p on this grid is 25")
+
     @pytest.mark.parametrize("alpha", ["inf", "nan", "1e400"])
     def test_non_finite_alpha_is_a_usage_error(self, tmp_path, capsys, alpha):
         for argv in (["dirichlet", "--alpha", alpha, "--N", "5"],

@@ -349,6 +349,17 @@ class TestTwoPeriod:
         with pytest.raises(ValueError, match=message):
             open_question_explorer(resolve_alpha("pi")[0], f, 7.0, p, GRID, samples=samples)
 
+    def test_two_period_harnesses_reject_an_order_whose_R_overflows(self):
+        # R = eps^-p is a double: at the finest eps 2^-512, p = 1 is the largest order
+        f = Net.parse("1", 1)
+        grid = EpsilonGrid((2.0**-256, 2.0**-512))
+        assert two_period_constancy(f, self.SQRT2, 5.0, 1, grid, samples=9).verdict == "constant"
+        assert open_question_explorer(resolve_alpha("pi")[0], f, 7.0, 1, grid, samples=9).applicable
+        with pytest.raises(ValueError, match="largest p on this grid is 1"):
+            two_period_constancy(f, self.SQRT2, 5.0, 2, grid, samples=9)
+        with pytest.raises(ValueError, match="largest p on this grid is 1"):
+            open_question_explorer(resolve_alpha("pi")[0], f, 7.0, 2, grid, samples=9)
+
     @pytest.mark.parametrize("radius", [math.inf, math.nan])
     def test_two_period_harnesses_reject_a_non_finite_radius(self, radius):
         f = Net.parse("1", 1)
