@@ -99,8 +99,7 @@ def _matrix(args):
 
 
 def _alpha(spec: str):
-    """The --alpha value as (value provider, display name, algebraic number
-    or None)."""
+    """The --alpha value as an AlgebraicNumber or RealAlpha."""
     from .numbertheory import resolve_alpha
 
     try:
@@ -209,7 +208,7 @@ def _matrix_argument(args):
 
     from .sampling import random_proper_lorentz, random_special_orthogonal
 
-    rng = random.Random(args.seed if args.seed is not None else DEFAULTS["seed"])
+    rng = random.Random(args.seed)
     if args.command == "rotation":
         return random_special_orthogonal(rng, args.dim)
     return random_proper_lorentz(rng, args.dim)
@@ -306,10 +305,10 @@ def _cmd_decompose_lorentz(args):
 def _cmd_dirichlet(args):
     from .numbertheory import dirichlet
 
-    provider, name, _ = _alpha(args.alpha)
-    pair = dirichlet(provider, args.N)
+    alpha = _alpha(args.alpha)
+    pair = dirichlet(alpha, args.N)
     evidence = {
-        "alpha": name,
+        "alpha": alpha.name,
         "N": args.N,
         "k": pair.k,
         "l": pair.l,
@@ -390,14 +389,14 @@ def _cmd_explore(args):
     from .verify import open_question_explorer
 
     net = Net.parse(args.f, 1)
-    provider, name, _ = _alpha(args.alpha)
-    rep = open_question_explorer(provider, net, args.R, args.p, _grid(args), samples=args.samples)
+    alpha = _alpha(args.alpha)
+    rep = open_question_explorer(alpha, net, args.R, args.p, _grid(args), samples=args.samples)
     effective = "nan" if rep.effective_M is None else f"{rep.effective_M:.3f}"
     return (
         "exploratory",
         args.p,
         rep,
-        f"NON-THEOREM exploration: alpha={name} applicable={rep.applicable} effective_M~{effective}",
+        f"NON-THEOREM exploration: alpha={alpha.name} applicable={rep.applicable} effective_M~{effective}",
     )
 
 
@@ -567,10 +566,13 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
         if not isinstance(config, dict):
             raise UsageError("config file must hold a JSON object")
     for key, default in DEFAULTS.items():
-        if not hasattr(args, key):
+        if not hasattr(args, key) or getattr(args, key) is not None:
             continue
-        if getattr(args, key) is None:
-            setattr(args, key, config.get(key, default))
+        value = config.get(key, default)
+        # exact type: an int option rejects true, a bool option rejects 0
+        if type(value) is not type(default):
+            raise UsageError(f"config {key!r} must be {type(default).__name__}, got {value!r}")
+        setattr(args, key, value)
     return args
 
 

@@ -198,7 +198,6 @@ def report_from_sups(
     grid: EpsilonGrid,
     sups: Sequence[float],
     p_max: int = DEFAULT_P_MAX,
-    bound: float = DEFAULT_RC_BOUND,
 ) -> AsymptoticReport:
     """Assemble an :class:`AsymptoticReport` from one sup value per grid eps;
     negligibility is tested at the orders 1..``p_max``."""
@@ -220,7 +219,7 @@ def report_from_sups(
             else:
                 break
 
-    bounded = moderate and not _grows(pairs, exponent) and max(sups) <= bound
+    bounded = moderate and not _grows(pairs, exponent) and max(sups) <= DEFAULT_RC_BOUND
     return AsymptoticReport(pairs, exponent, moderate, negligible_order, bounded)
 
 
@@ -272,7 +271,6 @@ def classify(
     max_order: int = 2,
     grid: Optional[EpsilonGrid] = None,
     p_max: int = DEFAULT_P_MAX,
-    bound: float = DEFAULT_RC_BOUND,
 ) -> AsymptoticReport:
     """Aggregate derivative sups over all multi-indices up to ``max_order``
     and report the asymptotic verdicts.
@@ -287,21 +285,20 @@ def classify(
         raise ValueError(f"max_order must be >= 0, got {max_order}")
     alphas = _spatial_multi_indices(f.dimension, max_order)
     sups = ex.eval_points(f.body, grid.values, box.lattice(), sup=True, partials=alphas)
-    return report_from_sups(grid, np.max(sups, axis=0).tolist(), p_max=p_max, bound=bound)
+    return report_from_sups(grid, np.max(sups, axis=0).tolist(), p_max=p_max)
 
 
 def is_bounded_generalized_number(
     theta: Net,
     grid: Optional[EpsilonGrid] = None,
-    bound: float = DEFAULT_RC_BOUND,
 ) -> bool:
-    """True when a scalar net stays below ``bound`` on the grid and shows no
-    growth trend as eps decreases; one compiled pass over the grid."""
+    """True when a scalar net stays below ``DEFAULT_RC_BOUND`` on the grid and
+    shows no growth trend as eps decreases; one compiled pass over the grid."""
     grid = grid or EpsilonGrid.dyadic()
     if theta.dimension != 0:
         raise ValueError("theta must be a scalar net (dimension 0)")
     values = grid_sups(theta.body, grid, np.zeros((1, 0)))
-    if any(not math.isfinite(v) for v in values) or max(values) > bound:
+    if any(not math.isfinite(v) for v in values) or max(values) > DEFAULT_RC_BOUND:
         return False
     pairs = tuple(zip(grid.values, values))
     return not _grows(pairs, fit_decay_exponent(pairs))

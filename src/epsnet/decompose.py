@@ -84,13 +84,15 @@ def _check_finite(M: np.ndarray):
         raise DecompositionError("matrix has non-finite entries")
 
 
-def _check_orthogonal(M: np.ndarray, tol: float = ORTHOGONALITY_TOL):
+def _check_orthogonal(M: np.ndarray):
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
         raise DecompositionError("matrix must be square of size >= 1")
     _check_finite(M)
     defect = float(np.max(np.abs(M.T @ M - np.eye(M.shape[0]))))
-    if defect > tol:
-        raise DecompositionError(f"matrix is not orthogonal within {tol} (defect {defect:.3e})")
+    if defect > ORTHOGONALITY_TOL:
+        raise DecompositionError(
+            f"matrix is not orthogonal within {ORTHOGONALITY_TOL} (defect {defect:.3e})"
+        )
 
 
 def _givens_step(A: np.ndarray, ii: int, jj: int, target: float, pivot: float) -> float:
@@ -168,15 +170,15 @@ def quadratic_form(X: np.ndarray) -> np.ndarray:
     return X[:, 0] ** 2 - np.sum(X[:, 1:] ** 2, axis=1)
 
 
-def _check_lorentz_form(L: np.ndarray, tol: float = FORM_TOL):
+def _check_lorentz_form(L: np.ndarray):
     if L.ndim != 2 or L.shape[0] != L.shape[1] or L.shape[0] < 2:
         raise DecompositionError("matrix must be square of size >= 2")
     _check_finite(L)
     eta = minkowski_metric(L.shape[0])
     defect = float(np.max(np.abs(L.T @ eta @ L - eta)))
-    if defect > tol:
+    if defect > FORM_TOL:
         raise DecompositionError(
-            f"matrix does not preserve the form within {tol} (defect {defect:.3e})"
+            f"matrix does not preserve the form within {FORM_TOL} (defect {defect:.3e})"
         )
 
 

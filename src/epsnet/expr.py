@@ -145,7 +145,7 @@ def spatial_index(name: str) -> int:
     """1-based axis of a spatial variable name, or 0 for 'eps'."""
     if name == "eps":
         return 0
-    if len(name) == 2 and name[0] == "x" and name[1].isdigit() and name[1] != "0":
+    if len(name) == 2 and name[0] == "x" and name[1] in "123456789":
         return int(name[1])
     raise ValueError(f"not a variable name: {name!r}")
 
@@ -168,6 +168,9 @@ def variables(e: Expr) -> set:
 # Parser
 
 _WHITESPACE = " \t\r\n"
+#: numbers take ASCII digits only: ``str.isdigit`` also accepts digits such
+#: as '²' and '١', which ``float`` reads as 1 or rejects without a position
+_DIGITS = "0123456789"
 
 
 class _Tokens:
@@ -190,21 +193,21 @@ class _Tokens:
                 self.tokens.append((ch, ch, i))
                 i += 1
                 continue
-            if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+            if ch in _DIGITS or (ch == "." and i + 1 < n and text[i + 1] in _DIGITS):
                 j = i
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
                 if j < n and text[j] == ".":
                     j += 1
-                    while j < n and text[j].isdigit():
+                    while j < n and text[j] in _DIGITS:
                         j += 1
                 if j < n and text[j] in "eE":
                     k = j + 1
                     if k < n and text[k] in "+-":
                         k += 1
-                    if k < n and text[k].isdigit():
+                    if k < n and text[k] in _DIGITS:
                         j = k
-                        while j < n and text[j].isdigit():
+                        while j < n and text[j] in _DIGITS:
                             j += 1
                 self.tokens.append(("number", text[i:j], i))
                 i = j

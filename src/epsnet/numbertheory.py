@@ -1,11 +1,14 @@
 """Diophantine approximation engine: Dirichlet pairs, Liouville constants for
 algebraic irrationals, and the combined pair finder with two-sided bounds.
 
-Defects |k - l*alpha| are computed in extended precision (mpmath), so
-denominators far beyond double precision remain exact.  Algebraic numbers
+Every alpha is resolved once, by :func:`resolve_alpha`, into one of two
+hashable records: an :class:`AlgebraicNumber` (a catalog name, or a number
+built with its minimal polynomial) or a :class:`RealAlpha` ('pi', 'e' or a
+float).  Defects |k - l*alpha| are computed in extended precision (mpmath),
+so denominators far beyond double precision remain exact.  Algebraic numbers
 carry their minimal polynomial; each keeps one root, Newton-refined from the
 root it holds whenever a computation needs more bits (to twice as many at
-least) and rounded to each call's precision.  Each alpha value keeps one
+least) and rounded to each call's precision.  Each alpha keeps one
 continued-fraction table that serves every N (the convergents of alpha are
 its best approximations); the tables, the roots and the Liouville data are
 memoized by value in bounded caches, and the module needs no numpy.
@@ -186,6 +189,12 @@ class RealAlpha:
         if not self.spec > 0:
             raise ValueError("alpha must be positive")
 
+    @property
+    def name(self) -> str:
+        """The display name: the spec of a transcendental, the repr of a
+        float."""
+        return self.spec if isinstance(self.spec, str) else repr(self.spec)
+
     def __call__(self, prec: int):
         if isinstance(self.spec, str):
             with mp.workprec(max(prec, _MIN_PREC) + 16):
@@ -194,38 +203,24 @@ class RealAlpha:
 
 
 def resolve_alpha(spec):
-    """Map a CLI-facing alpha spec (catalog name, 'pi'/'e', or a number) to
-    (value_provider, display_name, algebraic_or_None).  The provider is the
-    AlgebraicNumber or RealAlpha itself."""
-    if isinstance(spec, AlgebraicNumber):
-        return spec, spec.name, spec
+    """The alpha a spec denotes, as an AlgebraicNumber or a RealAlpha: a
+    catalog name, 'pi'/'e', or a number (a float, or a string or other value
+    ``float`` reads); an AlgebraicNumber or RealAlpha is returned as it is.
+    Anything else, a callable included, raises ``ValueError``."""
+    if isinstance(spec, (AlgebraicNumber, RealAlpha)):
+        return spec
     if isinstance(spec, str):
         cat = catalog()
         if spec in cat:
-            a = cat[spec]
-            return a, a.name, a
+            return cat[spec]
         if spec in _TRANSCENDENTALS:
-            return RealAlpha(spec), spec, None
+            return RealAlpha(spec)
     try:
         value = float(spec)
     except (TypeError, ValueError):
         raise ValueError(f"alpha must be a catalog name ({', '.join(sorted(catalog()))}), "
                          f"pi, e or a number, got {spec!r}") from None
-    alpha = RealAlpha(value)
-    return alpha, repr(alpha.spec), None
-
-
-def _as_alpha(alpha):
-    """alpha as a value provider (precision in bits -> mpf): a name resolves
-    as on the CLI, a float becomes a RealAlpha, a callable is used as it is
-    and any other number gives its mpf."""
-    if isinstance(alpha, str):
-        return resolve_alpha(alpha)[0]
-    if isinstance(alpha, float):
-        return RealAlpha(alpha)
-    if callable(alpha):
-        return alpha
-    return lambda prec, v=alpha: mpf(v)
+    return RealAlpha(value)
 
 
 def _call_prec(N: int) -> int:
@@ -305,15 +300,9 @@ class _ConvergentTable:
 
 
 @functools.lru_cache(maxsize=_ALPHAS)
-def _cached_table(alpha) -> _ConvergentTable:
-    return _ConvergentTable(alpha)
-
-
 def _table(alpha) -> _ConvergentTable:
-    """The shared table of an AlgebraicNumber or RealAlpha; a table of its
-    own for any other provider, which has no value to key a cache by."""
-    if isinstance(alpha, (AlgebraicNumber, RealAlpha)):
-        return _cached_table(alpha)
+    """The one table of a resolved alpha (an AlgebraicNumber or RealAlpha),
+    shared by every call with an equal alpha."""
     return _ConvergentTable(alpha)
 
 
@@ -343,12 +332,13 @@ def dirichlet(alpha, N: int) -> DirichletPair:
     For irrational alpha the minimal pair is unique.  For rational alpha two
     pairs can tie (alpha = 1.5, N = 1: |1 - 1.5| = |2 - 1.5|), and the
     convergent (here k = 1) is the one returned.  The defect is computed at
-    the call's own precision, whatever the table's.
+    the call's own precision, whatever the table's.  ``alpha`` is any spec
+    :func:`resolve_alpha` accepts.
     """
     N = int(N)
     if N < 1:
         raise ValueError("N must be >= 1")
-    alpha = _as_alpha(alpha)
+    alpha = resolve_alpha(alpha)
     prec = _call_prec(N)
     with mp.workprec(prec):
         alpha_mp = alpha(prec)
@@ -436,8 +426,9 @@ def corollary_pair(a: AlgebraicNumber, R: float) -> CorollaryPair:
 
 def convergents(alpha, count: int) -> list:
     """The first ``count`` continued-fraction convergents (p, q); terminates
-    early if the expansion is finite.  Each satisfies |alpha - p/q| < 1/q^2."""
+    early if the expansion is finite.  Each satisfies |alpha - p/q| < 1/q^2;
+    ``alpha`` is any spec :func:`resolve_alpha` accepts."""
     count = int(count)
     if count < 1:
         raise ValueError("count must be >= 1")
-    return _table(_as_alpha(alpha)).first(count)
+    return _table(resolve_alpha(alpha)).first(count)

@@ -538,43 +538,31 @@ def two_period_constancy(
     n_exp = _derivative_moderateness(f, radius, grid, samples)
     c_struct = (alpha + 2.0) * (radius + 1.0)
 
+    def evidence(q: int, idx: int) -> ConstancyEvidence:
+        eps = grid.values[idx]
+        pair = corollary_pair(a, eps ** (-q))
+        with mp.workprec(64):
+            h_log2 = float(mp.log(pair.defect, 2))
+            log_eps = math.log2(eps)
+            bounds_ok = (
+                pair.M * q * log_eps <= h_log2 <= 1.0 + q * log_eps
+                and math.log2(pair.k if pair.k else 1) <= math.log2(alpha + 1.0) - q * log_eps
+            )
+        certified = c_struct * eps**q + 2.0 * eps ** (q - n_exp)
+        return ConstancyEvidence(
+            eps, pair.k, pair.l, h_log2, measured[idx], certified, measured[idx] <= certified, bounds_ok
+        )
+
     per_order = []
-    rows = []
-    eps0_main = None
-    failing = None
-    c_emp_main = None
     for q in range(1, p + 1):
         eps0, start = _detect_eps0(grid, dev1, dev2, (M + 2) * q)
-        if eps0 is None:
-            per_order.append(OrderCertificate(q, None, False))
-            failing = worst
-            continue
-        ok_all = True
-        c_emp = 0.0
-        for idx in range(start, len(grid)):
-            eps = grid.values[idx]
-            pair = corollary_pair(a, eps ** (-q))
-            with mp.workprec(64):
-                h_log2 = float(mp.log(pair.defect, 2))
-                log_eps = math.log2(eps)
-                bounds_ok = (
-                    pair.M * q * log_eps <= h_log2 <= 1.0 + q * log_eps
-                    and math.log2(pair.k if pair.k else 1) <= math.log2(alpha + 1.0) - q * log_eps
-                )
-            certified = c_struct * eps**q + 2.0 * eps ** (q - n_exp)
-            certified_ok = measured[idx] <= certified
-            ok_all = ok_all and certified_ok and bounds_ok
-            c_emp = max(c_emp, measured[idx] / eps**q)
-            if q == p:
-                rows.append(
-                    ConstancyEvidence(
-                        eps, pair.k, pair.l, h_log2, measured[idx], certified, certified_ok, bounds_ok
-                    )
-                )
-        per_order.append(OrderCertificate(q, eps0, ok_all))
-        if q == p:
-            eps0_main = eps0
-            c_emp_main = c_emp
+        rows = () if eps0 is None else tuple(evidence(q, idx) for idx in range(start, len(grid)))
+        certified = eps0 is not None and all(r.certified_ok and r.bounds_ok for r in rows)
+        per_order.append(OrderCertificate(q, eps0, certified))
+    # the rows, eps0 and empirical constant reported are the last order's
+    eps0 = per_order[-1].eps0
+    failing = worst if any(c.eps0 is None for c in per_order) else None
+    c_emp = None if eps0 is None else max(0.0, *(r.measured / r.eps**p for r in rows))
 
     if failing is not None:
         verdict = "not-applicable"
@@ -586,12 +574,12 @@ def two_period_constancy(
         radius,
         p,
         verdict,
-        eps0_main,
+        eps0,
         failing,
         c_struct,
-        c_emp_main,
+        c_emp,
         n_exp,
-        tuple(rows),
+        rows,
         tuple(per_order),
     )
 
@@ -624,10 +612,10 @@ def translation_constancy(
     grid: Optional[EpsilonGrid] = None,
     p: int = 4,
     h_samples: Sequence = ((0.5,), (1.0,)),
-    max_order: int = 1,
 ) -> TranslationReport:
     """Hypothesis: invariance under each sampled translation.  Conclusion:
-    x -> f(x) - f(0) is negligible at order p on the box."""
+    x -> f(x) - f(0) and its first derivatives are negligible at order p on
+    the box."""
     _check_order(p)
     grid = grid or EpsilonGrid.dyadic()
     hypothesis = []
@@ -639,7 +627,7 @@ def translation_constancy(
         hypothesis.append((offset, rep))
     hypothesis_failed = not all(r.invariant for _, r in hypothesis)
     centered = Net(_centered(f), f.dimension)
-    conclusion = classify(centered, box, max_order=max_order, grid=grid, p_max=max(DEFAULT_P_MAX, p))
+    conclusion = classify(centered, box, max_order=1, grid=grid, p_max=max(DEFAULT_P_MAX, p))
     verdict = (not hypothesis_failed) and conclusion.negligible_order >= p
     return TranslationReport(p, tuple(hypothesis), hypothesis_failed, conclusion, verdict)
 
@@ -675,7 +663,7 @@ class ExplorerReport(Record):
 
 
 def open_question_explorer(
-    alpha_provider,
+    alpha,
     f: Net,
     radius: float,
     p: int,
@@ -684,26 +672,27 @@ def open_question_explorer(
 ) -> ExplorerReport:
     """Run the two-period machinery with continued-fraction convergents in
     place of the Liouville-backed pair, reporting the effective exponent the
-    data would need."""
+    data would need.  ``alpha`` is any spec ``resolve_alpha`` accepts."""
     from mpmath import mp
 
-    from .numbertheory import dirichlet
+    from .numbertheory import dirichlet, resolve_alpha
 
     if f.dimension != 1:
         raise ValueError("one-dimensional nets only")
     grid = grid or EpsilonGrid.dyadic()
     _check_two_period_inputs(p, samples, radius, grid)
+    alpha = resolve_alpha(alpha)
     with mp.workprec(96):
-        alpha = float(alpha_provider(96) if callable(alpha_provider) else alpha_provider)
-    if not radius > alpha + 2:
+        value = float(alpha(96))
+    if not radius > value + 2:
         raise ValueError("radius must exceed alpha + 2")
 
-    dev1, dev2, measured, worst = _two_period_sups(f, alpha, radius, grid, samples)
+    dev1, dev2, measured, worst = _two_period_sups(f, value, radius, grid, samples)
     rows = []
     eff_max = None
     for eps, centered in zip(grid, measured):
         R = eps ** (-p)
-        pair = dirichlet(alpha_provider if callable(alpha_provider) else alpha, int(R))
+        pair = dirichlet(alpha, int(R))
         with mp.workprec(64):
             dlog2 = float(mp.log(pair.defect, 2)) if pair.defect > 0 else -math.inf
         eff = -dlog2 / (p * -math.log2(eps)) if math.isfinite(dlog2) else math.inf
@@ -713,4 +702,4 @@ def open_question_explorer(
     m_hat = max(2, math.ceil(eff_max)) if eff_max is not None and math.isfinite(eff_max) else 2
     eps0, _ = _detect_eps0(grid, dev1, dev2, (m_hat + 2) * p)
     failing = None if eps0 is not None else worst
-    return ExplorerReport(alpha, radius, p, eps0 is not None, failing, eff_max, tuple(rows))
+    return ExplorerReport(value, radius, p, eps0 is not None, failing, eff_max, tuple(rows))

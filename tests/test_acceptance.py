@@ -102,7 +102,7 @@ def test_criterion_3_diophantine_suite():
         alpha = rng.choice(draws)
         N = rng.randint(1, 10_000)
         pair = dirichlet(alpha, N)
-        provider, _, _ = resolve_alpha(alpha if isinstance(alpha, str) else alpha.name)
+        provider = resolve_alpha(alpha if isinstance(alpha, str) else alpha.name)
         with mp.workprec(140):
             bound_ok = 0 < pair.l <= N and abs(pair.k - pair.l * provider(140)) <= mpf(1) / N
         dirichlet_ok = dirichlet_ok and bound_ok

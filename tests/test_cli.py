@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import random_expr
 
+from epsnet import cli
 from epsnet.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_POSITIVE, run, schema_path
 from epsnet.expr import to_text
 
@@ -411,14 +412,52 @@ class TestExitCodes:
         err = assert_one_line_error(capsys, "error: " + fragment)
         assert "unexpected" not in err and "warning:" not in err
 
-    def test_unexpected_failure_is_one_line_exit_2(self, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_text('{"k_min": "a"}')
-        code, data = run_cmd(
-            tmp_path, ["--config", str(config), "classify", "--f", "x1", "--dim", "1"]
-        )
+    def test_unexpected_failure_is_one_line_exit_2(self, tmp_path, capsys, monkeypatch):
+        def failing(args):
+            raise TypeError("a fault\nover two lines")
+
+        monkeypatch.setitem(cli._HANDLERS, "classify", failing)
+        code, data = run_cmd(tmp_path, ["classify", "--f", "x1", "--dim", "1"])
         assert code == EXIT_ERROR and data is None
-        assert_one_line_error(capsys, "error: unexpected TypeError")
+        assert_one_line_error(capsys, "error: unexpected TypeError: a fault over two lines")
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"p": "4"}, "config 'p' must be int, got '4'"),
+            ({"p": None}, "config 'p' must be int, got None"),
+            ({"p": True}, "config 'p' must be int, got True"),
+            ({"samples": 2.5}, "config 'samples' must be int, got 2.5"),
+            ({"dim": "2"}, "config 'dim' must be int, got '2'"),
+            ({"box": 5}, "config 'box' must be str, got 5"),
+            ({"strict": "no"}, "config 'strict' must be bool, got 'no'"),
+            ({"k_min": "a"}, "config 'k_min' must be int, got 'a'"),
+        ],
+        ids=["p-str", "p-null", "p-bool", "samples-float", "dim-str", "box-int", "strict-str",
+             "k_min-str"],
+    )
+    def test_config_value_of_the_wrong_type_is_a_usage_error(self, tmp_path, capsys, config,
+                                                             message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, data = run_cmd(tmp_path, ["--config", str(path), "invariance", "--f", "x1",
+                                        "--translate", "1"])
+        assert code == EXIT_ERROR and data is None
+        err = assert_one_line_error(capsys, "error: " + message)
+        assert "unexpected" not in err
+
+    def test_non_ascii_digit_is_a_positioned_parse_error(self, tmp_path, capsys):
+        code, data = run_cmd(tmp_path, ["classify", "--f", "\u00b2", "--dim", "1"])
+        assert code == EXIT_ERROR and data is None
+        assert_one_line_error(capsys, "error: unexpected character '\u00b2' (position 0)")
+
+    def test_config_value_behind_a_flag_is_not_read(self, tmp_path):
+        # a flag wins over the config, so the config's value is never used
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"p": "4"}))
+        code, _ = run_cmd(tmp_path, ["--config", str(path), "invariance", "--f", "x1",
+                                     "--translate", "1", "--p", "2", *FAST_GRID])
+        assert code == EXIT_NEGATIVE
 
     def test_bad_matrix_error(self, tmp_path):
         m = tmp_path / "m.json"

@@ -49,6 +49,23 @@ class TestParse:
             parse("x1 + * 2", 1)
         assert err.value.position == 5
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [("\u00b2", 0), ("3\u00b2", 1), ("\u0661+x1", 0), ("x1+\u0663.5", 3), ("1.\u0665", 2),
+         ("x\u0661", 0), ("x\u00b9", 0)],
+        ids=["superscript", "trailing-superscript", "arabic-indic", "arabic-indic-number",
+             "arabic-indic-fraction", "arabic-indic-index", "superscript-index"],
+    )
+    def test_non_ascii_digits_are_positioned_parse_errors(self, text, position):
+        with pytest.raises(ParseError) as err:
+            parse(text, 1)
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("name", ["x\u0661", "x\u00b2", "x\uff11"])
+    def test_variable_index_takes_ascii_digits_only(self, name):
+        with pytest.raises(ValueError, match="not a variable name"):
+            ex.spatial_index(name)
+
     def test_whitespace_insignificant(self):
         a = parse("eps * sin( x1 )", 1)
         b = parse("eps*sin(x1)", 1)

@@ -7,6 +7,7 @@ from mpmath import mp, mpf
 
 from epsnet.numbertheory import (
     AlgebraicNumber,
+    RealAlpha,
     catalog,
     convergents,
     corollary_pair,
@@ -69,7 +70,7 @@ class TestDirichlet:
             N = rng.randint(1, 10_000)
             pair = dirichlet(alpha, N)
             assert 0 < pair.l <= N
-            provider, _, _ = resolve_alpha(alpha if isinstance(alpha, str) else alpha.name)
+            provider = resolve_alpha(alpha if isinstance(alpha, str) else alpha.name)
             with mp.workprec(120):
                 assert abs(pair.k - pair.l * provider(120)) <= mpf(1) / N + mpf(10) ** -25
 
@@ -81,7 +82,7 @@ class TestDirichlet:
         rng = random.Random(5)
         Ns = sorted({*range(1, 41), *(rng.randint(41, L_MAX) for _ in range(40)), L_MAX})
         for spec in ("sqrt2", "phi", "cbrt2", "cbrt3", "pi", "e"):
-            provider, _, _ = resolve_alpha(spec)
+            provider = resolve_alpha(spec)
             with mp.workprec(200):
                 alpha = provider(200)
                 best = []
@@ -199,7 +200,7 @@ class TestConvergents:
 
     def test_quality_bound(self):
         for alpha in (CAT["sqrt2"], CAT["cbrt2"], "pi"):
-            provider, _, _ = resolve_alpha(alpha if isinstance(alpha, str) else alpha.name)
+            provider = resolve_alpha(alpha if isinstance(alpha, str) else alpha.name)
             with mp.workprec(400):
                 value = provider(400)
                 for p, q in convergents(alpha, 12):
@@ -207,7 +208,7 @@ class TestConvergents:
 
     def test_agree_with_dirichlet(self):
         for alpha in (CAT["sqrt2"], CAT["phi"], "pi"):
-            provider, _, _ = resolve_alpha(alpha if isinstance(alpha, str) else alpha.name)
+            provider = resolve_alpha(alpha if isinstance(alpha, str) else alpha.name)
             for p, q in convergents(alpha, 8):
                 pair = dirichlet(alpha, q)
                 with mp.workprec(200):
@@ -217,15 +218,61 @@ class TestConvergents:
 
 class TestResolveAlpha:
     def test_names(self):
-        provider, name, alg = resolve_alpha("sqrt2")
-        assert name == "sqrt2" and alg is CAT["sqrt2"] or alg.coeffs == CAT["sqrt2"].coeffs
-        provider, name, alg = resolve_alpha("pi")
-        assert alg is None and float(provider(80)) == pytest.approx(math.pi)
+        alpha = resolve_alpha("sqrt2")
+        assert alpha.name == "sqrt2" and alpha == CAT["sqrt2"]
+        alpha = resolve_alpha("pi")
+        assert alpha.name == "pi" and isinstance(alpha, RealAlpha)
+        assert float(alpha(80)) == pytest.approx(math.pi)
 
     def test_numeric(self):
-        provider, _, alg = resolve_alpha("1.5")
-        assert alg is None and float(provider(80)) == 1.5
+        alpha = resolve_alpha("1.5")
+        assert alpha.name == "1.5" and isinstance(alpha, RealAlpha) and float(alpha(80)) == 1.5
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             resolve_alpha("-1.0")
+
+
+#: the accepted forms of one alpha: a catalog name and its AlgebraicNumber, a
+#: transcendental's name and its RealAlpha, and a float as a float, as a
+#: numeric string and as its RealAlpha
+ALPHA_FORMS = {
+    "sqrt2": ("sqrt2", CAT["sqrt2"]),
+    "pi": ("pi", RealAlpha("pi")),
+    "1.5": (1.5, "1.5", RealAlpha(1.5)),
+}
+
+
+class TestAlphaForms:
+    @pytest.mark.parametrize("value", sorted(ALPHA_FORMS))
+    def test_every_form_gives_the_same_pairs(self, value):
+        forms = ALPHA_FORMS[value]
+        for N in (1, 7, 1000, 10**12):
+            pairs = {(p.k, p.l, p.defect) for p in (dirichlet(a, N) for a in forms)}
+            assert len(pairs) == 1, (value, N)
+        assert len({tuple(convergents(a, 6)) for a in forms}) == 1
+
+    @pytest.mark.parametrize("value", sorted(ALPHA_FORMS))
+    def test_every_form_gives_the_same_exploration(self, value):
+        from epsnet.colombeau import EpsilonGrid, Net
+        from epsnet.verify import open_question_explorer
+
+        net, grid = Net.parse("2 + eps^(1/eps)*sin(x1)", 1), EpsilonGrid.dyadic(4, 12)
+        reports = [open_question_explorer(a, net, 6.0, 2, grid, samples=9)
+                   for a in ALPHA_FORMS[value]]
+        assert all(r == reports[0] for r in reports[1:])
+
+    def test_a_bare_callable_is_rejected(self):
+        from epsnet.colombeau import EpsilonGrid, Net
+        from epsnet.verify import open_question_explorer
+
+        def sqrt2(prec):
+            with mp.workprec(prec):
+                return mp.sqrt(2)
+
+        with pytest.raises(ValueError):
+            dirichlet(sqrt2, 10)
+        with pytest.raises(ValueError):
+            convergents(sqrt2, 3)
+        with pytest.raises(ValueError):
+            open_question_explorer(sqrt2, Net.parse("2", 1), 6.0, 1, EpsilonGrid.dyadic(4, 8))

@@ -39,7 +39,7 @@ def records():
     constancy = two_period_constancy(
         Net.parse("7 + eps^(1/eps)*sin(x1)", 1), catalog()["sqrt2"], 6.0, 2, GRID, samples=17
     )
-    provider = resolve_alpha("pi")[0]
+    provider = resolve_alpha("pi")
     explorer = open_question_explorer(provider, Net.parse("3", 1), 7.0, 2, GRID, samples=17)
     return {
         "AsymptoticReport": pipeline.full.asymptotic,

@@ -11,6 +11,8 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 LAUNCHER = Path(__file__).resolve().parents[1] / "bench" / "launcher.py"
 
 
@@ -69,6 +71,22 @@ def test_traced_job_records_the_layers_its_handler_imports(tmp_path):
                                    "--alpha", "cbrt2", "--R", "6", "--p", "2", "--k-max", "12"])
     assert {"verify", "numbertheory.dirichlet", "numbertheory.liouville",
             "numbertheory.corollary", "cli.report", "cli"} <= called
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        ["explore-open-question", "--f", "2", "--alpha", "pi", "--R", "6", "--p", "2",
+         "--k-max", "12"],
+        ["dirichlet", "--alpha", "1.5", "--N", "1000"],
+    ],
+    ids=["explore-open-question", "dirichlet"],
+)
+def test_traced_job_passes_its_resolved_alpha_to_the_wrapped_dirichlet(tmp_path, job):
+    # the handler resolves --alpha once and hands the record on; the call
+    # must still go through the launcher's wrapper of numbertheory.dirichlet
+    _, called = _traced(tmp_path, job)
+    assert {"numbertheory.dirichlet", "cli.report", "cli"} <= called
 
 
 def test_traced_classify_enters_eval_and_diff_through_their_wrapped_names(tmp_path):

@@ -347,18 +347,18 @@ class TestTwoPeriod:
         with pytest.raises(ValueError, match=message):
             two_period_constancy(f, self.SQRT2, 5.0, p, GRID, samples=samples)
         with pytest.raises(ValueError, match=message):
-            open_question_explorer(resolve_alpha("pi")[0], f, 7.0, p, GRID, samples=samples)
+            open_question_explorer(resolve_alpha("pi"), f, 7.0, p, GRID, samples=samples)
 
     def test_two_period_harnesses_reject_an_order_whose_R_overflows(self):
         # R = eps^-p is a double: at the finest eps 2^-512, p = 1 is the largest order
         f = Net.parse("1", 1)
         grid = EpsilonGrid((2.0**-256, 2.0**-512))
         assert two_period_constancy(f, self.SQRT2, 5.0, 1, grid, samples=9).verdict == "constant"
-        assert open_question_explorer(resolve_alpha("pi")[0], f, 7.0, 1, grid, samples=9).applicable
+        assert open_question_explorer(resolve_alpha("pi"), f, 7.0, 1, grid, samples=9).applicable
         with pytest.raises(ValueError, match="largest p on this grid is 1"):
             two_period_constancy(f, self.SQRT2, 5.0, 2, grid, samples=9)
         with pytest.raises(ValueError, match="largest p on this grid is 1"):
-            open_question_explorer(resolve_alpha("pi")[0], f, 7.0, 2, grid, samples=9)
+            open_question_explorer(resolve_alpha("pi"), f, 7.0, 2, grid, samples=9)
 
     @pytest.mark.parametrize("radius", [math.inf, math.nan])
     def test_two_period_harnesses_reject_a_non_finite_radius(self, radius):
@@ -366,7 +366,7 @@ class TestTwoPeriod:
         with pytest.raises(ValueError, match="radius"):
             two_period_constancy(f, self.SQRT2, radius, 2, GRID)
         with pytest.raises(ValueError, match="radius"):
-            open_question_explorer(resolve_alpha("pi")[0], f, radius, 2, GRID)
+            open_question_explorer(resolve_alpha("pi"), f, radius, 2, GRID)
 
 
 class TestTranslation:
@@ -399,7 +399,7 @@ class TestTranslation:
 
 class TestExplorer:
     def test_constant_plus_negligible_with_pi(self):
-        provider, _, _ = resolve_alpha("pi")
+        provider = resolve_alpha("pi")
         f = Net.parse(f"7 + {NEGLIGIBLE}*sin(x1)", 1)
         rep = open_question_explorer(provider, f, 6.0, 3, EpsilonGrid.dyadic(4, 24))
         assert rep.applicable
@@ -408,20 +408,20 @@ class TestExplorer:
         assert all(row.measured == 0.0 for row in rep.rows)
 
     def test_sine_flagged_not_applicable(self):
-        provider, _, _ = resolve_alpha("pi")
+        provider = resolve_alpha("pi")
         f = Net.parse(f"sin(2*{PI_LIT}*x1)", 1)
         rep = open_question_explorer(provider, f, 6.0, 3, EpsilonGrid.dyadic(4, 24))
         assert not rep.applicable
         assert rep.failing_period is not None
 
     def test_constant_with_e(self):
-        provider, _, _ = resolve_alpha("e")
+        provider = resolve_alpha("e")
         rep = open_question_explorer(provider, Net.parse("2", 1), 6.0, 3, EpsilonGrid.dyadic(4, 24))
         assert rep.applicable
         assert all(row.measured == 0.0 for row in rep.rows)
 
     def test_report_is_labeled_non_theorem(self):
-        provider, _, _ = resolve_alpha("pi")
+        provider = resolve_alpha("pi")
         rep = open_question_explorer(provider, Net.parse("2", 1), 6.0, 2, EpsilonGrid.dyadic(4, 16))
         data = rep.to_json_dict()
         assert data["theorem_grade"] is False
