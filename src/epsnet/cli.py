@@ -565,6 +565,9 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
         config = _load_json_arg(args.config)
         if not isinstance(config, dict):
             raise UsageError("config file must hold a JSON object")
+        unknown = sorted(set(config) - set(DEFAULTS))
+        if unknown:
+            raise UsageError(f"unknown config key {unknown[0]!r} (known: {', '.join(DEFAULTS)})")
     for key, default in DEFAULTS.items():
         if not hasattr(args, key) or getattr(args, key) is not None:
             continue

@@ -8,8 +8,8 @@ the desk-scale verdicts used throughout the package: moderate growth,
 negligibility at a given order, boundedness, and compact-boundedness of
 maps given eps by eps.
 
-All verdicts are semi-decisions: they summarize finite grid evidence and the
-raw data always travels with the verdict.
+All verdicts are semi-decisions over finite grid evidence, and a report
+carries the per-eps sups they were read from (noise-snapped in verify).
 """
 
 from __future__ import annotations
@@ -292,16 +292,13 @@ def is_bounded_generalized_number(
     theta: Net,
     grid: Optional[EpsilonGrid] = None,
 ) -> bool:
-    """True when a scalar net stays below ``DEFAULT_RC_BOUND`` on the grid and
-    shows no growth trend as eps decreases; one compiled pass over the grid."""
+    """The ``bounded`` verdict of :func:`report_from_sups` for a scalar net:
+    finite, at most ``DEFAULT_RC_BOUND`` on the grid, and no growth trend as
+    eps decreases; one compiled pass over the grid."""
     grid = grid or EpsilonGrid.dyadic()
     if theta.dimension != 0:
         raise ValueError("theta must be a scalar net (dimension 0)")
-    values = grid_sups(theta.body, grid, np.zeros((1, 0)))
-    if any(not math.isfinite(v) for v in values) or max(values) > DEFAULT_RC_BOUND:
-        return False
-    pairs = tuple(zip(grid.values, values))
-    return not _grows(pairs, fit_decay_exponent(pairs))
+    return report_from_sups(grid, grid_sups(theta.body, grid, np.zeros((1, 0)))).bounded
 
 
 def image_bound_check(sups, grid: EpsilonGrid):

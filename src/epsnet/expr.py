@@ -10,6 +10,10 @@ read off a net-valued matrix eps by eps); it is constant in space and has no
 eps-derivative.
 Evaluation is pure and deterministic; floating-point underflow to zero is
 accepted silently, domain violations raise :class:`EvalError`.
+Each operation's arithmetic and domain rule is written once (``_OPS``,
+``_DOMAIN``), for the evaluator and constant folding alike: ``_fold`` folds
+only constant operands outside the domain rule to a finite value; any other
+subtree stays a node and evaluates to the same IEEE value.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .report import record
-
-FUNCTIONS = ("sin", "cos", "exp", "cosh", "sinh", "tanh", "sqrt", "ln")
 
 MAX_SPATIAL_VARS = 9
 DEFAULT_MAX_MULTIINDEX_ORDER = 4
@@ -408,7 +410,16 @@ def _fmt(e: Expr, min_prec: int) -> str:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-_UNARY = {
+#: The arithmetic of each non-leaf operation: a numpy function the evaluator
+#: applies to arrays and folding to floats.  Binary operations take two
+#: operands, ``pow`` an operand and its integer exponent, the rest one.
+_OPS = {
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": np.divide,
+    "pow": np.power,
+    "neg": np.negative,
     "sin": np.sin,
     "cos": np.cos,
     "exp": np.exp,
@@ -418,20 +429,24 @@ _UNARY = {
     "sqrt": np.sqrt,
     "ln": np.log,
 }
+_BINARY = frozenset("+-*/")
+
+#: The primitive functions of the language: the table's named operations.
+FUNCTIONS = tuple(op for op in _OPS if op not in _BINARY and op not in ("pow", "neg"))
+
+#: Domain rule of each checked operation: (reason, rule(x, y) -> bad-operand mask or None).
+_DOMAIN = {
+    "/": ("division by zero", lambda x, y: y == 0.0),
+    "pow": ("zero base with negative exponent", lambda x, n: x == 0.0 if n < 0 else None),
+    "sqrt": ("sqrt of negative value", lambda x, _: x < 0.0),
+    "ln": ("ln of non-positive value", lambda x, _: x <= 0.0),
+}
 
 
 #: Most elements one intermediate array holds: the points are processed in
 #: chunks of this many rows, or of this many // n_eps when a node evaluated
 #: per chunk depends on eps, so memory does not grow with the lattice or grid.
 SLAB_ELEMENTS = 2**12
-
-#: Domain rule of each checked operation: (reason, mask of bad operand values).
-_DOMAIN = {
-    "/": ("division by zero", lambda v: v == 0.0),
-    "pow": ("zero base with negative exponent", lambda v: v == 0.0),
-    "sqrt": ("sqrt of negative value", lambda v: v < 0.0),
-    "ln": ("ln of non-positive value", lambda v: v <= 0.0),
-}
 
 
 def eval_points(e: Expr, eps, points, sup: bool = False, partials=None):
@@ -637,10 +652,10 @@ class _Run:
         if self.failure is None or (k, slot) < self.failure[:2]:
             self.failure = (k, slot, row, reason)
 
-    def check(self, op: str, operand: np.ndarray, slot: int, start: int):
+    def check(self, op: str, x: np.ndarray, y, slot: int, start: int):
         reason, rule = _DOMAIN[op]
-        bad = rule(operand)
-        if self.X.shape[0] and bad.any():
+        bad = rule(x, y)
+        if bad is not None and self.X.shape[0] and bad.any():
             k = int(np.argmax(bad.any(axis=1)))
             self.fail(k, slot, start + int(np.argmax(bad[k])), reason)
 
@@ -648,22 +663,7 @@ class _Run:
         code = self.prog.code
         for i, slot in enumerate(order):
             op, a, b = code[slot]
-            if op == "*":
-                v = values[a] * values[b]
-            elif op == "+":
-                v = values[a] + values[b]
-            elif op == "-":
-                v = values[a] - values[b]
-            elif op == "/":
-                self.check(op, values[b], slot, start)
-                v = values[a] / values[b]
-            elif op == "pow":
-                if b < 0:
-                    self.check(op, values[a], slot, start)
-                v = np.power(values[a], b)
-            elif op == "neg":
-                v = -values[a]
-            elif op == "x":
+            if op == "x":
                 if a < self.X.shape[1]:
                     v = self.X[start:stop, a][None, :]
                 else:
@@ -677,9 +677,11 @@ class _Run:
             elif op == "table":
                 v = self._table(a, slot)
             else:
+                x = values[a]
+                y = values[b] if op in _BINARY else b
                 if op in _DOMAIN:
-                    self.check(op, values[a], slot, start)
-                v = _UNARY[op](values[a])
+                    self.check(op, x, y, slot, start)
+                v = _OPS[op](x) if y is None else _OPS[op](x, y)
             values[slot] = v
             if frees is not None:
                 for k in frees[i]:
@@ -701,19 +703,23 @@ class _Run:
 # and substitutions, never by the parser)
 
 
-def _fold_unary(fn: str, value: float):
+def _fold(op: str, a: Expr, b=None):
+    """The constant ``op`` gives on ``a`` and ``b`` (the second operand, the
+    exponent of ``pow``, or None), or None unless every operand is a Const,
+    no domain rule fires and the value is finite."""
+    if not isinstance(a, Const) or op in _BINARY and not isinstance(b, Const):
+        return None
+    x, y = a.value, (b.value if op in _BINARY else b)
+    if op in _DOMAIN and _DOMAIN[op][1](x, y):
+        return None
     with np.errstate(all="ignore"):
-        if fn == "sqrt" and value < 0:
-            return None
-        if fn == "ln" and value <= 0:
-            return None
-        out = float(_UNARY[fn](value))
-    return out
+        value = float(_OPS[op](x) if y is None else _OPS[op](x, y))
+    return Const(value) if math.isfinite(value) else None
 
 
 def c_add(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
+    if (folded := _fold("+", a, b)) is not None:
+        return folded
     if isinstance(a, Const) and a.value == 0.0:
         return b
     if isinstance(b, Const) and b.value == 0.0:
@@ -722,8 +728,8 @@ def c_add(a: Expr, b: Expr) -> Expr:
 
 
 def c_sub(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
+    if (folded := _fold("-", a, b)) is not None:
+        return folded
     if isinstance(b, Const) and b.value == 0.0:
         return a
     if isinstance(a, Const) and a.value == 0.0:
@@ -732,8 +738,8 @@ def c_sub(a: Expr, b: Expr) -> Expr:
 
 
 def c_mul(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
+    if (folded := _fold("*", a, b)) is not None:
+        return folded
     if isinstance(a, Const):
         if a.value == 0.0:
             return Const(0.0)
@@ -748,19 +754,18 @@ def c_mul(a: Expr, b: Expr) -> Expr:
 
 
 def c_div(a: Expr, b: Expr) -> Expr:
-    if isinstance(b, Const) and b.value != 0.0:
-        if isinstance(a, Const):
-            return Const(a.value / b.value)
-        if b.value == 1.0:
-            return a
-    if isinstance(a, Const) and a.value == 0.0 and not (isinstance(b, Const) and b.value == 0.0):
+    if (folded := _fold("/", a, b)) is not None:
+        return folded
+    if isinstance(b, Const) and b.value == 1.0:
+        return a
+    if isinstance(a, Const) and a.value == 0.0 and not isinstance(b, Const):
         return Const(0.0)
     return BinOp("/", a, b)
 
 
 def c_neg(a: Expr) -> Expr:
-    if isinstance(a, Const):
-        return Const(-a.value)
+    if (folded := _fold("neg", a)) is not None:
+        return folded
     if isinstance(a, Neg):
         return a.arg
     return Neg(a)
@@ -771,18 +776,13 @@ def c_intpow(a: Expr, n: int) -> Expr:
         return Const(1.0)
     if n == 1:
         return a
-    if isinstance(a, Const) and not (a.value == 0.0 and n < 0):
-        with np.errstate(all="ignore"):
-            return Const(float(np.power(a.value, n)))
-    return IntPow(a, n)
+    folded = _fold("pow", a, n)
+    return IntPow(a, n) if folded is None else folded
 
 
 def c_call(fn: str, a: Expr) -> Expr:
-    if isinstance(a, Const):
-        folded = _fold_unary(fn, a.value)
-        if folded is not None and math.isfinite(folded):
-            return Const(folded)
-    return Call(fn, a)
+    folded = _fold(fn, a)
+    return Call(fn, a) if folded is None else folded
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@ and matrix groups, periodicity, almost-period chaining, and the two ways a net
 can be forced constant (two incommensurable periods, or translation
 invariance).
 
-Every harness returns a report carrying the raw per-eps data next to its
-verdict; verdicts are negligibility statements at a requested order and are
-semi-decisions over the finite grid.
+Each report carries its per-eps sups (deviations at noise level snapped to
+zero, not raw) next to its verdict: a negligibility statement at a requested
+order and a semi-decision over the finite grid.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ errors.
 import numpy as np
 
 from epsnet.expr import (
-    _UNARY,
     BinOp,
     Call,
     Const,
@@ -20,6 +19,19 @@ from epsnet.expr import (
     Var,
     spatial_index,
 )
+
+#: The primitive functions, named here rather than read from the package, so
+#: that a wrong entry in the kernel's op table cannot also be in the oracle.
+FUNCTIONS = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "cosh": np.cosh,
+    "sinh": np.sinh,
+    "tanh": np.tanh,
+    "sqrt": np.sqrt,
+    "ln": np.log,
+}
 
 
 def reference_eval_points(e, eps: float, points) -> np.ndarray:
@@ -84,5 +96,5 @@ def _ev(e, eps, X):
             bad = v <= 0.0
             if bad.any():
                 raise EvalError("ln of non-positive value", e, eps=eps, point=_witness(X, bad))
-        return _UNARY[e.fn](v)
+        return FUNCTIONS[e.fn](v)
     raise TypeError(f"not an expression node: {e!r}")

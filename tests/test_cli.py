@@ -446,6 +446,33 @@ class TestExitCodes:
         err = assert_one_line_error(capsys, "error: " + message)
         assert "unexpected" not in err
 
+    @pytest.mark.parametrize("config, key", [
+        ({"kmax": 12, "alpha": "pi"}, "alpha"),
+        ({"k_max": 12, "kmax": 12}, "kmax"),
+    ], ids=["misspelt-and-foreign", "misspelt"])
+    def test_unknown_config_key_is_a_usage_error(self, tmp_path, capsys, config, key):
+        code, data = run_cmd(tmp_path, ["--config", json.dumps(config), "classify", "--f", "eps*x1",
+                                        "--dim", "1"])
+        assert code == EXIT_ERROR and data is None
+        assert_one_line_error(capsys, f"error: unknown config key {key!r}")
+
+    def test_config_key_the_subcommand_does_not_use_is_allowed(self, tmp_path):
+        # one config file can serve several subcommands
+        config = {"real_thetas": "0.5", "h_samples": "1", "k_max": 10}
+        code, data = run_cmd(tmp_path, ["--config", json.dumps(config), "classify", "--f", "eps*x1",
+                                        "--dim", "1"])
+        assert code == EXIT_POSITIVE
+        assert len(data["evidence"]["sups"]) == 7
+
+    def test_overflowing_fold_reports_the_evaluation_error(self, tmp_path, capsys):
+        # 1e200*1e200 overflows: the product stays a node, so the error names
+        # the subexpression instead of failing to print an infinite constant
+        code, data = run_cmd(tmp_path, ["invariance", "--f", "sqrt(1-x1*x1)", "--dim", "1",
+                                        "--element", '{"coords": ["1e200"]}'])
+        assert code == EXIT_ERROR and data is None
+        err = assert_one_line_error(capsys)
+        assert err.startswith("evaluation error: sqrt of negative value; in 'sqrt(1-1e+200*1e+200)'")
+
     def test_non_ascii_digit_is_a_positioned_parse_error(self, tmp_path, capsys):
         code, data = run_cmd(tmp_path, ["classify", "--f", "\u00b2", "--dim", "1"])
         assert code == EXIT_ERROR and data is None

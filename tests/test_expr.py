@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -10,9 +11,12 @@ from mpmath import mp
 
 from epsnet import expr as ex
 from epsnet.expr import (
+    BinOp,
+    Call,
     Const,
     EvalError,
     IntPow,
+    Neg,
     ParseError,
     evaluate,
     parse,
@@ -235,6 +239,98 @@ def test_subst_folds_constants():
     e = parse("cos(x1)*x2", 2)
     out = subst(e, {"x1": Const(0.0)})
     assert out == ex.Var("x2")
+
+
+def test_overflowing_fold_stays_a_printable_node():
+    out = subst(parse("(x1+1e200)*(x1+1e200)", 1), {"x1": Const(0.0)})
+    assert to_text(out) == "1e+200*1e+200"
+    assert evaluate(out, 1.0) == math.inf
+
+
+@pytest.mark.parametrize(
+    "build, args, value",
+    [
+        (ex.c_add, (Const(1e308), Const(1e308)), math.inf),
+        (ex.c_sub, (Const(-1e308), Const(1e308)), -math.inf),
+        (ex.c_mul, (Const(1e200), Const(-1e200)), -math.inf),
+        (ex.c_div, (Const(1e300), Const(1e-300)), math.inf),
+        (ex.c_intpow, (Const(1e200), 3), math.inf),
+        (ex.c_call, ("exp", Const(1000.0)), math.inf),
+        (ex.c_call, ("cosh", Const(-1000.0)), math.inf),
+        (ex.c_div, (Const(1.0), Const(0.0)), "division by zero"),
+        (ex.c_intpow, (Const(0.0), -2), "zero base with negative exponent"),
+        (ex.c_call, ("sqrt", Const(-1.0)), "sqrt of negative value"),
+        (ex.c_call, ("ln", Const(0.0)), "ln of non-positive value"),
+    ],
+    ids=["add", "sub", "mul", "div", "pow", "exp", "cosh", "div-zero", "pow-zero", "sqrt", "ln"],
+)
+def test_no_constructor_folds_a_non_finite_or_undefined_constant(build, args, value):
+    out = build(*args)
+    assert not isinstance(out, Const)
+    to_text(out)
+    if isinstance(value, str):
+        with pytest.raises(EvalError, match=value):
+            evaluate(out, 1.0)
+    else:
+        assert evaluate(out, 1.0) == value
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+def _kernel_value(e, eps, point):
+    """``e`` at the point by the evaluator, or None on a domain error."""
+    try:
+        return float(ex.eval_points(e, eps, point)[0])
+    except EvalError:
+        return None
+
+
+def _rebuilt(node, kids):
+    """``node`` over the given children, without folding."""
+    if isinstance(node, BinOp):
+        return BinOp(node.op, *kids)
+    if isinstance(node, IntPow):
+        return IntPow(kids[0], node.exponent)
+    if isinstance(node, Call):
+        return Call(node.fn, kids[0])
+    return Neg(kids[0])
+
+
+def _check_fold(node, mapping, eps, point):
+    """Substitute into ``node`` and each of its subtrees; returns the result
+    and whether every subtree evaluates, at the point, to a finite value."""
+    kids = [_check_fold(k, mapping, eps, point) for k in ex._children(node)]
+    out = subst(node, mapping)
+    value = _kernel_value(node, eps, point)
+    finite = all(ok for _, ok in kids) and value is not None and math.isfinite(value)
+    if finite:
+        # every subtree folded, to the evaluator's value bit for bit
+        assert isinstance(out, Const) and _bits(out.value) == _bits(value), to_text(node)
+    if kids and all(isinstance(k, Const) for k, _ in kids):
+        # a fold over constant operands is the kernel's op on those operands,
+        # and is refused exactly where that is non-finite or a domain error
+        step = _kernel_value(_rebuilt(node, [k for k, _ in kids]), eps, point)
+        if step is None or not math.isfinite(step):
+            assert not isinstance(out, Const), to_text(node)
+        else:
+            assert isinstance(out, Const) and _bits(out.value) == _bits(step), to_text(node)
+    if isinstance(out, Const):
+        assert math.isfinite(out.value)
+    return out, finite
+
+
+_COORD = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, 1.0, 750.0, 1e200, -1e200]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), _COORD, _COORD, st.floats(1e-3, 4.0))
+def test_substituting_constants_folds_as_the_evaluator_evaluates(seed, x1, x2, eps):
+    e = random_expr(random.Random(seed), 2, max_depth=4)
+    mapping = {"x1": Const(x1), "x2": Const(x2), "eps": Const(eps)}
+    out, _ = _check_fold(e, mapping, eps, np.array([[x1, x2]]))
+    to_text(out)
 
 
 def test_multi_index_validation():
