@@ -7,15 +7,22 @@ computation, 1 for a negative verdict, 2 for usage or evaluation errors.
 Reports are byte-identical across runs with the same configuration.
 
 Handlers import the modules they use when they run, so a subcommand loads
-only what it needs: the Diophantine ones never import numpy; ``classify``,
-``invariance``, ``one-param`` and the ``rotation``/``lorentz`` pipelines
-never import mpmath or the number theory; and only ``--random`` loads the
-matrix sampler.
+only what it needs: ``dirichlet``, ``liouville`` and ``corollary-pair`` never
+import numpy (``two-period`` and ``explore-open-question`` do, through
+``epsnet.colombeau``); ``classify``, ``invariance``, ``one-param`` and the
+``rotation``/``lorentz`` pipelines never import mpmath or the number theory;
+and only ``--random`` loads the matrix sampler.
+
+``main``, the ``python -m epsnet.cli`` and ``epsnet`` entry point, runs the
+job with garbage collection off and freezes the heap (``gc.freeze``) before
+exiting, so neither the job, its imports nor interpreter shutdown pays for
+collections; ``run`` leaves the caller's gc state as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -621,7 +628,13 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    # A job is short and leaves little cyclic garbage, so it runs with
+    # collection off.  Shutdown still collects with gc disabled; freezing
+    # the heap makes it skip the objects the imports made.
+    gc.disable()
+    rc = run(sys.argv[1:])
+    gc.freeze()
+    sys.exit(rc)
 
 
 if __name__ == "__main__":

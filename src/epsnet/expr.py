@@ -19,6 +19,7 @@ subtree stays a node and evaluates to the same IEEE value.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -410,16 +411,18 @@ def _fmt(e: Expr, min_prec: int) -> str:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-#: The arithmetic of each non-leaf operation: a numpy function the evaluator
+#: The arithmetic of each non-leaf operation: a function the evaluator
 #: applies to arrays and folding to floats.  Binary operations take two
-#: operands, ``pow`` an operand and its integer exponent, the rest one.
+#: operands, ``pow`` an operand and its integer exponent, the rest one.  The
+#: ``operator`` functions dispatch to numpy's ufuncs on arrays and to IEEE
+#: float arithmetic on floats, which never warns.
 _OPS = {
-    "+": np.add,
-    "-": np.subtract,
-    "*": np.multiply,
-    "/": np.divide,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
     "pow": np.power,
-    "neg": np.negative,
+    "neg": operator.neg,
     "sin": np.sin,
     "cos": np.cos,
     "exp": np.exp,
@@ -430,6 +433,8 @@ _OPS = {
     "ln": np.log,
 }
 _BINARY = frozenset("+-*/")
+#: The operations whose float arithmetic needs no ``np.errstate``.
+_PLAIN = _BINARY | {"neg"}
 
 #: The primitive functions of the language: the table's named operations.
 FUNCTIONS = tuple(op for op in _OPS if op not in _BINARY and op not in ("pow", "neg"))
@@ -712,8 +717,11 @@ def _fold(op: str, a: Expr, b=None):
     x, y = a.value, (b.value if op in _BINARY else b)
     if op in _DOMAIN and _DOMAIN[op][1](x, y):
         return None
-    with np.errstate(all="ignore"):
-        value = float(_OPS[op](x) if y is None else _OPS[op](x, y))
+    if op in _PLAIN:
+        value = _OPS[op](x) if y is None else _OPS[op](x, y)
+    else:
+        with np.errstate(all="ignore"):
+            value = float(_OPS[op](x) if y is None else _OPS[op](x, y))
     return Const(value) if math.isfinite(value) else None
 
 
@@ -880,23 +888,23 @@ def _derivative_family(e: Expr, alphas) -> tuple:
     built by one ``partial_multi`` step from its parent alpha - e_k, k the
     last axis of nonzero order.  ``partial_multi`` differentiates along the
     last such axis last, so every body is the tree ``partial_multi(e, alpha)``
-    gives, and each body shares its parent's nodes."""
+    gives, and each body shares its parent's nodes.  Parents are built
+    before their children in a loop, so no closure holds the bodies in a
+    reference cycle and they are freed as soon as the caller drops them."""
     bodies = {}
-
-    def body(orders: tuple) -> Expr:
-        if orders not in bodies:
-            axes = [k for k, o in enumerate(orders) if o]
-            if not axes:
-                bodies[orders] = e
-            else:
-                k = axes[-1]
-                step = tuple(int(i == k) for i in range(len(orders)))
-                parent = tuple(o - s for o, s in zip(orders, step))
-                # looked up by name, so a tracer that rebinds it sees each step
-                bodies[orders] = partial_multi(body(parent), step)
-        return bodies[orders]
-
-    return tuple(body(alpha) for alpha in alphas)
+    for alpha in alphas:
+        # walk down to a built ancestor (or alpha = 0), then build back up
+        orders, steps = alpha, []
+        while orders not in bodies and any(orders):
+            k = max(i for i, o in enumerate(orders) if o)
+            steps.append(tuple(int(i == k) for i in range(len(orders))))
+            orders = orders[:k] + (orders[k] - 1,) + orders[k + 1:]
+        body = bodies.get(orders, e)
+        for step in reversed(steps):
+            orders = tuple(o + s for o, s in zip(orders, step))
+            # looked up by name, so a tracer that rebinds it sees each step
+            body = bodies[orders] = partial_multi(body, step)
+    return tuple(bodies.get(alpha, e) for alpha in alphas)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 import contextlib
+import gc
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -660,6 +664,55 @@ class TestDeterminism:
             out2 = tmp_path / f"{name}2.json"
             assert run(["--out", str(out1), *argv]) == run(["--out", str(out2), *argv])
             assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestEntryPoint:
+    """``python -m epsnet.cli`` (``main``) runs the job with collection off and
+    freezes the heap before exit; ``run`` leaves the caller's gc state alone,
+    and both give the same exit code, output and report."""
+
+    JOBS = {
+        "classify-positive": (["classify", "--f", "eps*sin(x1)", "--dim", "1", "--box=-1:1",
+                               *FAST_GRID], EXIT_POSITIVE),
+        "invariance-negative": (["invariance", "--f", "x1", "--dim", "2", "--box=-1:1,-1:1",
+                                 "--rotation", "1,2,1.5707963267948966", "--p", "1",
+                                 *FAST_GRID], EXIT_NEGATIVE),
+        "usage-error": (["classify", "--dim", "1"], EXIT_ERROR),
+        "evaluation-error": (["classify", "--f", "ln(x1)", "--dim", "1", *FAST_GRID], EXIT_ERROR),
+    }
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_run_keeps_the_callers_gc_state(self, tmp_path, enabled):
+        was_enabled = gc.isenabled()
+        frozen = gc.get_freeze_count()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for argv, code in self.JOBS.values():
+                assert run(["--out", str(tmp_path / "report.json"), *argv]) == code
+                assert gc.isenabled() is enabled
+                assert gc.get_freeze_count() == frozen
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize("job", list(JOBS))
+    def test_module_entry_point_matches_run(self, tmp_path, monkeypatch, capsys, job):
+        argv, code = self.JOBS[job]
+        argv = ["--out", "report.json", *argv]
+        monkeypatch.chdir(tmp_path)
+        # argparse wraps its usage line to the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "epsnet.cli", *argv], cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120)
+        report = tmp_path / "report.json"
+        child_report = report.read_bytes() if report.exists() else None
+        report.unlink(missing_ok=True)
+        assert (proc.returncode, run(argv)) == (code, code)
+        out, err = capsys.readouterr()
+        assert (proc.stdout, proc.stderr) == (out, err)
+        assert child_report == (report.read_bytes() if report.exists() else None)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ bit at every grid eps, and the same EvalError as evaluating one eps at a time
 and stopping at the first failure; for a derivative family, the same sups and
 the same EvalError as evaluating one derivative at a time."""
 
+import gc
 import random
 import tracemalloc
 from unittest import mock
@@ -272,3 +273,20 @@ def test_family_memory_stays_below_four_mib():
         tracemalloc.stop()
     assert sups.shape == (35, 13)
     assert peak < 4 * 2**20
+
+
+def test_family_leaves_no_cyclic_garbage():
+    # the classify-deriv family of order 4 in d=3 is freed by reference
+    # counting alone, so a process with collection off does not keep it
+    X = _lattice(3)
+    body = parse("exp(-(0.8*x1^2+1.2*x2^2+0.9*x3^2))*cos(eps*1.3*x1*x2)", 3)
+    alphas = _alphas(3, 4)
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        ex.eval_points(body, GRID, X, sup=True, partials=alphas)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
