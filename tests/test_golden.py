@@ -62,6 +62,14 @@ JOBS = (
     ("explore_0.7", EXIT_POSITIVE,
      ("explore-open-question", "--f", "1 + eps^(1/eps)*sin(x1)", "--alpha", "0.7", *SMALL)),
     ("corollary_pair_phi_4", EXIT_POSITIVE, ("corollary-pair", "--alpha", "phi", "--R", "4")),
+    # Liouville's critical points of a cubic, e's value, and precision far
+    # beyond double: a pair near R = 1e300 and N = 2^1000
+    ("liouville_cbrt2", EXIT_POSITIVE, ("liouville", "--alpha", "cbrt2")),
+    ("explore_e_3", EXIT_POSITIVE,
+     ("explore-open-question", "--f", "3", "--alpha", "e", "--R", "7", "--p", "3")),
+    ("corollary_pair_cbrt2_1e300", EXIT_POSITIVE,
+     ("corollary-pair", "--alpha", "cbrt2", "--R", "1e300")),
+    ("dirichlet_pi_2_1000", EXIT_POSITIVE, ("dirichlet", "--alpha", "pi", "--N", str(2**1000))),
     ("classify_d2", EXIT_POSITIVE,
      ("classify", "--f", "exp(-(x1^2+x2^2))*cos(eps*x1*x2)+eps^2*x1", "--dim", "2",
       "--max-order", "2", *GRID)),
