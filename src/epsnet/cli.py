@@ -10,8 +10,9 @@ Handlers import the modules they use when they run, so a subcommand loads
 only what it needs: ``dirichlet``, ``liouville`` and ``corollary-pair`` never
 import numpy (``two-period`` and ``explore-open-question`` do, through
 ``epsnet.colombeau``); ``classify``, ``invariance``, ``one-param`` and the
-``rotation``/``lorentz`` pipelines never import mpmath or the number theory;
-and only ``--random`` loads the matrix sampler.
+``rotation``/``lorentz`` pipelines never import the number theory; no
+subcommand imports mpmath (the number theory runs on Python integers); and
+only ``--random`` loads the matrix sampler.
 
 ``main``, the ``python -m epsnet.cli`` and ``epsnet`` entry point, runs the
 job with garbage collection off and freezes the heap (``gc.freeze``) before
@@ -319,13 +320,13 @@ def _cmd_dirichlet(args):
         "N": args.N,
         "k": pair.k,
         "l": pair.l,
-        "defect": pair.defect_float,
+        "defect": pair.defect,
     }
     return (
         "computed",
         None,
         evidence,
-        f"(k,l)=({pair.k},{pair.l}) defect~{pair.defect_float:.4g}",
+        f"(k,l)=({pair.k},{pair.l}) defect~{pair.defect:.4g}",
     )
 
 
@@ -355,14 +356,14 @@ def _cmd_corollary_pair(args):
         "R": args.R,
         "k": res.k,
         "l": res.l,
-        "defect": res.defect_float,
+        "defect": res.defect,
         "M": res.M,
     }
     return (
         "computed",
         None,
         evidence,
-        f"(k,l)=({res.k},{res.l}) defect~{res.defect_float:.4g} M={res.M}",
+        f"(k,l)=({res.k},{res.l}) defect~{res.defect:.4g} M={res.M}",
     )
 
 

@@ -522,8 +522,6 @@ def two_period_constancy(
     against c*eps^p' + 2*eps^(p'-N) with the structural constant
     c = (alpha+2)(radius+1) and N the fitted derivative exponent.
     """
-    from mpmath import mp
-
     from .numbertheory import corollary_pair, liouville_constant
 
     if f.dimension != 1:
@@ -541,13 +539,12 @@ def two_period_constancy(
     def evidence(q: int, idx: int) -> ConstancyEvidence:
         eps = grid.values[idx]
         pair = corollary_pair(a, eps ** (-q))
-        with mp.workprec(64):
-            h_log2 = float(mp.log(pair.defect, 2))
-            log_eps = math.log2(eps)
-            bounds_ok = (
-                pair.M * q * log_eps <= h_log2 <= 1.0 + q * log_eps
-                and math.log2(pair.k if pair.k else 1) <= math.log2(alpha + 1.0) - q * log_eps
-            )
+        h_log2 = pair.defect_log2
+        log_eps = math.log2(eps)
+        bounds_ok = (
+            pair.M * q * log_eps <= h_log2 <= 1.0 + q * log_eps
+            and math.log2(pair.k if pair.k else 1) <= math.log2(alpha + 1.0) - q * log_eps
+        )
         certified = c_struct * eps**q + 2.0 * eps ** (q - n_exp)
         return ConstancyEvidence(
             eps, pair.k, pair.l, h_log2, measured[idx], certified, measured[idx] <= certified, bounds_ok
@@ -673,8 +670,6 @@ def open_question_explorer(
     """Run the two-period machinery with continued-fraction convergents in
     place of the Liouville-backed pair, reporting the effective exponent the
     data would need.  ``alpha`` is any spec ``resolve_alpha`` accepts."""
-    from mpmath import mp
-
     from .numbertheory import dirichlet, resolve_alpha
 
     if f.dimension != 1:
@@ -682,8 +677,7 @@ def open_question_explorer(
     grid = grid or EpsilonGrid.dyadic()
     _check_two_period_inputs(p, samples, radius, grid)
     alpha = resolve_alpha(alpha)
-    with mp.workprec(96):
-        value = float(alpha(96))
+    value = alpha.value_float
     if not radius > value + 2:
         raise ValueError("radius must exceed alpha + 2")
 
@@ -693,8 +687,7 @@ def open_question_explorer(
     for eps, centered in zip(grid, measured):
         R = eps ** (-p)
         pair = dirichlet(alpha, int(R))
-        with mp.workprec(64):
-            dlog2 = float(mp.log(pair.defect, 2)) if pair.defect > 0 else -math.inf
+        dlog2 = pair.defect_log2
         eff = -dlog2 / (p * -math.log2(eps)) if math.isfinite(dlog2) else math.inf
         eff_max = eff if eff_max is None else max(eff_max, eff)
         rows.append(ExplorerRow(eps, pair.k, pair.l, dlog2, eff, centered))

@@ -1,13 +1,13 @@
-"""Reference Diophantine routines: one fresh continued-fraction expansion per
-Dirichlet call, a Newton root refined from its float seed at every precision
-asked, Liouville data with the critical points of p' taken from
-``numpy.roots``, and the combined pair with its lower bound checked in log
-form.
+"""Reference Diophantine routines in mpmath, which the package no longer
+uses: a Newton root refined from its float seed at every precision asked,
+one fresh continued-fraction expansion per Dirichlet call at a generous
+precision, defects and their base-2 logarithms evaluated at 2 log2(l) + 512
+bits or more and rounded once to a double, Liouville data with the critical
+points of p' taken from ``numpy.roots`` and the sup taken at 256 bits, and
+the combined pair with its lower bound checked in log form.
 
-The package keeps one convergent table and one root per alpha, both grown
-geometrically, and finds those critical points with ``mpmath.polyroots``;
-these are the plain per-call forms it replaced, kept as the oracle that the
-cached forms must match exactly.
+The package works on Python integers, with certified intervals; these are
+the plain floating-point forms kept as the oracle it must match exactly.
 """
 
 import math
@@ -15,81 +15,125 @@ import math
 import numpy as np
 from mpmath import mp, mpf
 
-from epsnet.numbertheory import LiouvilleData, _poly_derivative, _poly_eval, dirichlet
+from epsnet.numbertheory import LiouvilleData, RealAlpha
 
-_MIN_PREC = 96
+
+def _poly(coeffs, x):
+    acc = mpf(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _derivative(coeffs) -> tuple:
+    return tuple(i * c for i, c in enumerate(coeffs))[1:]
 
 
 def reference_root(coeffs: tuple, seed: float, prec: int):
     """The root of the polynomial (ascending integer coefficients) near
     ``seed``, Newton-refined from the seed to ``prec`` bits."""
-    dcoeffs = _poly_derivative(coeffs)
+    dcoeffs = _derivative(coeffs)
     with mp.workprec(prec + 32):
         x = mpf(seed)
         tol = mpf(2) ** (-(prec + 16))
         for _ in range(300):
-            step = _poly_eval(coeffs, x) / _poly_eval(dcoeffs, x)
+            step = _poly(coeffs, x) / _poly(dcoeffs, x)
             x = x - step
             if abs(step) <= tol * max(1, abs(x)):
                 break
         return +x
 
 
-def reference_provider(a):
-    """The value provider of an AlgebraicNumber with its root refined by
-    ``reference_root`` at each call."""
-    return lambda prec: reference_root(a.coeffs, a.seed, max(prec, _MIN_PREC))
+def reference_provider(alpha):
+    """A function of a precision in bits giving alpha's value there: an
+    AlgebraicNumber by ``reference_root``, pi and e by mpmath's constants,
+    a float as itself."""
+    if not isinstance(alpha, RealAlpha):
+        return lambda prec: reference_root(alpha.coeffs, alpha.seed, prec)
+    if isinstance(alpha.spec, float):
+        return lambda prec: mpf(alpha.spec)
+    constant = {"pi": lambda: +mp.pi, "e": lambda: +mp.e}[alpha.spec]
+
+    def value(prec):
+        with mp.workprec(prec + 16):
+            return constant()
+
+    return value
+
+
+def reference_defect(provider, k: int, l: int) -> tuple:
+    """(|k - l*alpha|, log2 of it) as doubles, from mpf values at
+    2 log2(l) + 512 bits (0.0 and -inf when the defect is zero)."""
+    prec = 2 * l.bit_length() + 512
+    with mp.workprec(prec):
+        defect = abs(k - l * provider(prec))
+        if defect == 0:
+            return 0.0, -math.inf
+        return float(defect), float(mp.log(defect, 2))
+
+
+def reference_convergents(provider, prec: int, limit: int) -> list:
+    """The convergents (k, l) with l <= limit of a fresh expansion of
+    alpha's value at ``prec`` bits, ending early if the expansion does."""
+    out = []
+    with mp.workprec(prec):
+        x = provider(prec)
+        k0, l0, k, l = 0, 1, 1, 0
+        while True:
+            a = int(mp.floor(x))
+            k, k0 = a * k + k0, k
+            l, l0 = a * l + l0, l
+            if l > limit:
+                return out
+            out.append((k, l))
+            frac = x - a
+            if frac == 0:
+                return out
+            x = 1 / frac
 
 
 def reference_dirichlet(provider, N: int) -> tuple:
-    """(k, l, defect) for 0 < l <= N: the last convergent of a fresh
-    expansion at the call's precision."""
-    prec = max(_MIN_PREC, 4 * max(N, 2).bit_length() + 128)
-    with mp.workprec(prec):
-        x = alpha_mp = provider(prec)
-        p_prev, q_prev = 1, 0
-        p, q = int(mp.floor(x)), 1
-        frac = x - int(mp.floor(x))
-        while frac != 0:
-            x = 1 / frac
-            a = int(mp.floor(x))
-            frac = x - a
-            p, p_prev = a * p + p_prev, p
-            q, q_prev = a * q + q_prev, q
-            if q > N:
-                p, q = p_prev, q_prev
-                break
-        k = max(p, 0)
-        return k, q, +abs(k - q * alpha_mp)
+    """(k, l, defect, defect_log2) for 0 < l <= N: the last convergent with
+    l <= N of a fresh expansion at 4 log2(N) + 256 bits."""
+    k, l = reference_convergents(provider, 4 * max(N, 2).bit_length() + 256, N)[-1]
+    return (k, l, *reference_defect(provider, k, l))
 
 
 def reference_liouville(a) -> LiouvilleData:
     """c = min(1, 1/sup |p'| on [alpha-1, alpha+1]) and the smallest
     M >= degree-1 + log2(1 + 1/c)."""
-    alpha = a.value_float
-    dcoeffs = _poly_derivative(a.coeffs)
+    alpha = float(reference_root(a.coeffs, a.seed, 80))
+    dcoeffs = _derivative(a.coeffs)
     lo, hi = alpha - 1.0, alpha + 1.0
     candidates = [lo, hi]
     if len(dcoeffs) >= 2:
-        ddesc = [float(c) for c in reversed(_poly_derivative(dcoeffs))]
+        ddesc = [float(c) for c in reversed(_derivative(dcoeffs))]
         for r in np.roots(ddesc) if len(ddesc) > 1 else []:
             if abs(r.imag) < 1e-9 and lo <= r.real <= hi:
                 candidates.append(float(r.real))
-    with mp.workprec(_MIN_PREC):
-        sup = max(abs(_poly_eval(dcoeffs, mpf(t))) for t in candidates)
+    with mp.workprec(256):
+        sup = max(abs(_poly(dcoeffs, mpf(t))) for t in candidates)
         c = min(mpf(1), 1 / sup)
         M = int(mp.ceil((a.degree - 1) + mp.log(1 + 1 / c, 2)))
     return LiouvilleData(float(c), M)
 
 
-def reference_corollary(a, R: float, M: float) -> tuple:
-    """(k, l, defect, M, N, bounds_hold) for the pair at N = floor(R), the
-    lower bound 1/R^M <= defect checked as log(defect) >= -M log(R) at the
-    call's precision.  The pair is the package's ``dirichlet``, which the
-    oracles above check on their own."""
+def reference_corollary(a, R: float, M: float, pairs=None) -> tuple:
+    """(k, l, defect, defect_log2, M, N, bounds_hold) for the reference pair
+    at N = floor(R), the lower bound 1/R^M <= defect checked as
+    log(defect) >= -M log(R) at 2 log2(l) + 512 bits.  The pair is the last
+    of ``pairs`` (convergents from ``reference_convergents``, shared by
+    several calls) with l <= N, or a fresh ``reference_dirichlet``."""
     N = int(math.floor(R))
-    pair = dirichlet(a, N)
-    with mp.workprec(max(_MIN_PREC, 4 * max(N, 2).bit_length() + 128)):
-        upper_ok = pair.defect <= mpf(2) / mpf(R)
-        lower_ok = mp.log(pair.defect) >= -M * mp.log(mpf(R))
-    return pair.k, pair.l, pair.defect, M, N, pair.l <= R and upper_ok and lower_ok
+    provider = reference_provider(a)
+    if pairs is None:
+        k, l, defect, log2 = reference_dirichlet(provider, N)
+    else:
+        k, l = [pair for pair in pairs if pair[1] <= N][-1]
+        defect, log2 = reference_defect(provider, k, l)
+    prec = 2 * l.bit_length() + 512
+    with mp.workprec(prec):
+        exact = abs(k - l * provider(prec))
+        upper_ok = exact <= mpf(2) / mpf(R)
+        lower_ok = mp.log(exact) >= -M * mp.log(mpf(R))
+    return k, l, defect, log2, M, N, l <= R and upper_ok and lower_ok

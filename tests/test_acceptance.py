@@ -9,6 +9,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from helpers import filtered_gradient_sample
+from reference_numbertheory import reference_provider, reference_root
 
 from epsnet.cli import run as cli_run
 from epsnet.colombeau import CompactBox, EpsilonGrid, Net
@@ -102,7 +103,7 @@ def test_criterion_3_diophantine_suite():
         alpha = rng.choice(draws)
         N = rng.randint(1, 10_000)
         pair = dirichlet(alpha, N)
-        provider = resolve_alpha(alpha if isinstance(alpha, str) else alpha.name)
+        provider = reference_provider(resolve_alpha(alpha))
         with mp.workprec(140):
             bound_ok = 0 < pair.l <= N and abs(pair.k - pair.l * provider(140)) <= mpf(1) / N
         dirichlet_ok = dirichlet_ok and bound_ok
@@ -110,7 +111,7 @@ def test_criterion_3_diophantine_suite():
     liouville_ok = True
     for name, a in cat.items():
         data = liouville_constant(a)
-        alpha_ld = np.longdouble(mp.nstr(a.value(140), 32))
+        alpha_ld = np.longdouble(mp.nstr(reference_root(a.coeffs, a.seed, 140), 32))
         ls = np.arange(1, 10_001, dtype=np.longdouble)
         ks = np.rint(ls * alpha_ld)
         lhs = np.abs(alpha_ld - ks / ls)
@@ -125,9 +126,10 @@ def test_criterion_3_diophantine_suite():
         for R in (3.0, 10.0, 1e2, 1e3, 1e4):
             res = corollary_pair(a, R)
             with mp.workprec(200):
-                corollary_ok = corollary_ok and res.l <= R
-                corollary_ok = corollary_ok and res.defect <= mpf(2) / mpf(R)
-                corollary_ok = corollary_ok and mp.log(res.defect) >= -res.M * mp.log(mpf(R))
+                defect = abs(res.k - res.l * reference_root(a.coeffs, a.seed, 200))
+                corollary_ok = corollary_ok and res.l <= R and res.defect == float(defect)
+                corollary_ok = corollary_ok and defect <= mpf(2) / mpf(R)
+                corollary_ok = corollary_ok and mp.log(defect) >= -res.M * mp.log(mpf(R))
 
     elapsed = time.perf_counter() - t0
     ok = dirichlet_ok and liouville_ok and m_ok and corollary_ok and elapsed <= 30.0
