@@ -1,7 +1,7 @@
 """Reference Diophantine routines in mpmath, which the package no longer
 uses: a Newton root refined from its float seed at every precision asked,
 one fresh continued-fraction expansion per Dirichlet call at a generous
-precision, defects and their base-2 logarithms evaluated at 2 log2(l) + 512
+precision (a float is expanded exactly, as the rational it denotes), defects and their base-2 logarithms evaluated at 2 log2(l) + 512
 bits or more and rounded once to a double, Liouville data with the critical
 points of p' taken from ``numpy.roots`` and the sup taken at 256 bits, and
 the combined pair with its lower bound checked in log form.
@@ -11,6 +11,7 @@ the plain floating-point forms kept as the oracle it must match exactly.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpf
@@ -47,11 +48,11 @@ def reference_root(coeffs: tuple, seed: float, prec: int):
 def reference_provider(alpha):
     """A function of a precision in bits giving alpha's value there: an
     AlgebraicNumber by ``reference_root``, pi and e by mpmath's constants,
-    a float as itself."""
+    a float as the exact Fraction it denotes."""
     if not isinstance(alpha, RealAlpha):
         return lambda prec: reference_root(alpha.coeffs, alpha.seed, prec)
     if isinstance(alpha.spec, float):
-        return lambda prec: mpf(alpha.spec)
+        return lambda prec: Fraction(alpha.spec)
     constant = {"pi": lambda: +mp.pi, "e": lambda: +mp.e}[alpha.spec]
 
     def value(prec):
@@ -63,24 +64,28 @@ def reference_provider(alpha):
 
 def reference_defect(provider, k: int, l: int) -> tuple:
     """(|k - l*alpha|, log2 of it) as doubles, from mpf values at
-    2 log2(l) + 512 bits (0.0 and -inf when the defect is zero)."""
+    2 log2(l) + 512 bits, or the exact defect of a rational alpha (0.0 and
+    -inf when the defect is zero)."""
     prec = 2 * l.bit_length() + 512
     with mp.workprec(prec):
         defect = abs(k - l * provider(prec))
         if defect == 0:
             return 0.0, -math.inf
+        if isinstance(defect, Fraction):
+            return float(defect), float(mp.log(mpf(defect.numerator) / defect.denominator, 2))
         return float(defect), float(mp.log(defect, 2))
 
 
 def reference_convergents(provider, prec: int, limit: int) -> list:
     """The convergents (k, l) with l <= limit of a fresh expansion of
-    alpha's value at ``prec`` bits, ending early if the expansion does."""
+    alpha's value at ``prec`` bits (of a rational alpha, in exact
+    arithmetic), ending early if the expansion does."""
     out = []
     with mp.workprec(prec):
         x = provider(prec)
         k0, l0, k, l = 0, 1, 1, 0
         while True:
-            a = int(mp.floor(x))
+            a = math.floor(x) if isinstance(x, Fraction) else int(mp.floor(x))
             k, k0 = a * k + k0, k
             l, l0 = a * l + l0, l
             if l > limit:

@@ -1,11 +1,13 @@
 """The package loads its modules on first use: the Diophantine subcommands
-run without numpy, ``classify`` and the group subcommands run without
-mpmath, no subcommand loads ``dataclasses``, and every name the package has
-exported still imports from it."""
+run without numpy, no subcommand loads mpmath (nor does any package module
+import it), the group subcommands run without the number theory, no
+subcommand loads ``dataclasses``, and every name the package has exported
+still imports from it."""
 
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -67,7 +69,7 @@ def test_diophantine_subcommands_never_load_numpy(tmp_path):
     )
     assert "numpy" not in modules
     assert "epsnet.numbertheory" in modules
-    assert not modules & {"dataclasses", "inspect"}
+    assert not modules & {"dataclasses", "inspect", "mpmath"}
 
 
 def test_classify_never_loads_mpmath(tmp_path):
@@ -129,7 +131,7 @@ def test_two_period_never_loads_the_decomposition(tmp_path):
          "--p", "1", "--k-max", "10", "--out", "t.json"],
     )
     assert "epsnet.numbertheory" in modules
-    assert not modules & {"epsnet.decompose", "dataclasses"}
+    assert not modules & {"epsnet.decompose", "dataclasses", "mpmath"}
 
 
 def test_explorer_never_loads_dataclasses(tmp_path):
@@ -138,4 +140,24 @@ def test_explorer_never_loads_dataclasses(tmp_path):
         ["explore-open-question", "--f", "3", "--alpha", "pi", "--R", "7", "--p", "1",
          "--k-max", "10", "--out", "e.json"],
     )
-    assert "dataclasses" not in modules
+    assert not modules & {"dataclasses", "mpmath"}
+
+
+def test_explorer_never_loads_mpmath(tmp_path):
+    modules = _modules_after_cli(
+        tmp_path,
+        *(["explore-open-question", "--f", "3", "--alpha", alpha, "--R", "7", "--p", "1",
+           "--k-max", "10", "--out", f"e{i}.json"] for i, alpha in enumerate(("e", "0.7"))),
+    )
+    assert "epsnet.numbertheory" in modules
+    assert "mpmath" not in modules
+
+
+def test_no_package_module_imports_mpmath():
+    # mpmath stays a test oracle: only the test modules may import it
+    package = SRC / "epsnet"
+    sources = sorted(package.rglob("*.py"))
+    assert len(sources) >= 10
+    for path in sources:
+        text = path.read_text()
+        assert not re.search(r"^\s*(import|from)\s+mpmath\b", text, re.MULTILINE), path
