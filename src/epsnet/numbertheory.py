@@ -488,11 +488,6 @@ def _defect_bounds(alpha, k: int, l: int, P: int):
     return None
 
 
-def _ln2(Q: int) -> tuple:
-    """(A, E) with |ln(2)*2^Q - A| <= E: 2 atanh(1/3)."""
-    return _atanh_series((1 << Q) // 3, Q)
-
-
 def _atanh_series(z: int, Q: int) -> tuple:
     """(A, E) with |2 atanh(z/2^Q)*2^Q - A| <= E, for 0 <= z/2^Q < 1/3 and z
     within 1 of the true argument: each term's floor off by less than 3
@@ -509,8 +504,9 @@ def _atanh_series(z: int, Q: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=8)
-def _ln2_cached(Q: int) -> tuple:
-    return _ln2(Q)
+def _ln2(Q: int) -> tuple:
+    """(A, E) with |ln(2)*2^Q - A| <= E: 2 atanh(1/3)."""
+    return _atanh_series((1 << Q) // 3, Q)
 
 
 def _log2_fixed(n: int, Q: int) -> tuple:
@@ -523,7 +519,7 @@ def _log2_fixed(n: int, Q: int) -> tuple:
     t = 1 << s
     z = ((abs(n - t) << Q) + (n + t) // 2) // (n + t)
     ln, err = _atanh_series(z, Q)
-    ln2, err2 = _ln2_cached(Q)
+    ln2, err2 = _ln2(Q)
     if n < t:
         ln = -ln
     # |ln/ln2| < 0.5; dividing adds the errors scaled by 1/ln2 < 1.45 and
