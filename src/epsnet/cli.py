@@ -29,7 +29,6 @@ import math
 import os
 import sys
 import warnings
-from importlib import resources
 
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
@@ -38,6 +37,10 @@ EXIT_ERROR = 2
 
 def schema_path() -> str:
     """Filesystem path of the published report schema."""
+    # imported here, not with the module: no job calls this, and where no
+    # site hook has loaded it already the import costs about 10 ms
+    from importlib import resources
+
     return str(resources.files("epsnet").joinpath("schemas/report.schema.json"))
 
 
@@ -473,86 +476,110 @@ def _global_options() -> argparse.ArgumentParser:
     return common
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser of every subcommand, or with ``command`` of that
+    one alone; the two print the same help, usage lines and errors for it."""
     common = _global_options()
     parser = argparse.ArgumentParser(
         prog="epsnet",
         description="Verifiers for invariance properties of nets of smooth functions",
         parents=[common],
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a one-subcommand parser lists every subcommand in its usage line, as
+    # the full parser does
+    metavar = None if command is None else "{" + ",".join(_HANDLERS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    sp = sub.add_parser("classify", parents=[common], help="asymptotic classification of a net")
-    _add_common(sp, "net", "box", "grid")
-    sp.add_argument("--max-order", type=int, default=None, dest="max_order")
-    sp.add_argument("--p-max", type=int, default=None, dest="p_max")
+    def add(name: str, help_text: str):
+        """The subparser of ``name``, or None when the parser leaves it out."""
+        if command in (None, name):
+            return sub.add_parser(name, parents=[common], help=help_text)
+        return None
 
-    sp = sub.add_parser("invariance", parents=[common],
-                        help="invariance of a net under one element")
-    _add_common(sp, "net", "box", "grid", "p")
-    sp.add_argument("--element", type=str, default=None, help="GroupElement JSON (inline or file)")
-    sp.add_argument("--rotation", type=str, default=None, help="i,j,theta (theta real or eps-expression)")
-    sp.add_argument("--boost", type=str, default=None, help="i,j,theta")
-    sp.add_argument("--translate", type=str, default=None, help="comma-separated offset")
+    if sp := add("classify", "asymptotic classification of a net"):
+        _add_common(sp, "net", "box", "grid")
+        sp.add_argument("--max-order", type=int, default=None, dest="max_order")
+        sp.add_argument("--p-max", type=int, default=None, dest="p_max")
 
-    sp = sub.add_parser("one-param", parents=[common],
-                        help="real-parameter hypothesis plus generalized conclusion")
-    _add_common(sp, "net", "box", "grid", "p")
-    sp.add_argument("--kind", choices=("rotation", "boost"), required=True)
-    sp.add_argument("--i", type=int, required=True)
-    sp.add_argument("--j", type=int, required=True)
-    sp.add_argument("--real-thetas", type=str, default=None, dest="real_thetas")
-    sp.add_argument("--gen-theta", action="append", default=None, dest="gen_theta")
+    if sp := add("invariance", "invariance of a net under one element"):
+        _add_common(sp, "net", "box", "grid", "p")
+        sp.add_argument("--element", type=str, default=None, help="GroupElement JSON (inline or file)")
+        sp.add_argument("--rotation", type=str, default=None, help="i,j,theta (theta real or eps-expression)")
+        sp.add_argument("--boost", type=str, default=None, help="i,j,theta")
+        sp.add_argument("--translate", type=str, default=None, help="comma-separated offset")
+
+    if sp := add("one-param", "real-parameter hypothesis plus generalized conclusion"):
+        _add_common(sp, "net", "box", "grid", "p")
+        sp.add_argument("--kind", choices=("rotation", "boost"), required=True)
+        sp.add_argument("--i", type=int, required=True)
+        sp.add_argument("--j", type=int, required=True)
+        sp.add_argument("--real-thetas", type=str, default=None, dest="real_thetas")
+        sp.add_argument("--gen-theta", action="append", default=None, dest="gen_theta")
 
     for name in ("rotation", "lorentz"):
-        sp = sub.add_parser(name, parents=[common],
-                            help=f"{name} invariance pipeline via factorization")
+        if sp := add(name, f"{name} invariance pipeline via factorization"):
+            _add_common(sp, "net", "box", "grid", "p")
+            sp.add_argument("--matrix", type=str, default=None)
+            sp.add_argument("--matrix-net", type=str, default=None, dest="matrix_net")
+            sp.add_argument("--random", action="store_true", default=False)
+
+    if sp := add("decompose-so", "factor an orthogonal matrix"):
+        sp.add_argument("--matrix", type=str, required=True)
+
+    if sp := add("decompose-lorentz", "factor a proper orthochronous Lorentz matrix"):
+        sp.add_argument("--matrix", type=str, required=True)
+
+    if sp := add("dirichlet", "minimal-defect approximation pair"):
+        sp.add_argument("--alpha", type=str, required=True)
+        sp.add_argument("--N", type=int, required=True)
+
+    if sp := add("liouville", "lower-bound constant and exponent for a catalog number"):
+        sp.add_argument("--alpha", type=str, required=True)
+
+    if sp := add("corollary-pair", "two-sided pair for a catalog number"):
+        sp.add_argument("--alpha", type=str, required=True)
+        sp.add_argument("--R", type=float, required=True)
+
+    if sp := add("two-period", "two periods force a generalized constant"):
+        sp.add_argument("--f", type=str, required=True)
+        sp.add_argument("--alpha", type=str, required=True)
+        sp.add_argument("--R", type=float, required=True)
+        _add_common(sp, "grid", "p", "samples")
+
+    if sp := add("translation", "translation invariance forces a constant"):
         _add_common(sp, "net", "box", "grid", "p")
-        sp.add_argument("--matrix", type=str, default=None)
-        sp.add_argument("--matrix-net", type=str, default=None, dest="matrix_net")
-        sp.add_argument("--random", action="store_true", default=False)
+        sp.add_argument("--h-samples", type=str, default=None, dest="h_samples",
+                        help="semicolon-separated offset vectors, components comma-separated")
 
-    sp = sub.add_parser("decompose-so", parents=[common], help="factor an orthogonal matrix")
-    sp.add_argument("--matrix", type=str, required=True)
-
-    sp = sub.add_parser("decompose-lorentz", parents=[common],
-                        help="factor a proper orthochronous Lorentz matrix")
-    sp.add_argument("--matrix", type=str, required=True)
-
-    sp = sub.add_parser("dirichlet", parents=[common], help="minimal-defect approximation pair")
-    sp.add_argument("--alpha", type=str, required=True)
-    sp.add_argument("--N", type=int, required=True)
-
-    sp = sub.add_parser("liouville", parents=[common],
-                        help="lower-bound constant and exponent for a catalog number")
-    sp.add_argument("--alpha", type=str, required=True)
-
-    sp = sub.add_parser("corollary-pair", parents=[common],
-                        help="two-sided pair for a catalog number")
-    sp.add_argument("--alpha", type=str, required=True)
-    sp.add_argument("--R", type=float, required=True)
-
-    sp = sub.add_parser("two-period", parents=[common],
-                        help="two periods force a generalized constant")
-    sp.add_argument("--f", type=str, required=True)
-    sp.add_argument("--alpha", type=str, required=True)
-    sp.add_argument("--R", type=float, required=True)
-    _add_common(sp, "grid", "p", "samples")
-
-    sp = sub.add_parser("translation", parents=[common],
-                        help="translation invariance forces a constant")
-    _add_common(sp, "net", "box", "grid", "p")
-    sp.add_argument("--h-samples", type=str, default=None, dest="h_samples",
-                    help="semicolon-separated offset vectors, components comma-separated")
-
-    sp = sub.add_parser("explore-open-question", parents=[common],
-                        help="two-period data for non-algebraic ratios")
-    sp.add_argument("--f", type=str, required=True)
-    sp.add_argument("--alpha", type=str, required=True)
-    sp.add_argument("--R", type=float, required=True)
-    _add_common(sp, "grid", "p", "samples")
+    if sp := add("explore-open-question", "two-period data for non-algebraic ratios"):
+        sp.add_argument("--f", type=str, required=True)
+        sp.add_argument("--alpha", type=str, required=True)
+        sp.add_argument("--R", type=float, required=True)
+        _add_common(sp, "grid", "p", "samples")
 
     return parser
+
+
+#: The global options, as they may stand before the subcommand.
+_GLOBAL_FLAGS = ("--strict", "--no-strict")
+_GLOBAL_VALUED = ("--config", "--out", "--seed")
+
+
+def _named_subcommand(argv) -> str | None:
+    """The subcommand ``argv`` runs, when only global options spelled in
+    full stand before it; otherwise None (no or an unknown subcommand, help,
+    an abbreviation, a value that starts with '-'), and the full parser
+    reads ``argv``."""
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        if arg in _GLOBAL_FLAGS or arg.partition("=")[0] in _GLOBAL_VALUED and "=" in arg:
+            i += 1
+        elif arg in _GLOBAL_VALUED and i + 1 < len(argv) and not argv[i + 1].startswith("-"):
+            i += 2
+        else:
+            return arg if arg in _HANDLERS else None
+    return None
 
 
 #: Least values of the integer options, checked after the config merge.
@@ -593,7 +620,8 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def run(argv) -> int:
-    parser = build_parser()
+    # one subcommand's parser builds in about 0.25 ms, all thirteen in 1.4
+    parser = build_parser(_named_subcommand(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as err:

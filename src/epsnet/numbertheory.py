@@ -115,6 +115,10 @@ def _real_roots(coeffs, lo: float, hi: float) -> list:
     return sorted(float(r) for r in roots)
 
 
+#: Largest relative backward error of an accepted seed (see ``_isolate``).
+_SEED_BACKWARD_ERROR = 1e-6
+
+
 @functools.lru_cache(maxsize=_ALPHAS)
 def _isolate(coeffs: tuple, seed: float) -> tuple:
     """(a, b, s): rationals a < seed < b such that [a, b] holds exactly one
@@ -122,10 +126,16 @@ def _isolate(coeffs: tuple, seed: float) -> tuple:
     polynomial at a.  The half-width starts at twice the Newton step from
     the seed and doubles until a root falls inside; a seed whose first such
     interval holds two roots does not say which one it means, and one with
-    no real root within max(1, seed) of it is not close to one."""
+    no real root within max(1, seed) of it is not close to one.  A seed whose
+    relative backward error exceeds ``_SEED_BACKWARD_ERROR`` is not close to
+    a root either."""
     s = Fraction(seed)
     value = _poly_eval(coeffs, s)
-    if abs(value) > 1e-6:
+    # the relative backward error |p(s)| / sum |c_i| s^i, which scaling p or
+    # x leaves alone (a double next to a root reads about 1e-16); a Newton
+    # step |p/p'| would also be scale-free, but p' vanishes between two close
+    # roots, and the isolation below is what should reject such a seed
+    if abs(value) > _SEED_BACKWARD_ERROR * _poly_eval([abs(c) for c in coeffs], abs(s)):
         raise ValueError("seed is not close to a root of the polynomial")
     seq = _sturm(coeffs)
     slope = _poly_eval(_poly_derivative(coeffs), s)

@@ -10,6 +10,7 @@ order and a semi-decision over the finite grid.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
@@ -74,15 +75,16 @@ def _check_order(p: int) -> None:
         raise ValueError(f"order p must be >= 1, got {p}")
 
 
-def _check_c_bounded(g: GroupElement, box: CompactBox, grid: EpsilonGrid, strict: bool) -> bool:
+def _check_c_bounded(g: GroupElement, box: CompactBox, grid: EpsilonGrid, strict: bool,
+                     stacklevel: int = 3) -> bool:
     """The c-boundedness verdict; a failure raises when ``strict`` and
-    otherwise warns."""
+    otherwise warns, from ``stacklevel`` frames up."""
     ok, _ = is_c_bounded(g, box, grid)
     if not ok:
         message = "transformation is not c-bounded on the box"
         if strict:
             raise CBoundednessError(f"{message}; --no-strict waives this check")
-        warnings.warn(message, RuntimeWarning, stacklevel=3)
+        warnings.warn(message, RuntimeWarning, stacklevel=stacklevel)
     return ok
 
 
@@ -101,14 +103,77 @@ def _centered(f: Net) -> ex.Expr:
     return ex.c_sub(f.body, ex.subst(f.body, zero))
 
 
-def _deviation_sups(f: Net, g: GroupElement, box: CompactBox, grid: EpsilonGrid):
-    """Sup over the lattice of |f o g - f| per eps, snapped to zero at or below the
-    per-eps measurability floor, plus the floors."""
+def _floors(f: Net, grid: EpsilonGrid, lattice) -> list:
+    """The per-eps measurability floors of f's deviations: from f's own sups."""
+    return [_noise_floor(s) for s in grid_sups(f.body, grid, lattice)]
+
+
+def _joint_sups(f: Net, elements: list, box: CompactBox, grid: EpsilonGrid):
+    """f's floors and, per element, the per-eps sups of |f o g - f| over the
+    lattice: f's sups from one ``grid_sups``, then every deviation from one
+    ``eval_many``, which computes the subtrees of f and the lattice leaves
+    once.  None when an element's dimension differs from f's or a pass
+    raises :class:`~epsnet.expr.EvalError`."""
+    if any(g.dimension != f.dimension for g in elements):
+        return None
     lattice = box.lattice()
-    floors = [_noise_floor(s) for s in grid_sups(f.body, grid, lattice)]
-    sups = grid_sups(_deviation(f, g), grid, lattice)
-    snapped = [0.0 if s <= fl else s for s, fl in zip(sups, floors)]
-    return snapped, floors
+    try:
+        floors = _floors(f, grid, lattice)
+        sups = ex.eval_many([_deviation(f, g) for g in elements], grid.values, lattice, sup=True)
+    except ex.EvalError:
+        return None
+    return floors, [s.tolist() for s in sups]
+
+
+def _invariance_reports(f: Net, elements, box: CompactBox, grid: Optional[EpsilonGrid], p: int,
+                        strict: bool, stacklevel: int = 3):
+    """Yield the :class:`InvarianceReport` of each element in turn.
+
+    The deviation sups come from one joint pass (:func:`_joint_sups`); the
+    rest is per element, in order: the dimension, c-boundedness,
+    then the sups snapped to zero at or below f's floors.  When the joint pass
+    fails, each element is measured on its own, f before its deviation, so
+    every error and warning comes out as a loop of one-element checks gives
+    it.  An error raised while ``elements`` is iterated comes after the
+    reports of the elements before it.  A waived c-boundedness failure warns
+    from ``stacklevel`` frames above :func:`_check_c_bounded`; at 3, from the
+    line that asks for the element's report."""
+    grid = grid or EpsilonGrid.dyadic()
+    built, error = [], None
+    try:
+        for g in elements:
+            built.append(g)
+    except Exception as err:  # a per-element loop meets it after the elements before it
+        error = err
+    if built:
+        _check_order(p)
+    joint = _joint_sups(f, built, box, grid) if built else None
+    for k, g in enumerate(built):
+        if g.dimension != f.dimension:
+            raise ValueError("element dimension does not match net dimension")
+        c_bounded = _check_c_bounded(g, box, grid, strict, stacklevel)
+        if joint is None:
+            lattice = box.lattice()
+            floors = _floors(f, grid, lattice)
+            sups = grid_sups(_deviation(f, g), grid, lattice)
+        else:
+            floors, sups = joint[0], joint[1][k]
+        sups = [0.0 if s <= fl else s for s, fl in zip(sups, floors)]
+        report = report_from_sups(grid, sups, p_max=max(DEFAULT_P_MAX, p))
+        # beyond the finest-quarter rule, require sup <= eps^p wherever the
+        # deviation is large enough to be measurable at all
+        whole_grid_ok = all(
+            s <= max(eps**p, fl) for (eps, s, fl) in zip(grid.values, sups, floors)
+        )
+        yield InvarianceReport(
+            order=p,
+            asymptotic=report,
+            invariant=report.negligible_order >= p and whole_grid_ok,
+            c_bounded=c_bounded,
+            element=g.to_json_dict(),
+        )
+    if error is not None:
+        raise error
 
 
 def check_invariance(
@@ -130,25 +195,7 @@ def check_invariance(
     transformation that is not c-bounded on the box raises
     :class:`CBoundednessError`, otherwise it warns and the report records
     ``c_bounded=False``.  An order ``p`` below 1 raises ValueError."""
-    _check_order(p)
-    grid = grid or EpsilonGrid.dyadic()
-    if g.dimension != f.dimension:
-        raise ValueError("element dimension does not match net dimension")
-    c_bounded = _check_c_bounded(g, box, grid, strict)
-    sups, floors = _deviation_sups(f, g, box, grid)
-    report = report_from_sups(grid, sups, p_max=max(DEFAULT_P_MAX, p))
-    # beyond the finest-quarter rule, require sup <= eps^p wherever the
-    # deviation is large enough to be measurable at all
-    whole_grid_ok = all(
-        s <= max(eps**p, fl) for (eps, s, fl) in zip(grid.values, sups, floors)
-    )
-    return InvarianceReport(
-        order=p,
-        asymptotic=report,
-        invariant=report.negligible_order >= p and whole_grid_ok,
-        c_bounded=c_bounded,
-        element=g.to_json_dict(),
-    )
+    return next(_invariance_reports(f, (g,), box, grid, p, strict, stacklevel=4))
 
 
 @record
@@ -194,10 +241,9 @@ def one_param_theorem_harness(
         raise ValueError("the hypothesis needs at least one real theta")
     grid = grid or EpsilonGrid.dyadic()
     box = box or CompactBox.cube(-1.0, 1.0, f.dimension)
-    hypothesis = []
-    for theta in real_thetas:
-        rep = check_invariance(f, flow(float(theta)), box, grid, p, strict=strict)
-        hypothesis.append((float(theta), rep))
+    thetas = [float(theta) for theta in real_thetas]
+    reports = tuple(_invariance_reports(f, (flow(theta) for theta in thetas), box, grid, p, strict))
+    hypothesis = list(zip(thetas, reports))
     hypothesis_failed = not all(r.invariant for _, r in hypothesis)
     conclusion = []
     for theta in gen_thetas:
@@ -222,11 +268,12 @@ class PipelineReport(Record):
 
 
 def _pipeline(f, factors, full_element, box, grid, p, strict) -> PipelineReport:
-    factor_reports = tuple(
-        check_invariance(f, GroupElement.from_factors(f.dimension, (factor,)), box, grid, p, strict=strict)
-        for factor in factors
-    )
-    full_report = check_invariance(f, full_element, box, grid, p, strict=strict)
+    elements = (GroupElement.from_factors(f.dimension, (factor,)) for factor in factors)
+    reports = _invariance_reports(f, itertools.chain(elements, (full_element,)), box, grid, p, strict)
+    # the factors' and the full element's reports are asked for on two lines,
+    # so a waived c-boundedness failure warns once for each
+    factor_reports = tuple(itertools.islice(reports, len(factors)))
+    full_report = next(reports)
     per_factor = all(r.invariant for r in factor_reports)
     consistent = per_factor == full_report.invariant
     verdict = full_report.invariant and per_factor
@@ -535,10 +582,15 @@ def two_period_constancy(
     dev1, dev2, measured, worst = _two_period_sups(f, alpha, radius, grid, samples)
     n_exp = _derivative_moderateness(f, radius, grid, samples)
     c_struct = (alpha + 2.0) * (radius + 1.0)
+    # R = eps^-q repeats across orders on a dyadic grid: one pair per R
+    pairs = {}
 
     def evidence(q: int, idx: int) -> ConstancyEvidence:
         eps = grid.values[idx]
-        pair = corollary_pair(a, eps ** (-q))
+        R = eps ** (-q)
+        pair = pairs.get(R)
+        if pair is None:
+            pair = pairs[R] = corollary_pair(a, R)
         h_log2 = pair.defect_log2
         log_eps = math.log2(eps)
         bounds_ok = (
@@ -615,18 +667,21 @@ def translation_constancy(
     the box."""
     _check_order(p)
     grid = grid or EpsilonGrid.dyadic()
-    hypothesis = []
-    for h in h_samples:
-        offset = tuple(float(v) for v in h)
-        if len(offset) != f.dimension:
-            raise ValueError("offset length must equal the net dimension")
-        rep = check_invariance(f, GroupElement.translation(f.dimension, offset), box, grid, p)
-        hypothesis.append((offset, rep))
+    offsets = [tuple(float(v) for v in h) for h in h_samples]
+
+    def translations():
+        for offset in offsets:
+            if len(offset) != f.dimension:
+                raise ValueError("offset length must equal the net dimension")
+            yield GroupElement.translation(f.dimension, offset)
+
+    reports = tuple(_invariance_reports(f, translations(), box, grid, p, strict=True))
+    hypothesis = tuple(zip(offsets, reports))
     hypothesis_failed = not all(r.invariant for _, r in hypothesis)
     centered = Net(_centered(f), f.dimension)
     conclusion = classify(centered, box, max_order=1, grid=grid, p_max=max(DEFAULT_P_MAX, p))
     verdict = (not hypothesis_failed) and conclusion.negligible_order >= p
-    return TranslationReport(p, tuple(hypothesis), hypothesis_failed, conclusion, verdict)
+    return TranslationReport(p, hypothesis, hypothesis_failed, conclusion, verdict)
 
 
 # ---------------------------------------------------------------------------

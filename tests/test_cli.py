@@ -137,6 +137,18 @@ class TestExitCodes:
         assert data["verdict"] == "negative"
         assert capsys.readouterr().err == "warning: transformation is not c-bounded on the box\n"
 
+    def test_a_waived_pipeline_warns_once_for_its_factors_and_once_for_the_full_element(
+            self, tmp_path, capsys):
+        # the boost factor and the full element both fail the check
+        boost = [["cosh(ln(1/eps))", "sinh(ln(1/eps))", "0"],
+                 ["sinh(ln(1/eps))", "cosh(ln(1/eps))", "0"], ["0", "0", "1"]]
+        code, data = run_cmd(tmp_path, ["--no-strict", "lorentz", "--f", "x1^2-x2^2-x3^2", "--dim", "3",
+                                        "--samples", "5", "--k-max", "8", "--matrix-net", json.dumps(boost)])
+        assert code == EXIT_POSITIVE
+        assert [r["c_bounded"] for r in data["evidence"]["factors"]] == [True, False, True]
+        assert data["evidence"]["full"]["c_bounded"] is False
+        assert capsys.readouterr().err == "warning: transformation is not c-bounded on the box\n" * 2
+
     @pytest.mark.parametrize(
         "argv, code",
         [
@@ -760,3 +772,57 @@ def test_fuzzed_cli_exits_cleanly_with_a_valid_report(argv):
         else:
             data = json.loads(out.read_text(encoding="utf-8"), parse_constant=_reject_constant)
             jsonschema.validate(data, schema)
+
+
+# ---------------------------------------------------------------------------
+# one subcommand's parser per job
+
+
+def _parse(parser, argv):
+    """Exit code, stdout and stderr of ``parser.parse_args(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", list(cli._HANDLERS))
+def test_one_subcommand_parser_prints_what_the_full_parser_prints(name, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build(command))
+    # help, an unknown option (the subparser's usage), a bad global value
+    # (the top-level usage, which lists every subcommand) and a missing option
+    for argv in ([name, "-h"], ["--no-strict", name, "--bogus", "1"], ["--seed", "x", name], [name]):
+        want = _parse(build(), argv)
+        assert want[0] is not None and want[1] + want[2]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert (code, out.getvalue(), err.getvalue()) == ({0: 0}.get(want[0], EXIT_ERROR), *want[1:])
+        assert _parse(build(name), argv) == want
+    assert built == [name] * 4
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["--no-strict", "--seed=3", "--out", "r.json", "--config", "c.json", "classify", "-h"],
+         "classify"),
+        (["two-period", "--f", "x1"], "two-period"),
+        ([], None),
+        (["-h"], None),
+        (["--help", "classify"], None),
+        (["bogus"], None),
+        (["--con", "c.json", "classify"], None),  # an abbreviation
+        (["--out", "-x", "classify"], None),  # a value that reads as an option
+        (["--", "classify"], None),
+        (["--seed"], None),
+    ],
+)
+def test_the_full_parser_reads_what_does_not_name_a_subcommand_plainly(argv, name):
+    assert cli._named_subcommand(argv) == name

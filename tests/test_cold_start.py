@@ -161,3 +161,18 @@ def test_no_package_module_imports_mpmath():
     for path in sources:
         text = path.read_text()
         assert not re.search(r"^\s*(import|from)\s+mpmath\b", text, re.MULTILINE), path
+
+
+def test_importing_the_command_line_loads_no_importlib_resources(tmp_path):
+    # without site (and so without a site hook that loads it first), only
+    # schema_path may import importlib.resources, when it is called
+    script = ("import sys\n"
+              f"sys.path.insert(0, {str(SRC)!r})\n"
+              "import epsnet.cli\n"
+              "loaded = 'importlib.resources' in sys.modules\n"
+              "epsnet.cli.schema_path()\n"
+              "print(loaded, 'importlib.resources' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", script], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

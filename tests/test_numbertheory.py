@@ -94,6 +94,21 @@ class TestIsolation:
         with pytest.raises(ValueError, match="rational"):
             AlgebraicNumber("r", (2, -6, -1, 3), 1 / 3)
 
+    def test_the_seed_check_is_scale_free(self):
+        # the double nearest sqrt2 leaves p(seed) = 2.7e-4 on 10^12 (x^2 - 2),
+        # whose root it is as much as it is one of x^2 - 2
+        a = AlgebraicNumber("s", (-2 * 10**12, 0, 10**12), math.sqrt(2.0))
+        assert a.value_float == math.sqrt(2.0)
+        assert convergents(a, 6) == convergents(CAT["sqrt2"], 6)
+        b = AlgebraicNumber("s", (-2, 0, 10**12), math.sqrt(2e-12))  # x scaled by 10^6
+        assert b.value_float == math.sqrt(2e-12)
+
+    def test_a_seed_far_from_every_root_is_still_rejected(self):
+        with pytest.raises(ValueError, match="not close to a root"):
+            AlgebraicNumber("x", (-2, 0, 1), 3.0)
+        with pytest.raises(ValueError, match="not close to a root"):
+            AlgebraicNumber("x", (-2 * 10**12, 0, 10**12), 3.0)
+
     def test_a_double_root_is_rejected(self):
         with pytest.raises(ValueError, match="not simple"):
             AlgebraicNumber("d", (4, 0, -4, 0, 1), math.sqrt(2.0))

@@ -335,6 +335,23 @@ class TestTwoPeriod:
         # eps^(M p) <= h_eps <= 2 eps^p and k <= (alpha+1)/eps^p, encoded in bounds_ok
         assert rep.evidence and all(row.bounds_ok for row in rep.evidence)
 
+    def test_each_distinct_R_draws_its_pair_once(self, monkeypatch):
+        # R = eps^-q repeats across orders on a dyadic grid: at p = 8, 164 of
+        # the 296 evidence rows have an R no earlier row had
+        from epsnet import numbertheory
+
+        calls = []
+        pair = numbertheory.corollary_pair
+        monkeypatch.setattr(numbertheory, "corollary_pair", lambda a, R: calls.append(R) or pair(a, R))
+        f = Net.parse(f"3 + {NEGLIGIBLE}*sin(x1)", 1)
+        rep = two_period_constancy(f, self.SQRT2, 6.0, 8, GRID)
+        rows = sum(len(GRID) - GRID.values.index(c.eps0) for c in rep.per_order)
+        assert (rows, len(calls)) == (296, 164)
+        assert len(set(calls)) == len(calls)
+        for row in rep.evidence:
+            want = pair(self.SQRT2, row.eps**-8)
+            assert (row.k, row.l, row.h_log2) == (want.k, want.l, want.defect_log2)
+
     def test_requires_radius(self):
         with pytest.raises(ValueError, match="radius"):
             two_period_constancy(Net.parse("1", 1), self.SQRT2, 3.0, 2, GRID)
