@@ -76,7 +76,7 @@ def _check_order(p: int) -> None:
 
 
 def _check_c_bounded(g: GroupElement, box: CompactBox, grid: EpsilonGrid, strict: bool,
-                     stacklevel: int = 3) -> bool:
+                     stacklevel: int) -> bool:
     """The c-boundedness verdict; a failure raises when ``strict`` and
     otherwise warns, from ``stacklevel`` frames up."""
     ok, _ = is_c_bounded(g, box, grid)
