@@ -180,18 +180,21 @@ def fit_decay_exponent(pairs: Sequence) -> float:
     return float(slope)
 
 
-def _grows(pairs: Sequence, exponent: float, swing: float = 1.0) -> bool:
+def _grows(pairs: Sequence, exponent: Optional[float] = None, swing: float = 1.0) -> bool:
     """The one growth rule: finite (eps, sup) data with fitted ``exponent``
-    rise in a sustained way as eps decreases.  The slope must lie below
-    -SLOPE_TOL and the finest sup must exceed ``swing`` times the smallest
-    nonzero one, where ``swing`` is the largest ratio that is not growth: 1
-    for a scalar, and sqrt(d') for a max-norm image radius in d' dimensions,
-    which an orthogonal map can swing by that factor (a rotation by 1/eps is
-    thus c-bounded even on a three-point grid)."""
-    if math.isinf(exponent) or exponent >= -SLOPE_TOL:
+    rise in a sustained way as eps decreases.  The finest sup must exceed
+    ``swing`` times the smallest nonzero one, where ``swing`` is the largest
+    ratio that is not growth: 1 for a scalar, and sqrt(d') for a max-norm
+    image radius in d' dimensions, which an orthogonal map can swing by that
+    factor (a rotation by 1/eps is thus c-bounded even on a three-point
+    grid); and the slope must lie below -SLOPE_TOL.  The ratio is tested
+    first, so data that passes it costs no fit when ``exponent`` is None."""
+    positive = [s for _, s in pairs if s > 0.0 and math.isfinite(s)]
+    if not positive or not pairs[-1][1] > swing * min(positive):
         return False
-    smallest = min(s for _, s in pairs if s > 0.0 and math.isfinite(s))
-    return pairs[-1][1] > swing * smallest
+    if exponent is None:
+        exponent = fit_decay_exponent(pairs)
+    return not math.isinf(exponent) and exponent < -SLOPE_TOL
 
 
 def report_from_sups(
@@ -316,7 +319,7 @@ def image_bound_check(sups, grid: EpsilonGrid):
     if not np.isfinite(sups).all():
         return False, None
     radii = tuple(zip(grid.values, np.max(sups, axis=1, initial=0.0).tolist()))
-    if _grows(radii, fit_decay_exponent(radii), math.sqrt(sups.shape[1]) * (1.0 + 1e-9)):
+    if _grows(radii, swing=math.sqrt(sups.shape[1]) * (1.0 + 1e-9)):
         return False, None
     return True, CompactBox(tuple((-m, m) for m in np.max(sups, axis=0).tolist()))
 

@@ -411,18 +411,17 @@ def _fmt(e: Expr, min_prec: int) -> str:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-#: The arithmetic of each non-leaf operation: a function the evaluator
-#: applies to arrays and folding to floats.  Binary operations take two
-#: operands, ``pow`` an operand and its integer exponent, the rest one.  The
-#: ``operator`` functions dispatch to numpy's ufuncs on arrays and to IEEE
-#: float arithmetic on floats, which never warns.
+#: The arithmetic of each non-leaf operation: the numpy ufunc the evaluator
+#: applies to arrays, writing into an arena slab with ``out=``.  Binary
+#: operations take two operands, ``pow`` an operand and its integer exponent,
+#: the rest one.
 _OPS = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": np.true_divide,
     "pow": np.power,
-    "neg": operator.neg,
+    "neg": np.negative,
     "sin": np.sin,
     "cos": np.cos,
     "exp": np.exp,
@@ -433,8 +432,17 @@ _OPS = {
     "ln": np.log,
 }
 _BINARY = frozenset("+-*/")
-#: The operations whose float arithmetic needs no ``np.errstate``.
-_PLAIN = _BINARY | {"neg"}
+#: Folding's float arithmetic of the operations that need no
+#: ``np.errstate``: Python's float operators, the same IEEE operations as
+#: their ufuncs, which never warn (the domain rule has already excluded a
+#: division by zero).
+_PLAIN = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "neg": operator.neg,
+}
 
 #: The primitive functions of the language: the table's named operations.
 FUNCTIONS = tuple(op for op in _OPS if op not in _BINARY and op not in ("pow", "neg"))
@@ -451,6 +459,8 @@ _DOMAIN = {
 #: Most elements one intermediate array holds: the points are processed in
 #: chunks of this many rows, or of this many // n_eps when a node evaluated
 #: per chunk depends on eps, so memory does not grow with the lattice or grid.
+#: A chunk of 8 rows or more is cut to a multiple of 8, so that every eps row
+#: of a slab starts on a 64-byte cache line of its arena buffer.
 SLAB_ELEMENTS = 2**12
 
 
@@ -562,6 +572,21 @@ class _Program:
         for k, i in last.items():
             if k not in keep:
                 self.frees[i].append(k)
+        # chunked[i] writes arena buffer buffer[i], taken before the slabs
+        # its instruction frees are given back, so it never aliases an
+        # operand; tall[b] tells whether buffer b holds eps-dependent slabs,
+        # and each kind has as many buffers as it has slabs live at once
+        self.buffer, self.tall, spare = [], [], ([], [])
+        position = {s: i for i, s in enumerate(self.chunked)}
+        for i, s in enumerate(self.chunked):
+            free = spare[self.on_eps[s]]
+            if free:
+                self.buffer.append(free.pop())
+            else:
+                self.buffer.append(len(self.tall))
+                self.tall.append(self.on_eps[s])
+            for k in self.frees[i]:
+                spare[self.on_eps[k]].append(self.buffer[position[k]])
 
 
 def _children(e: Expr) -> tuple:
@@ -602,7 +627,11 @@ def _evaluate(roots, eps_values, points, sup: bool) -> list:
 
     Nodes free of x are computed once, as (1 or n_eps, 1) columns; the rest
     chunk by chunk of rows, as (1 or n_eps, rows) slabs, where the first axis
-    is 1 for nodes free of eps.
+    is 1 for nodes free of eps.  Every slab is written in place into a
+    buffer of one arena per call (:func:`_arena`), which the program's
+    buffer schedule hands on once a slab's last reader has run; the ragged
+    last chunk uses the prefix of each buffer.  With ``sup`` each chunk's max
+    per root and eps is folded into the running maxima in place.
     """
     for value in eps_values:
         if not value > 0:
@@ -619,19 +648,31 @@ def _evaluate(roots, eps_values, points, sup: bool) -> list:
     with np.errstate(all="ignore"):
         hoisted = [None] * len(prog.code)
         run.execute(prog.hoisted, hoisted, 0, 0, None)
-        step = SLAB_ELEMENTS
-        if any(prog.on_eps[s] for s in prog.chunked):
-            step = max(1, SLAB_ELEMENTS // n_eps)
-        outs = [None if sup else np.empty((n_eps, n)) for _ in roots]
+        step = SLAB_ELEMENTS if not any(prog.tall) else max(1, SLAB_ELEMENTS // n_eps)
+        if step >= 8:
+            step -= step % 8
+        arena = _arena([(n_eps if tall else 1) * step for tall in prog.tall])
         chunks = [(s, min(s + step, n)) for s in range(0, n, step)] if prog.chunked else []
-        for start, stop in chunks or [(0, n)]:
+        chunks = chunks or [(0, n)]
+        if sup:
+            # a max of |v| is 0 or more, or NaN, which np.maximum keeps
+            sups = [np.zeros(n_eps if prog.on_eps[slot] else 1) for slot in prog.roots]
+            chunk_max = np.empty(n_eps)
+        else:
+            outs = [np.empty((n_eps, n)) for _ in roots]
+        width = None
+        for start, stop in chunks:
+            if stop - start != width:
+                width = stop - start
+                slabs = _slabs(arena, prog, n_eps, width)
             values = list(hoisted)
-            run.execute(prog.chunked, values, start, stop, prog.frees)
+            run.execute(prog.chunked, values, start, stop, slabs)
             for k, slot in enumerate(prog.roots):
                 v = values[slot]
                 if sup:
-                    m = np.max(np.abs(v), axis=1)
-                    outs[k] = m if outs[k] is None else np.maximum(outs[k], m)
+                    # a chunk-stage root's slab is read by no one else
+                    v = np.abs(v, out=v if prog.on_x[slot] else None)
+                    np.maximum(sups[k], np.max(v, axis=1, out=chunk_max[: len(v)]), out=sups[k])
                 else:
                     outs[k][:, start:stop] = v
     if run.failure is not None:
@@ -639,8 +680,31 @@ def _evaluate(roots, eps_values, points, sup: bool) -> list:
         point = None if row is None else (X[row] if d else ())
         raise EvalError(reason, prog.nodes[slot], eps=eps_values[k], point=point)
     if sup:
-        outs = [np.broadcast_to(m, (n_eps,)).copy() for m in outs]
+        outs = [np.broadcast_to(m, (n_eps,)).copy() for m in sups]
     return outs
+
+
+def _arena(sizes) -> list:
+    """One buffer of at least ``sizes[b]`` floats for each b, all cut from one
+    allocation, each starting on a 64-byte cache line."""
+    sizes = [-(-size // 8) * 8 for size in sizes]
+    block = np.empty(sum(sizes) + 7)
+    start = -block.__array_interface__["data"][0] % 64 // 8
+    buffers = []
+    for size in sizes:
+        buffers.append(block[start : start + size])
+        start += size
+    return buffers
+
+
+def _slabs(arena: list, prog: _Program, n_eps: int, width: int) -> list:
+    """The slab of each chunk-stage instruction for chunks of ``width``
+    rows: the (n_eps or 1, width) prefix of its arena buffer."""
+    views = []
+    for buf, tall in zip(arena, prog.tall):
+        height = n_eps if tall else 1
+        views.append(buf[: height * width].reshape(height, width))
+    return [views[b] for b in prog.buffer]
 
 
 class _Run:
@@ -664,17 +728,23 @@ class _Run:
             k = int(np.argmax(bad.any(axis=1)))
             self.fail(k, slot, start + int(np.argmax(bad[k])), reason)
 
-    def execute(self, order, values, start: int, stop: int, frees):
+    def execute(self, order, values, start: int, stop: int, slabs):
+        """Compute the slots of ``order`` into ``values``: into new arrays
+        without ``slabs``, else into ``slabs[i]`` for ``order[i]``, with rows
+        start:stop of the points."""
         code = self.prog.code
         for i, slot in enumerate(order):
             op, a, b = code[slot]
+            out = None if slabs is None else slabs[i]
             if op == "x":
+                # copied, so every operand of the chunk is contiguous and aligned
                 if a < self.X.shape[1]:
-                    v = self.X[start:stop, a][None, :]
+                    np.copyto(out, self.X[start:stop, a])
                 else:
                     reason = f"variable {b} undefined in dimension {self.X.shape[1]}"
                     self.fail(0, slot, None, reason)
-                    v = np.full((1, 1), np.nan)
+                    out.fill(np.nan)
+                v = out
             elif op == "eps":
                 v = self.eps_column
             elif op == "const":
@@ -686,11 +756,8 @@ class _Run:
                 y = values[b] if op in _BINARY else b
                 if op in _DOMAIN:
                     self.check(op, x, y, slot, start)
-                v = _OPS[op](x) if y is None else _OPS[op](x, y)
+                v = _OPS[op](x, out=out) if y is None else _OPS[op](x, y, out=out)
             values[slot] = v
-            if frees is not None:
-                for k in frees[i]:
-                    values[k] = None
 
     def _table(self, pairs, slot: int) -> np.ndarray:
         lookup = {}
@@ -718,7 +785,7 @@ def _fold(op: str, a: Expr, b=None):
     if op in _DOMAIN and _DOMAIN[op][1](x, y):
         return None
     if op in _PLAIN:
-        value = _OPS[op](x) if y is None else _OPS[op](x, y)
+        value = _PLAIN[op](x) if y is None else _PLAIN[op](x, y)
     else:
         with np.errstate(all="ignore"):
             value = float(_OPS[op](x) if y is None else _OPS[op](x, y))
@@ -817,13 +884,14 @@ def partial(e: Expr, var) -> Expr:
 
 
 def _d(e: Expr, v: str, memo: dict) -> Expr:
-    """d e / d v.  ``memo`` maps id(node) to its derivative, so a subtree
-    shared by reference is differentiated once; the root keeps every node,
-    and so every id, alive for the whole call."""
-    out = memo.get(id(e))
-    if out is None:
-        out = memo[id(e)] = _d_node(e, v, memo)
-    return out
+    """d e / d v.  ``memo`` maps id(node) to the node and its derivative, so
+    a subtree shared by reference is differentiated once; holding the node
+    keeps its id from being reused while the memo lives, so one memo per
+    variable can serve several calls."""
+    hit = memo.get(id(e))
+    if hit is None:
+        hit = memo[id(e)] = (e, _d_node(e, v, memo))
+    return hit[1]
 
 
 def _d_node(e: Expr, v: str, memo: dict) -> Expr:
@@ -872,14 +940,20 @@ def _d_node(e: Expr, v: str, memo: dict) -> Expr:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def partial_multi(e: Expr, alpha) -> Expr:
+def partial_multi(e: Expr, alpha, memos=None) -> Expr:
     """Apply ``partial`` along each spatial axis the number of times given by
-    the multi-index ``alpha``."""
+    the multi-index ``alpha``.
+
+    ``memos`` maps an axis name to its derivative memo; calls that share it
+    differentiate each node along an axis once between them and return the
+    same trees as calls without it."""
     orders = alpha.orders if isinstance(alpha, MultiIndex) else tuple(alpha)
+    memos = {} if memos is None else memos
     out = e
     for axis, order in enumerate(orders, start=1):
+        name = f"x{axis}"
         for _ in range(order):
-            out = _d(out, f"x{axis}", {})
+            out = _d(out, name, memos.setdefault(name, {}))
     return out
 
 
@@ -888,10 +962,12 @@ def _derivative_family(e: Expr, alphas) -> tuple:
     built by one ``partial_multi`` step from its parent alpha - e_k, k the
     last axis of nonzero order.  ``partial_multi`` differentiates along the
     last such axis last, so every body is the tree ``partial_multi(e, alpha)``
-    gives, and each body shares its parent's nodes.  Parents are built
-    before their children in a loop, so no closure holds the bodies in a
-    reference cycle and they are freed as soon as the caller drops them."""
-    bodies = {}
+    gives, and each body shares its parent's nodes.  The steps share one
+    derivative memo per axis, so a node several bodies hold is
+    differentiated along each axis once for the whole family.  Parents are
+    built before their children in a loop, so no closure holds the bodies in
+    a reference cycle and they are freed as soon as the caller drops them."""
+    bodies, memos = {}, {}
     for alpha in alphas:
         # walk down to a built ancestor (or alpha = 0), then build back up
         orders, steps = alpha, []
@@ -903,7 +979,7 @@ def _derivative_family(e: Expr, alphas) -> tuple:
         for step in reversed(steps):
             orders = tuple(o + s for o, s in zip(orders, step))
             # looked up by name, so a tracer that rebinds it sees each step
-            body = bodies[orders] = partial_multi(body, step)
+            body = bodies[orders] = partial_multi(body, step, memos)
     return tuple(bodies.get(alpha, e) for alpha in alphas)
 
 

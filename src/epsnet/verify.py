@@ -97,10 +97,12 @@ def _deviation(f: Net, g: GroupElement) -> ex.Expr:
     return ex.c_sub(compose_net(f, g).body, f.body)
 
 
-def _centered(f: Net) -> ex.Expr:
-    """The body of f - f(0)."""
-    zero = {f"x{k}": ex.Const(0.0) for k in range(1, f.dimension + 1)}
-    return ex.c_sub(f.body, ex.subst(f.body, zero))
+def _centered(f: Net, grid: EpsilonGrid) -> ex.Expr:
+    """The body of f - f(0) on the grid, with f(0) evaluated at the origin
+    and held as one value per grid eps: an f undefined at 0 raises the
+    :class:`~epsnet.expr.EvalError` that names x = 0."""
+    origin = ex.eval_points(f.body, grid.values, np.zeros((1, f.dimension)))[:, 0]
+    return ex.c_sub(f.body, ex.Table(tuple(zip(grid.values, origin.tolist()))))
 
 
 def _floors(f: Net, grid: EpsilonGrid, lattice) -> list:
@@ -524,7 +526,7 @@ def _two_period_sups(f: Net, alpha: float, radius: float, grid: EpsilonGrid, sam
     dev1 = period_sups(1.0)
     dev2 = period_sups(alpha)
     inner = radius - alpha - 2.0
-    centered = grid_sups(_centered(f), grid, np.linspace(-inner, inner, samples)[:, None])
+    centered = grid_sups(_centered(f, grid), grid, np.linspace(-inner, inner, samples)[:, None])
     failing = 1.0 if dev1[-1] > dev2[-1] else alpha
     return dev1, dev2, centered, failing
 
@@ -678,7 +680,7 @@ def translation_constancy(
     reports = tuple(_invariance_reports(f, translations(), box, grid, p, strict=True))
     hypothesis = tuple(zip(offsets, reports))
     hypothesis_failed = not all(r.invariant for _, r in hypothesis)
-    centered = Net(_centered(f), f.dimension)
+    centered = Net(_centered(f, grid), f.dimension)
     conclusion = classify(centered, box, max_order=1, grid=grid, p_max=max(DEFAULT_P_MAX, p))
     verdict = (not hypothesis_failed) and conclusion.negligible_order >= p
     return TranslationReport(p, hypothesis, hypothesis_failed, conclusion, verdict)

@@ -489,6 +489,23 @@ class TestExitCodes:
         err = assert_one_line_error(capsys)
         assert err.startswith("evaluation error: sqrt of negative value; in 'sqrt(1-1e+200*1e+200)'")
 
+    @pytest.mark.parametrize(
+        "f, reason",
+        [
+            ("3+0*ln(x1)", "ln of non-positive value; in 'ln(x1)'"),
+            ("3+0*sqrt(x1-1)", "sqrt of negative value; in 'sqrt(x1-1)'"),
+            ("3+x1*exp(1/x1)", "division by zero; in '1/x1'"),
+        ],
+        ids=["zero-times-ln", "zero-times-sqrt", "x-times-exp-of-inverse"],
+    )
+    def test_translation_of_a_net_undefined_at_the_origin(self, tmp_path, capsys, f, reason):
+        # the conclusion reads f - f(0), and f(0) comes from evaluating f at
+        # x = 0, so a factor 0 (or x1) cannot hide that f is undefined there
+        code, data = run_cmd(tmp_path, ["translation", "--f", f, "--dim", "1", "--box=1:2"])
+        assert code == EXIT_ERROR and data is None
+        err = assert_one_line_error(capsys, f"evaluation error: {reason}")
+        assert err.rstrip().endswith("x=(0.0,)")
+
     def test_non_ascii_digit_is_a_positioned_parse_error(self, tmp_path, capsys):
         code, data = run_cmd(tmp_path, ["classify", "--f", "\u00b2", "--dim", "1"])
         assert code == EXIT_ERROR and data is None

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from epsnet import colombeau
 from epsnet import expr as ex
 from epsnet.colombeau import (
     CompactBox,
@@ -12,6 +15,7 @@ from epsnet.colombeau import (
     Net,
     classify,
     fit_decay_exponent,
+    image_bound_check,
     is_bounded_generalized_number,
     is_c_bounded,
     report_from_sups,
@@ -350,6 +354,46 @@ class TestSustainedGrowth:
         box = CompactBox.cube(-1, 1, 2)
         assert is_c_bounded(g, box, SHORT_GRID)[0]
         assert not is_c_bounded(g, box, GRID)[0]
+
+
+def _grows_slope_first(pairs, exponent, swing=1.0):
+    """The growth rule with the slope tested before the sup ratio."""
+    if math.isinf(exponent) or exponent >= -SLOPE_TOL:
+        return False
+    smallest = min(s for _, s in pairs if s > 0.0 and math.isfinite(s))
+    return pairs[-1][1] > swing * smallest
+
+
+_SUP_VALUES = st.one_of(st.floats(min_value=0.0, max_value=1e6), st.sampled_from([0.0, math.inf, math.nan]))
+
+
+class TestGrowthRatioFirst:
+    """``_grows`` tests the cheap sup ratio before the slope, so the image
+    bound of an element whose radius does not rise costs no fit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_SUP_VALUES, min_size=2, max_size=12), st.sampled_from([1.0, math.sqrt(3)]))
+    def test_same_verdict_as_the_slope_first_rule(self, sups, swing):
+        pairs = tuple(zip(EpsilonGrid.dyadic(4, 3 + len(sups)).values, sups))
+        want = _grows_slope_first(pairs, fit_decay_exponent(pairs), swing)
+        assert colombeau._grows(pairs, fit_decay_exponent(pairs), swing) == want
+        assert colombeau._grows(pairs, swing=swing) == want
+
+    @pytest.mark.parametrize("radius", [0.0, 2.0], ids=["zero", "constant"])
+    def test_radii_that_do_not_rise_are_not_fitted(self, monkeypatch, radius):
+        def no_fit(pairs):
+            raise AssertionError("image_bound_check fitted radii that do not rise")
+
+        monkeypatch.setattr(colombeau, "fit_decay_exponent", no_fit)
+        sups = np.tile([[radius, radius / 2]], (len(GRID), 1))
+        assert image_bound_check(sups, GRID) == (True, CompactBox(((-radius, radius), (-radius / 2, radius / 2))))
+
+    def test_rising_radii_are_still_fitted(self, monkeypatch):
+        fits = []
+        monkeypatch.setattr(colombeau, "fit_decay_exponent", lambda pairs: fits.append(pairs) or -1.0)
+        sups = np.array([[1.0 / eps, 1.0] for eps in GRID])
+        assert image_bound_check(sups, GRID) == (False, None)
+        assert len(fits) == 1
 
 
 class _CountingProgram(ex._Program):

@@ -290,3 +290,67 @@ def test_family_leaves_no_cyclic_garbage():
     finally:
         if was_enabled:
             gc.enable()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=3))
+def test_family_memos_build_the_trees_partial_multi_builds(seed, d, order):
+    # one derivative memo per axis for the whole family changes which node
+    # objects are shared, never the trees or the compiled program
+    e = random_expr(random.Random(seed), d, max_depth=5)
+    alphas = _alphas(d, order)
+    family = ex._derivative_family(e, alphas)
+    alone = tuple(partial_multi(e, a) for a in alphas)
+    assert family == alone
+    assert ex._Program(family).code == ex._Program(alone).code
+
+
+def test_shared_memos_outlive_the_trees_they_differentiated():
+    # a memo entry holds its node, so the id of a dropped tree is never
+    # taken for a new node's while the memos live
+    memos = {}
+    for k in range(40):
+        e = parse(f"sin({k}*x1*x2)+x2^{k % 5 + 2}*exp(x1-{k})", 2)
+        want = partial_multi(e, (1, 1))
+        assert partial_multi(e, (1, 1), memos) == want
+        del e, want
+
+
+def test_arena_holds_the_peak_live_slabs_on_cache_lines():
+    e = parse("sin(eps*x1)*cos(x2)+exp(-x1*x2)*eps+x1^2*tanh(eps*x2)", 2)
+    prog = ex._Program((e,))
+    # the most slabs of each kind (free of eps or not) live at once, read
+    # off the free schedule: a slab is taken before its operands are freed
+    live, peak = [0, 0], [0, 0]
+    for i, slot in enumerate(prog.chunked):
+        live[prog.on_eps[slot]] += 1
+        peak[prog.on_eps[slot]] = max(peak[prog.on_eps[slot]], live[prog.on_eps[slot]])
+        for k in prog.frees[i]:
+            live[prog.on_eps[k]] -= 1
+    assert peak[0] > 0 and peak[1] > 1
+    arenas, widths = [], []
+    arena, slabs = ex._arena, ex._slabs
+
+    def spy_arena(sizes):
+        arenas.append(arena(sizes))
+        return arenas[-1]
+
+    def spy_slabs(buffers, program, n_eps, width):
+        widths.append(width)
+        return slabs(buffers, program, n_eps, width)
+
+    X = _lattice(2, samples=9)  # 81 rows
+    with mock.patch.object(ex, "SLAB_ELEMENTS", 100):
+        assert_matches_reference(e, GRID, X)
+        with mock.patch.object(ex, "_arena", spy_arena), mock.patch.object(ex, "_slabs", spy_slabs):
+            ex.eval_points(e, GRID, X)
+            ex.eval_points(e, GRID, X, sup=True)
+    assert len(arenas) == 2
+    for buffers in arenas:
+        assert len(buffers) == sum(peak)
+        assert sorted(len(b) for b in buffers) == [16] * peak[0] + [len(GRID) * 16] * peak[1]
+        assert all(b.__array_interface__["data"][0] % 64 == 0 for b in buffers)
+    # 100 // 5 eps = 20 rows per chunk, cut to 16; the ragged last chunk of
+    # 81 % 16 = 1 row uses the prefix of the same buffers
+    assert set(widths) == {16, 1}

@@ -95,6 +95,11 @@ def test_traced_classify_enters_eval_and_diff_through_their_wrapped_names(tmp_pa
     record, called = _traced(tmp_path, ["classify", "--f", "exp(-x1^2)*cos(eps*x1*x2)",
                                         "--dim", "2", "--max-order", "2", "--k-max", "8"])
     assert {"expr.diff", "expr.eval", "colombeau.classify", "cli"} <= called
+    # one partial_multi step per nonzero multi-index of order <= 2 in d=2 and
+    # one eval_points call for the family: neither is bypassed
+    spans = [record["layers"][span[0]] for span in record["spans"]]
+    assert spans.count("expr.diff") == 5
+    assert spans.count("expr.eval") == 1
     counters = record["counters"]
     assert counters["expr.eval.rows"] == 6  # one row per multi-index of order <= 2 in d=2
     assert counters["expr.diff.tree_nodes"] > 0 and counters["expr.eval.elem_ops"] > 0
