@@ -188,7 +188,8 @@ def _grows(pairs: Sequence, exponent: Optional[float] = None, swing: float = 1.0
     image radius in d' dimensions, which an orthogonal map can swing by that
     factor (a rotation by 1/eps is thus c-bounded even on a three-point
     grid); and the slope must lie below -SLOPE_TOL.  The ratio is tested
-    first, so data that passes it costs no fit when ``exponent`` is None."""
+    first, so data that does not rise costs no fit when ``exponent`` is
+    None."""
     positive = [s for _, s in pairs if s > 0.0 and math.isfinite(s)]
     if not positive or not pairs[-1][1] > swing * min(positive):
         return False

@@ -11,9 +11,16 @@ eps-derivative.
 Evaluation is pure and deterministic; floating-point underflow to zero is
 accepted silently, domain violations raise :class:`EvalError`.
 Each operation's arithmetic and domain rule is written once (``_OPS``,
-``_DOMAIN``), for the evaluator and constant folding alike: ``_fold`` folds
-only constant operands outside the domain rule to a finite value; any other
-subtree stays a node and evaluates to the same IEEE value.
+``_DOMAIN``), for the evaluator and constant folding alike (folding takes
+``+ - * /`` and negation from Python's float operators, the same IEEE
+operations): ``_fold`` folds only constant operands outside the domain rule
+to a finite value; any other subtree stays a node and evaluates to the same
+IEEE value.
+The evaluator compiles its expressions into one program of unique nodes and
+runs the nodes that depend on x chunk by chunk of points, writing each
+intermediate slab in place into an arena allocated once per call: one
+buffer per slab alive at once, each starting on a 64-byte cache line, with
+chunks of 8 rows or more cut to a multiple of 8 (see ``SLAB_ELEMENTS``).
 """
 
 from __future__ import annotations

@@ -216,8 +216,13 @@ def assert_family_matches_reference(e, alphas, eps_values, X):
 def test_family_rows_match_reference_bit_for_bit(seed, d, order):
     e = random_expr(random.Random(seed), d, max_depth=5)
     alphas = _alphas(d, order)
-    # each body built from its parent is the tree partial_multi builds from e
-    assert ex._derivative_family(e, alphas) == tuple(partial_multi(e, a) for a in alphas)
+    # each body built from its parent is the tree partial_multi builds from
+    # e; the family's per-axis memos change which node objects are shared,
+    # never the trees or the compiled program
+    family = ex._derivative_family(e, alphas)
+    alone = tuple(partial_multi(e, a) for a in alphas)
+    assert family == alone
+    assert ex._Program(family).code == ex._Program(alone).code
     X = _lattice(d, samples=4)
     assert_family_matches_reference(e, alphas, GRID, X)
     with mock.patch.object(ex, "SLAB_ELEMENTS", TINY_SLAB):
@@ -290,20 +295,6 @@ def test_family_leaves_no_cyclic_garbage():
     finally:
         if was_enabled:
             gc.enable()
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=3),
-       st.integers(min_value=0, max_value=3))
-def test_family_memos_build_the_trees_partial_multi_builds(seed, d, order):
-    # one derivative memo per axis for the whole family changes which node
-    # objects are shared, never the trees or the compiled program
-    e = random_expr(random.Random(seed), d, max_depth=5)
-    alphas = _alphas(d, order)
-    family = ex._derivative_family(e, alphas)
-    alone = tuple(partial_multi(e, a) for a in alphas)
-    assert family == alone
-    assert ex._Program(family).code == ex._Program(alone).code
 
 
 def test_shared_memos_outlive_the_trees_they_differentiated():
