@@ -265,7 +265,8 @@ def _cmd_one_param(args):
     flow = planar_flow(args.kind, args.dim, args.i, args.j)
     kwargs = {} if real_thetas is None else {"real_thetas": real_thetas}
     rep = one_param_theorem_harness(
-        net, flow, gen_thetas=gen_thetas, box=box, grid=_grid(args), p=args.p, **kwargs
+        net, flow, gen_thetas=gen_thetas, box=box, grid=_grid(args), p=args.p, strict=args.strict,
+        **kwargs
     )
     verdict = "positive" if rep.verdict else "negative"
     note = "HYPOTHESIS_FAILED" if rep.hypothesis_failed else "hypothesis holds"

@@ -315,21 +315,23 @@ def decompose_net_matrix(M, grid: EpsilonGrid, kind: str):
     """Factor a matrix of scalar nets eps-by-eps, collecting each angle slot
     into a tabulated net.  Any per-eps failure aborts with the offending eps.
 
-    The entries are evaluated over the whole grid in one compiled pass.  An
-    evaluation error is raised once the eps before it are factored, so the
-    first failure is the one an eps-by-eps walk, entries in row-major order,
-    would meet."""
+    The entries are evaluated over the whole grid in one compiled pass,
+    which fails at its first failing entry.  That entry's first failing eps
+    need not be the grid's, so the eps before it are evaluated again until
+    they run clean; the last error is raised once those eps are factored,
+    so the first failure is the one an eps-by-eps walk, entries in
+    row-major order, would meet."""
     if kind not in ("rotation", "lorentz"):
         raise ValueError("kind must be 'rotation' or 'lorentz'")
     factorize = givens_decompose if kind == "rotation" else lorentz_decompose
     rows = [list(r) for r in M]
     entries = [_scalar_expr(v) for row in rows for v in row]
-    eps_values, failure = grid.values, None
-    try:
-        columns = ex.eval_many(entries, eps_values, np.zeros((1, 0)))
-    except ex.EvalError as err:
-        eps_values, failure = eps_values[: eps_values.index(err.eps)], err
-        columns = ex.eval_many(entries, eps_values, np.zeros((1, 0)))
+    eps_values, failure, columns = grid.values, None, None
+    while columns is None:
+        try:
+            columns = ex.eval_many(entries, eps_values, np.zeros((1, 0)))
+        except ex.EvalError as err:
+            eps_values, failure = eps_values[: eps_values.index(err.eps)], err
     values = iter(columns)
     stack = np.array([[next(values)[:, 0] for _ in row] for row in rows])
     per_eps = []

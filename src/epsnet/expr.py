@@ -25,6 +25,7 @@ chunks of 8 rows or more cut to a multiple of 8 (see ``SLAB_ELEMENTS``).
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from typing import Mapping, Sequence
@@ -51,14 +52,18 @@ class ParseError(ValueError):
 
 
 class EvalError(ArithmeticError):
-    """Domain violation during evaluation, carrying the offending subexpression."""
+    """Domain violation during evaluation, carrying the offending subexpression.
 
-    def __init__(self, reason, subexpr, eps=None, point=None, alpha=None):
+    ``root`` is the index of the failing expression among those evaluated
+    together (:func:`eval_many`, a derivative family), 0 for one."""
+
+    def __init__(self, reason, subexpr, eps=None, point=None, alpha=None, root=0):
         self.reason = reason
         self.subexpr = subexpr
         self.eps = eps
         self.point = point
         self.alpha = alpha
+        self.root = root
         parts = [reason, f"in '{to_text(subexpr)}'"]
         if eps is not None:
             parts.append(f"eps={eps!r}")
@@ -70,7 +75,8 @@ class EvalError(ArithmeticError):
 
     def with_context(self, alpha) -> "EvalError":
         """The same error, naming the multi-index ``alpha``."""
-        return EvalError(self.reason, self.subexpr, eps=self.eps, point=self.point, alpha=alpha)
+        return EvalError(self.reason, self.subexpr, eps=self.eps, point=self.point, alpha=alpha,
+                         root=self.root)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +496,8 @@ def eval_points(e: Expr, eps, points, sup: bool = False, partials=None):
     violations (sqrt of a negative, ln of a non-positive, division by zero)
     raise :class:`EvalError` with a witness point.  Over a sequence the error
     is the one evaluation at the first failing eps alone would raise; over a
-    family it is the one of the first failing alpha, which it names.
+    family it is the one a loop over the alphas meets first, and it names
+    that alpha.
     """
     scalar = np.ndim(eps) == 0
     eps_values = (eps,) if scalar else eps
@@ -498,25 +505,20 @@ def eval_points(e: Expr, eps, points, sup: bool = False, partials=None):
         out = _evaluate((e,), eps_values, points, sup)[0]
         return (float(out[0]) if sup else out[0]) if scalar else out
     alphas = [tuple(a.orders if isinstance(a, MultiIndex) else a) for a in partials]
-    bodies = _derivative_family(e, alphas)
     try:
-        out = np.array(_evaluate(bodies, eps_values, points, sup))
-    except EvalError:
-        # the family's first failure need not be the first alpha's: find
-        # that one on its own, in order, as a per-alpha loop would
-        for alpha, body in zip(alphas, bodies):
-            try:
-                _evaluate((body,), eps_values, points, sup)
-            except EvalError as err:
-                raise err.with_context(alpha=alpha) from None
-        raise
+        out = np.array(_evaluate(_derivative_family(e, alphas), eps_values, points, sup))
+    except EvalError as err:
+        raise err.with_context(alpha=alphas[err.root]) from None
     return out[:, 0] if scalar else out
 
 
 def eval_many(es: Sequence[Expr], eps, points, sup: bool = False) -> list:
     """Evaluate several expressions, compiled together so that the
     subexpressions they share are computed once; one result each, shaped as
-    :func:`eval_points` shapes it for the same ``eps`` and ``sup``."""
+    :func:`eval_points` shapes it for the same ``eps`` and ``sup``.
+
+    The error is the one a loop of :func:`eval_points` over ``es`` meets
+    first, with ``root`` the index of its expression."""
     scalar = np.ndim(eps) == 0
     outs = _evaluate(tuple(es), (eps,) if scalar else eps, points, sup)
     return [out[0] for out in outs] if scalar else outs
@@ -532,13 +534,17 @@ class _Program:
     """The unique nodes of a family of expressions, in evaluation order.
 
     Structurally equal subtrees are interned to one slot.  The order is the
-    post-order of a left-to-right walk, first occurrence first, so the first
-    failing slot is the node a recursive evaluation would have stopped at.
-    ``code[slot]`` is ``(op, a, b)``: child slots or leaf data.
+    post-order of a left-to-right walk, root by root, first occurrence first,
+    so among the slots one root's walk reached first, the first failing one
+    is the node a recursive evaluation of that root would have stopped at.
+    ``code[slot]`` is ``(op, a, b)``: child slots or leaf data.  ``ends[r]``
+    is the slot count after root r's walk, so the root whose walk first
+    reached a slot is ``bisect_right(ends, slot)``.
     """
 
     def __init__(self, roots):
         self.code, self.nodes, self.reads, self.on_eps, self.on_x = [], [], [], [], []
+        self.ends = []
         interned = {}
         memo = {}  # id(node) -> slot; the roots keep every node alive
         for root in roots:
@@ -565,6 +571,7 @@ class _Program:
                     self.on_eps.append(key[0] in ("eps", "table") or any(self.on_eps[k] for k in kid_slots))
                     self.on_x.append(key[0] == "x" or any(self.on_x[k] for k in kid_slots))
                 memo[id(node)] = slot
+            self.ends.append(len(self.code))
         self.roots = [memo[id(r)] for r in roots]
         self.hoisted = [s for s in range(len(self.code)) if not self.on_x[s]]
         self.chunked = [s for s in range(len(self.code)) if self.on_x[s]]
@@ -683,9 +690,9 @@ def _evaluate(roots, eps_values, points, sup: bool) -> list:
                 else:
                     outs[k][:, start:stop] = v
     if run.failure is not None:
-        k, slot, row, reason = run.failure
+        root, k, slot, row, reason = run.failure
         point = None if row is None else (X[row] if d else ())
-        raise EvalError(reason, prog.nodes[slot], eps=eps_values[k], point=point)
+        raise EvalError(reason, prog.nodes[slot], eps=eps_values[k], point=point, root=root)
     if sup:
         outs = [np.broadcast_to(m, (n_eps,)).copy() for m in sups]
     return outs
@@ -716,17 +723,22 @@ def _slabs(arena: list, prog: _Program, n_eps: int, width: int) -> list:
 
 class _Run:
     """Executes a program's instructions and keeps the first failure: the
-    least (eps index, slot) pair, then the first bad row."""
+    least (root, eps index, slot), where root is the root whose walk first
+    reached the slot, then the first bad row.  That is the failure a loop
+    over the roots, each evaluated eps by eps, meets first: the first root
+    to fail is the first to reach a failing slot, and the slots it reached
+    first keep the order of its own walk."""
 
     def __init__(self, prog: _Program, eps_column: np.ndarray, X: np.ndarray):
         self.prog = prog
         self.eps_column = eps_column
         self.X = X
-        self.failure = None  # (eps index, slot, row or None, reason)
+        self.failure = None  # (root, eps index, slot, row or None, reason)
 
     def fail(self, k: int, slot: int, row, reason: str):
-        if self.failure is None or (k, slot) < self.failure[:2]:
-            self.failure = (k, slot, row, reason)
+        key = (bisect.bisect_right(self.prog.ends, slot), k, slot)
+        if self.failure is None or key < self.failure[:3]:
+            self.failure = (*key, row, reason)
 
     def check(self, op: str, x: np.ndarray, y, slot: int, start: int):
         reason, rule = _DOMAIN[op]

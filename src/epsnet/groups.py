@@ -245,7 +245,11 @@ def element_from_json(data: dict) -> GroupElement:
 
     if "matrix" in data:
         rows = [[scalar(v) for v in row] for row in data["matrix"]]
-        return GroupElement.from_matrix(rows)
+        element = GroupElement.from_matrix(rows)
+        if int(data.get("dimension", element.dimension)) != element.dimension:
+            raise ValueError(f"a {element.dimension}x{element.dimension} matrix is not of "
+                             f"dimension {data['dimension']}")
+        return element
     if "coords" in data:
         d = int(data.get("dimension", len(data["coords"])))
         return GroupElement.from_coords(d, tuple(ex.parse(t, d) for t in data["coords"]))

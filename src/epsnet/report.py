@@ -16,32 +16,7 @@ import math
 import sys
 from operator import attrgetter
 
-_MISSING = object()
 _set_field = object.__setattr__
-
-
-class _Field:
-    __slots__ = ("default", "default_factory", "init", "compare")
-
-    def __init__(self, default, default_factory, init, compare):
-        self.default = default
-        self.default_factory = default_factory
-        self.init = init
-        self.compare = compare
-
-    def value(self):
-        """The field's default value (``_MISSING`` if it has none)."""
-        if self.default_factory is not _MISSING:
-            return self.default_factory()
-        return self.default
-
-
-def field(*, default=_MISSING, default_factory=_MISSING, init=True, compare=True):
-    """Options of one record field: a default value, or a zero-argument
-    factory called for each new record; ``init=False`` keeps it out of
-    ``__init__`` (it then needs a default); ``compare=False`` keeps it out of
-    ``==`` and ``hash``."""
-    return _Field(default, default_factory, init, compare)
 
 
 class _DataclassFields:
@@ -63,54 +38,32 @@ _DATACLASS_FIELDS = _DataclassFields()
 def record(cls):
     """Make ``cls`` a frozen record of its annotated fields.
 
-    A field's class-level value is its default, either plain or given by
-    :func:`field`.  ``__init__`` takes the fields with ``init=True`` in
-    order, by position or by name, sets every field, then calls
+    A field's class-level value is its default.  ``__init__`` takes the
+    fields in order, by position or by name, sets every field, then calls
     ``__post_init__`` if the class has one (which may set fields with
     ``object.__setattr__``).  ``==`` holds between records of the same class
-    whose compared fields are equal, and ``hash`` is the hash of the tuple
-    of those fields.  ``cls._fields`` holds the field names in order.
+    whose fields are equal, and ``hash`` is the hash of the tuple of the
+    fields.  ``cls._fields`` holds the field names in order.
     """
     names = tuple(cls.__dict__.get("__annotations__", {}))
-    specs = {}
-    for name in names:
-        spec = cls.__dict__.get(name, _MISSING)
-        if not isinstance(spec, _Field):
-            spec = field(default=spec)
-        if spec.default is _MISSING:
-            if name in cls.__dict__:
-                delattr(cls, name)
-        else:
-            setattr(cls, name, spec.default)
-        if not spec.init and spec.default is spec.default_factory is _MISSING:
-            raise TypeError(f"{cls.__qualname__}.{name}: a field with init=False needs a default")
-        specs[name] = spec
-    params = tuple(n for n in names if specs[n].init)
-    fixed = tuple((n, specs[n]) for n in names if not specs[n].init)
-    compared = tuple(n for n in names if specs[n].compare)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     post_init = cls.__dict__.get("__post_init__")
-    if len(compared) == 1:
-        get = attrgetter(*compared)
+    if len(names) == 1:
+        get = attrgetter(*names)
 
         def key(self):
             return (get(self),)
     else:
-        key = attrgetter(*compared)
+        key = attrgetter(*names)
 
-    n_params, assign, finish = len(params), _assigner(params), None
-    if fixed or post_init is not None:
-        def finish(self):
-            for name, spec in fixed:
-                _set_field(self, name, spec.value())
-            if post_init is not None:
-                post_init(self)
+    n_fields, assign = len(names), _assigner(names)
 
     def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != n_params:
-            args = _bind(cls, params, specs, args, kwargs)
+        if kwargs or len(args) != n_fields:
+            args = _bind(cls, names, defaults, args, kwargs)
         assign(self, args)
-        if finish is not None:
-            finish(self)
+        if post_init is not None:
+            post_init(self)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -168,26 +121,26 @@ def _assigner(names):
     return assign
 
 
-def _bind(cls, params, specs, args, kwargs) -> list:
+def _bind(cls, names, defaults, args, kwargs) -> list:
     """The ``__init__`` arguments of a record in field order, defaults
     filled in; a call that Python would refuse raises a TypeError."""
     where = f"{cls.__qualname__}.__init__()"
-    if len(args) > len(params):
-        raise TypeError(f"{where} takes {len(params)} positional arguments "
+    if len(args) > len(names):
+        raise TypeError(f"{where} takes {len(names)} positional arguments "
                         f"but {len(args)} were given")
-    values = dict(zip(params, args))
+    values = dict(zip(names, args))
     for name, value in kwargs.items():
-        if name not in params:
+        if name not in names:
             raise TypeError(f"{where} got an unexpected keyword argument {name!r}")
         if name in values:
             raise TypeError(f"{where} got multiple values for argument {name!r}")
         values[name] = value
-    for name in params:
+    for name in names:
         if name not in values:
-            values[name] = specs[name].value()
-            if values[name] is _MISSING:
+            if name not in defaults:
                 raise TypeError(f"{where} missing required argument {name!r}")
-    return [values[name] for name in params]
+            values[name] = defaults[name]
+    return [values[name] for name in names]
 
 
 def plain_json(value):

@@ -32,7 +32,7 @@ from .colombeau import (
     report_from_sups,
 )
 from .groups import GroupElement, compose_net
-from .report import Record, field, plain_json, record
+from .report import Record, plain_json, record
 
 if TYPE_CHECKING:
     from .numbertheory import AlgebraicNumber
@@ -66,7 +66,7 @@ class InvarianceReport(Record):
     asymptotic: AsymptoticReport
     invariant: bool
     c_bounded: bool
-    element: dict = field(default_factory=dict, compare=False)
+    element: dict
 
 
 def _check_order(p: int) -> None:
@@ -110,36 +110,25 @@ def _floors(f: Net, grid: EpsilonGrid, lattice) -> list:
     return [_noise_floor(s) for s in grid_sups(f.body, grid, lattice)]
 
 
-def _joint_sups(f: Net, elements: list, box: CompactBox, grid: EpsilonGrid):
-    """f's floors and, per element, the per-eps sups of |f o g - f| over the
-    lattice: f's sups from one ``grid_sups``, then every deviation from one
-    ``eval_many``, which computes the subtrees of f and the lattice leaves
-    once.  None when an element's dimension differs from f's or a pass
-    raises :class:`~epsnet.expr.EvalError`."""
-    if any(g.dimension != f.dimension for g in elements):
-        return None
-    lattice = box.lattice()
-    try:
-        floors = _floors(f, grid, lattice)
-        sups = ex.eval_many([_deviation(f, g) for g in elements], grid.values, lattice, sup=True)
-    except ex.EvalError:
-        return None
-    return floors, [s.tolist() for s in sups]
-
-
 def _invariance_reports(f: Net, elements, box: CompactBox, grid: Optional[EpsilonGrid], p: int,
                         strict: bool, stacklevel: int = 3):
-    """Yield the :class:`InvarianceReport` of each element in turn.
+    """Yield the :class:`InvarianceReport` of each element in turn, with the
+    errors and warnings a loop of one-element checks gives.
 
-    The deviation sups come from one joint pass (:func:`_joint_sups`); the
-    rest is per element, in order: the dimension, c-boundedness,
-    then the sups snapped to zero at or below f's floors.  When the joint pass
-    fails, each element is measured on its own, f before its deviation, so
-    every error and warning comes out as a loop of one-element checks gives
-    it.  An error raised while ``elements`` is iterated comes after the
-    reports of the elements before it.  A waived c-boundedness failure warns
-    from ``stacklevel`` frames above :func:`_check_c_bounded`; at 3, from the
-    line that asks for the element's report."""
+    Each element's check is, in order: its dimension, its c-boundedness,
+    f's sups (which set the noise floors), then the sups of f o g - f,
+    snapped to zero at or below the floors.  The elements before the first
+    one of another dimension are measured in one joint pass: f's sups from
+    one ``grid_sups``, every deviation from one ``eval_many``, which
+    computes the subtrees of f and the lattice leaves once.  An
+    :class:`~epsnet.expr.EvalError` of that pass names the element a loop
+    fails at (``root``, 0 when f fails) and is raised after that element's
+    c-boundedness check; the elements before it take their sups from one
+    evaluation of that prefix.  An error raised while ``elements`` is
+    iterated comes after the reports of the elements before it.  A waived
+    c-boundedness failure warns from ``stacklevel`` frames above
+    :func:`_check_c_bounded`; at 3, from the line that asks for the
+    element's report."""
     grid = grid or EpsilonGrid.dyadic()
     built, error = [], None
     try:
@@ -149,23 +138,32 @@ def _invariance_reports(f: Net, elements, box: CompactBox, grid: Optional[Epsilo
         error = err
     if built:
         _check_order(p)
-    joint = _joint_sups(f, built, box, grid) if built else None
+    # the element at index stop raises: the first of another dimension, or
+    # the one the joint pass fails at
+    stop = next((k for k, g in enumerate(built) if g.dimension != f.dimension), len(built))
+    deviations = [_deviation(f, g) for g in built[:stop]]
+    floors, sups, failure = [], [], None
+    if deviations:
+        lattice = box.lattice()
+        try:
+            floors = _floors(f, grid, lattice)
+            sups = ex.eval_many(deviations, grid.values, lattice, sup=True)
+        except ex.EvalError as err:
+            # f's own error has root 0: a loop meets it at the first element
+            failure, stop = err, err.root
+            sups = ex.eval_many(deviations[:stop], grid.values, lattice, sup=True) if stop else []
     for k, g in enumerate(built):
-        if g.dimension != f.dimension:
+        if k == stop and failure is None:
             raise ValueError("element dimension does not match net dimension")
         c_bounded = _check_c_bounded(g, box, grid, strict, stacklevel)
-        if joint is None:
-            lattice = box.lattice()
-            floors = _floors(f, grid, lattice)
-            sups = grid_sups(_deviation(f, g), grid, lattice)
-        else:
-            floors, sups = joint[0], joint[1][k]
-        sups = [0.0 if s <= fl else s for s, fl in zip(sups, floors)]
-        report = report_from_sups(grid, sups, p_max=max(DEFAULT_P_MAX, p))
+        if k == stop:
+            raise failure
+        snapped = [0.0 if s <= fl else s for s, fl in zip(sups[k].tolist(), floors)]
+        report = report_from_sups(grid, snapped, p_max=max(DEFAULT_P_MAX, p))
         # beyond the finest-quarter rule, require sup <= eps^p wherever the
         # deviation is large enough to be measurable at all
         whole_grid_ok = all(
-            s <= max(eps**p, fl) for (eps, s, fl) in zip(grid.values, sups, floors)
+            s <= max(eps**p, fl) for (eps, s, fl) in zip(grid.values, snapped, floors)
         )
         yield InvarianceReport(
             order=p,
@@ -237,8 +235,11 @@ def one_param_theorem_harness(
 ) -> OneParamReport:
     """Sample the real-parameter hypothesis of the lifting theorem, then test
     the generalized-parameter conclusion.  If any real-parameter check fails
-    the conclusion block is informational only.  An empty ``real_thetas``
-    raises ValueError: it would leave the hypothesis untested."""
+    the conclusion block is informational only.  Each block is one joint
+    pass (:func:`_invariance_reports`); a generalized parameter is checked to
+    be bounded on the grid before its element is built.  An empty
+    ``real_thetas`` raises ValueError: it would leave the hypothesis
+    untested."""
     if not real_thetas:
         raise ValueError("the hypothesis needs at least one real theta")
     grid = grid or EpsilonGrid.dyadic()
@@ -247,13 +248,15 @@ def one_param_theorem_harness(
     reports = tuple(_invariance_reports(f, (flow(theta) for theta in thetas), box, grid, p, strict))
     hypothesis = list(zip(thetas, reports))
     hypothesis_failed = not all(r.invariant for _, r in hypothesis)
-    conclusion = []
-    for theta in gen_thetas:
-        if not is_bounded_generalized_number(theta, grid):
-            raise ValueError(f"generalized parameter {theta} is not bounded on the grid")
-        label = str(theta)
-        rep = check_invariance(f, flow(theta), box, grid, p, strict=strict)
-        conclusion.append((label, rep))
+
+    def generalized():
+        for theta in gen_thetas:
+            if not is_bounded_generalized_number(theta, grid):
+                raise ValueError(f"generalized parameter {theta} is not bounded on the grid")
+            yield flow(theta)
+
+    reports = tuple(_invariance_reports(f, generalized(), box, grid, p, strict))
+    conclusion = [(str(theta), rep) for theta, rep in zip(gen_thetas, reports)]
     verdict = (not hypothesis_failed) and all(r.invariant for _, r in conclusion)
     return OneParamReport(p, tuple(hypothesis), tuple(conclusion), hypothesis_failed, verdict)
 
@@ -712,8 +715,8 @@ class ExplorerReport(Record):
     failing_period: Optional[float]
     effective_M: Optional[float]
     rows: tuple
-    note: str = field(default="exploratory output; no theorem backs these numbers", init=False)
-    theorem_grade: bool = field(default=False, init=False)
+    note: str = "exploratory output; no theorem backs these numbers"
+    theorem_grade: bool = False
 
 
 def open_question_explorer(

@@ -149,6 +149,15 @@ class TestExitCodes:
         assert data["evidence"]["full"]["c_bounded"] is False
         assert capsys.readouterr().err == "warning: transformation is not c-bounded on the box\n" * 2
 
+    def test_waived_one_param_records_its_unbounded_conclusion(self, tmp_path, capsys):
+        # a boost by 1000 overflows on the box
+        code, data = run_cmd(tmp_path, ["--no-strict", "one-param", "--f", "x1^2-x2^2", "--dim", "2",
+                                        "--kind", "boost", "--i", "1", "--j", "2", "--gen-theta", "1000",
+                                        "--k-max", "8"])
+        assert code == EXIT_NEGATIVE
+        assert [r["c_bounded"] for r in data["evidence"]["conclusion"]] == [False]
+        assert capsys.readouterr().err == "warning: transformation is not c-bounded on the box\n"
+
     @pytest.mark.parametrize(
         "argv, code",
         [
@@ -202,6 +211,7 @@ class TestExitCodes:
             ("1", "{}", "--element"),
             ("1", '{"factors":[{"kind":"bogus"}]}', "--element"),
             ("1", "[1,2]", "--element"),
+            ("2", '{"matrix": [[1,0],[0,1]], "dimension": 3}', "--element"),
             # a table that misses grid points cannot be evaluated there
             ("2", '{"factors":[{"kind":"rotation","i":1,"j":2,"theta":{"table":[[0.5,0.1]]}}]}',
              "not a grid point"),

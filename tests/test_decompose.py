@@ -295,8 +295,13 @@ class TestNetMatrix:
               ("sin(eps) + 0*sqrt(eps - 2^-9)", "cos(eps)")), ex.EvalError),
             # not orthogonal at the first eps, long before the entry fails
             ((("1 + eps + 0*sqrt(eps - 2^-9)", "0"), ("0", "1")), DecompositionError),
+            # (1,1) fails at 2^-12, (2,2) at 2^-10, and (1,2) leaves the
+            # matrix not orthogonal at 2^-8: two re-runs of the eps before a
+            # failure come back to the factoring error
+            ((("cos(eps) + 0*ln(eps - 2^-12)", "-sin(eps) + 2*exp(-(eps*2^8)^40)"),
+              ("sin(eps)", "cos(eps) + 0*sqrt(eps - 2^-9)")), DecompositionError),
         ],
-        ids=["later-entry-fails-first", "same-eps", "factoring-fails-first"],
+        ids=["later-entry-fails-first", "same-eps", "factoring-fails-first", "factoring-fails-before-two-entries"],
     )
     def test_first_failure_is_that_of_an_eps_by_eps_walk(self, texts, error):
         rows = [[Net.parse(t, 0) for t in row] for row in texts]

@@ -162,6 +162,49 @@ def test_result_shapes():
         ex.eval_points(e, (0.5, 0.0), X)
 
 
+def assert_many_match_a_loop(es, eps_values, X):
+    """eval_many against eval_points on one expression at a time, stopping
+    at the first that raises: the same arrays bit for bit, or the same error
+    with ``root`` the index of the failing expression."""
+    for sup in (False, True):
+        want, err = [], None
+        for e in es:
+            try:
+                want.append(ex.eval_points(e, eps_values, X, sup=sup))
+            except EvalError as caught:
+                err = caught
+                break
+        if err is None:
+            got = ex.eval_many(es, eps_values, X, sup=sup)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        else:
+            with pytest.raises(EvalError) as info:
+                ex.eval_many(es, eps_values, X, sup=sup)
+            _assert_same_error(info.value, err)
+            assert info.value.root == len(want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["random", "violation", "shared"]),
+                          st.integers(min_value=0, max_value=10**9)), min_size=1, max_size=5),
+       st.integers(min_value=0, max_value=3))
+def test_many_expressions_fail_as_a_loop_over_them(draws, d):
+    # "shared" adds a random tree to the expression before it, so a later
+    # root reaches some of its slots after an earlier root has
+    es = []
+    for kind, seed in draws:
+        text, dim = DOMAIN_VIOLATIONS[seed % len(DOMAIN_VIOLATIONS)]
+        if kind == "violation" and dim <= d:
+            es.append(parse(text, d))
+            continue
+        e = random_expr(random.Random(seed), d, max_depth=4)
+        es.append(ex.BinOp("+", e, es[-1]) if kind == "shared" and es else e)
+    X = _lattice(d)
+    assert_many_match_a_loop(es, GRID, X)
+    with mock.patch.object(ex, "SLAB_ELEMENTS", TINY_SLAB):
+        assert_many_match_a_loop(es, GRID, X)
+
+
 def test_grid_sups_memory_stays_below_one_full_slab():
     lattice = CompactBox.cube(-1.0, 1.0, 3, 33).lattice()
     grid = EpsilonGrid.dyadic(4, 40)

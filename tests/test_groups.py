@@ -95,6 +95,16 @@ class TestApply:
             with pytest.raises(ValueError, match="sequence of eps"):
                 g.apply_points(X, eps, sup=sup)
 
+    def test_grid_sups_name_the_first_failing_coordinate(self):
+        # x2's sqrt fails from 2^-6 on, x1's ln only from 2^-10: the error is
+        # that of the first coordinate to fail, as a loop over them would meet
+        g = GroupElement.from_coords(
+            2, (ex.parse("x1+0*ln(eps-2^-10)", 2), ex.parse("x2+0*sqrt(eps-2^-5)", 2))
+        )
+        with pytest.raises(ex.EvalError) as info:
+            g.apply_points(BOX2.lattice(), GRID.values, sup=True)
+        assert (info.value.reason, info.value.eps, info.value.root) == ("ln of non-positive value", 2**-10, 0)
+
     def test_composition_with_a_map_matches_pointwise_application(self):
         # g o v evaluated symbolically equals g applied to the points v(X)
         g = GroupElement.rotation(2, 1, 2, 0.5)

@@ -14,7 +14,7 @@ from epsnet.colombeau import CompactBox, EpsilonGrid, Net, classify
 from epsnet.decompose import givens_decompose
 from epsnet.groups import GroupElement, planar_flow
 from epsnet.numbertheory import catalog, resolve_alpha
-from epsnet.report import Record, field, plain_json, record
+from epsnet.report import Record, plain_json, record
 from epsnet.verify import (
     chain_bound,
     check_invariance,
@@ -117,12 +117,11 @@ def test_reports_with_their_own_shape_are_plain_json_too():
 # record semantics, against a frozen dataclass of the same body
 
 
-def _sample_class(decorate, field):
+def _sample_class(decorate):
     class Sample:
         name: str
         size: int = 3
-        tags: dict = field(default_factory=dict, compare=False)
-        note: str = field(default="fixed", init=False)
+        note: str = "fixed"
 
         def __post_init__(self):
             object.__setattr__(self, "size", int(self.size))
@@ -143,16 +142,16 @@ def _node_classes(decorate):
 
 
 FROZEN = dataclasses.dataclass(frozen=True)
-Sample, RefSample = _sample_class(record, field), _sample_class(FROZEN, dataclasses.field)
+Sample, RefSample = _sample_class(record), _sample_class(FROZEN)
 (Leaf, Node), (RefLeaf, RefNode) = _node_classes(record), _node_classes(FROZEN)
 
 CALLS = [
     (("a",), {}),
     (("a", 4), {}),
     (("a",), {"size": "4"}),
-    ((), {"name": "b", "size": 4, "tags": {"x": 1}}),
-    (("a", 4, {"y": 2}), {}),
-    ((), {"tags": {}, "name": "a"}),
+    ((), {"name": "b", "size": 4, "note": "x"}),
+    (("a", 4, "y"), {}),
+    ((), {"note": "fixed", "name": "a"}),
 ]
 
 
@@ -162,7 +161,7 @@ def test_record_values_match_the_dataclass(call):
     rec, ref = Sample(*args, **kwargs), RefSample(*args, **kwargs)
     assert repr(rec) == repr(ref)
     assert hash(rec) == hash(ref)
-    assert (rec.name, rec.size, rec.tags, rec.note) == (ref.name, ref.size, ref.tags, ref.note)
+    assert (rec.name, rec.size, rec.note) == (ref.name, ref.size, ref.note)
     for other_args, other_kwargs in CALLS:
         equal = rec == Sample(*other_args, **other_kwargs)
         assert equal == (ref == RefSample(*other_args, **other_kwargs))
@@ -181,9 +180,8 @@ def test_nested_records_hash_and_print_as_the_dataclass():
 
 @pytest.mark.parametrize(
     "args, kwargs",
-    [((), {}), (("a", 1, {}, 2), {}), (("a",), {"colour": 1}), (("a",), {"name": "b"}),
-     (("a",), {"note": "x"})],
-    ids=["missing", "too-many", "unexpected", "twice", "init-false"],
+    [((), {}), (("a", 1, "x", 2), {}), (("a",), {"colour": 1}), (("a",), {"name": "b"})],
+    ids=["missing", "too-many", "unexpected", "twice"],
 )
 def test_bad_calls_are_type_errors(args, kwargs):
     for cls in (Sample, RefSample):
@@ -199,14 +197,12 @@ def test_fields_cannot_be_assigned_or_deleted():
             del rec.note
 
 
-def test_post_init_defaults_and_factories():
+def test_post_init_and_defaults():
     rec = Sample("a", "5")
     assert rec.size == 5 and rec.note == "fixed" and Sample.note == "fixed"
-    assert Sample("a").tags == {} and Sample("a").tags is not Sample("a").tags
-    assert Sample("a", tags={"x": 1}) == Sample("a")
-    assert hash(Sample("a", tags={"x": 1})) == hash(Sample("a"))
+    assert Sample("a", note="x").note == "x" and Sample("a", note="x") != Sample("a")
     assert Sample("a") != Sample("a", 4)
-    with pytest.raises(ValueError):  # a record with __post_init__ and no init=False field
+    with pytest.raises(ValueError):  # a record's __post_init__ may refuse its fields
         ex.MultiIndex((-1,))
 
 
@@ -217,7 +213,7 @@ def test_cached_lattice_stays_out_of_equality():
     assert hash(box) == hash(CompactBox.cube(-1.0, 1.0, 2, 5))
 
 
-SAMPLE_FIELDS = ["name", "size", "tags", "note"]
+SAMPLE_FIELDS = ["name", "size", "note"]
 
 
 @pytest.mark.parametrize(

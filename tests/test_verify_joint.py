@@ -1,7 +1,7 @@
 """One compiled deviation pass per harness: the pipelines, translation
-constancy and the one-parameter hypothesis measure every element's f o g - f
-in one program, and must give the reports, errors and warnings that one
-``check_invariance`` per element gives."""
+constancy and the one-parameter hypothesis and conclusion measure every
+element's f o g - f in one program, and must give the reports, errors and
+warnings that one ``check_invariance`` per element gives."""
 
 import json
 import random
@@ -101,6 +101,7 @@ def test_lorentz_pipeline_reports_are_the_per_element_reports(seed):
 def test_translation_and_one_param_reports_are_the_per_element_reports(seed):
     offsets = ((0.5, 0.0), (1.0, -0.25), (0.125, 2.0))
     thetas = (0.1, -1.0, 3.0)
+    gen = (Net.parse("0.5+eps", 0), Net.parse("1-eps^2", 0))
     box = CompactBox.cube(-1.0, 1.0, 2, 9)
     flow = planar_flow("rotation", 2, 1, 2)
     for f in _nets(seed, 2, 6):
@@ -112,14 +113,20 @@ def test_translation_and_one_param_reports_are_the_per_element_reports(seed):
         got = _outcome(lambda: one_param_theorem_harness(f, flow, thetas, box=box, grid=GRID, p=2).hypothesis)
         want = _outcome(lambda: tuple((t, check_invariance(f, flow(t), box, GRID, 2)) for t in thetas))
         assert got == want, str(f)
+        got = _outcome(lambda: one_param_theorem_harness(f, flow, thetas, gen, box=box, grid=GRID, p=2).conclusion)
+        want = _outcome(lambda: (
+            [check_invariance(f, flow(t), box, GRID, 2) for t in thetas],
+            tuple((str(t), check_invariance(f, flow(t), box, GRID, 2)) for t in gen),
+        )[1])
+        assert got == want, str(f)
 
 
 # ---------------------------------------------------------------------------
 # the first error and the warnings are those of the per-element loop
 
 #: f fails under the second factor from the second grid eps on, and under the
-#: full element from the first: the joint program's first failure is the full
-#: element's, the per-element loop's that of factor 2
+#: full element from the first: the first failure, of the joint program as of
+#: the per-element loop, is that of factor 2
 DOMAIN_NET = Net.parse("sqrt(0.636+1.633*eps-0.5*x1)", 3)
 FACTORS = (PlanarFactor("rotation", 1, 2, -0.14), PlanarFactor("rotation", 1, 3, -0.75))
 #: a boost by ln(1/eps) in the (2,3) plane: not c-bounded, and f above does
@@ -150,7 +157,7 @@ def test_an_eval_error_in_factor_2_is_the_per_element_one():
         ex.eval_many([_deviation(DOMAIN_NET, g) for g in elements], SHORT.values, BOX3.lattice(), sup=True)
     want = _first_error(FACTORS, True)
     assert want[0] is ex.EvalError and "eps=0.03125" in want[1]
-    assert str(joint.value) != want[1]  # so the replay is what gives it
+    assert str(joint.value) == want[1] and joint.value.root == 1
     assert _pipeline_error(FACTORS, True) == want
 
 
@@ -204,3 +211,18 @@ def test_a_rotation_pipeline_compiles_six_programs(monkeypatch):
     rep = rotation_invariance_pipeline(Net.parse("exp(-(x1^2+x2^2+x3^2))", 3), M, BOX3, GRID, 2)
     assert len(rep.factors) == 3 and rep.verdict
     assert _CountingProgram.built == 6
+
+
+def test_one_param_compiles_eleven_programs(monkeypatch):
+    # three real and two generalized thetas: per block, f's sups, the joint
+    # deviations and one image bound per element, plus one boundedness check
+    # per generalized theta; the conclusion as one check_invariance per theta
+    # would be thirteen
+    monkeypatch.setattr(ex, "_Program", _CountingProgram)
+    monkeypatch.setattr(_CountingProgram, "built", 0)
+    f = Net.parse("exp(-(x1^2+x2^2))", 2)
+    gen = (Net.parse("1/(1+eps)", 0), Net.parse("2-eps", 0))
+    rep = one_param_theorem_harness(f, planar_flow("rotation", 2, 1, 2), (0.1, -1.0, 3.0), gen,
+                                    CompactBox.cube(-1.0, 1.0, 2, 9), GRID, 2)
+    assert len(rep.conclusion) == 2 and rep.verdict
+    assert _CountingProgram.built == 11
