@@ -158,6 +158,17 @@ class TestExitCodes:
         assert [r["c_bounded"] for r in data["evidence"]["conclusion"]] == [False]
         assert capsys.readouterr().err == "warning: transformation is not c-bounded on the box\n"
 
+    def test_waived_one_param_warns_once_for_each_block(self, tmp_path, capsys):
+        # the boost by 1000 fails the check in the hypothesis and in the conclusion
+        code, data = run_cmd(tmp_path, ["--no-strict", "one-param", "--f", "x1^2-x2^2", "--dim", "2",
+                                        "--kind", "boost", "--i", "1", "--j", "2", "--real-thetas",
+                                        "1000,0.5", "--gen-theta", "1000", "--k-max", "8",
+                                        "--samples", "7"])
+        assert code == EXIT_NEGATIVE
+        assert [r["c_bounded"] for r in data["evidence"]["hypothesis"]] == [False, True]
+        assert [r["c_bounded"] for r in data["evidence"]["conclusion"]] == [False]
+        assert capsys.readouterr().err == "warning: transformation is not c-bounded on the box\n" * 2
+
     @pytest.mark.parametrize(
         "argv, code",
         [

@@ -96,6 +96,14 @@ JOBS = (
     ("one_param_gen_theta", EXIT_POSITIVE,
      ("one-param", "--f", "exp(-(x1^2+x2^2))", "--dim", "2", "--kind", "rotation", "--i", "1",
       "--j", "2", "--gen-theta", "eps", "--gen-theta", "sin(1/eps)", "--p", "2", *GRID)),
+    # x1+x2 is not rotation invariant: the hypothesis fails
+    ("one_param_hypothesis_fails", EXIT_NEGATIVE,
+     ("one-param", "--f", "x1+x2", "--dim", "2", "--kind", "rotation", "--i", "1", "--j", "2",
+      "--gen-theta", "eps", *GRID)),
+    # a boost by 1000 overflows on the box in both blocks, each waived
+    ("one_param_waived_both_blocks", EXIT_NEGATIVE,
+     ("--no-strict", "one-param", "--f", "x1^2-x2^2", "--dim", "2", "--kind", "boost", "--i", "1",
+      "--j", "2", "--real-thetas", "1000,0.5", "--gen-theta", "1000", *GRID)),
     ("rotation_matrix", EXIT_POSITIVE,
      ("rotation", "--f", "exp(-(x1^2+x2^2+x3^2))", "--dim", "3",
       "--matrix", "[[0.6,-0.8,0],[0.8,0.6,0],[0,0,1]]", "--p", "2", *GRID)),
