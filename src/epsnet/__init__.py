@@ -33,12 +33,10 @@ _EXPORTS = {
         "seminorm",
     ),
     "groups": (
-        "CoordinateFlow",
         "GroupElement",
         "PlanarFactor",
         "Translation",
         "compose_net",
-        "group_law_check",
         "planar_flow",
     ),
     "decompose": (

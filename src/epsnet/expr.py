@@ -249,11 +249,10 @@ class _Tokens:
 
 
 class _Parser:
-    def __init__(self, text: str, dimension: int, extra_vars=()):
+    def __init__(self, text: str, dimension: int):
         if not 0 <= dimension <= MAX_SPATIAL_VARS:
             raise ValueError(f"dimension must be in 0..{MAX_SPATIAL_VARS}, got {dimension}")
         self.dimension = dimension
-        self.extra_vars = frozenset(extra_vars)
         self.toks = _Tokens(text)
 
     def parse(self) -> Expr:
@@ -320,7 +319,7 @@ class _Parser:
                 if k3 != ")":
                     raise ParseError("expected ')'", p3)
                 return Call(value, arg)
-            if value == "eps" or value in self.extra_vars:
+            if value == "eps":
                 return Var(value)
             try:
                 idx = spatial_index(value)
@@ -334,13 +333,13 @@ class _Parser:
         raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input", pos)
 
 
-def parse(text: str, dimension: int, extra_vars=()) -> Expr:
+def parse(text: str, dimension: int) -> Expr:
     """Parse ``text`` into an expression over eps and x1..x{dimension}.
 
     Powers ``a^b`` keep an exact integer-power node when ``b`` is an integer
     literal and desugar to ``exp(b*ln(a))`` otherwise.
     """
-    return _Parser(text, dimension, extra_vars).parse()
+    return _Parser(text, dimension).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import expr as ex
-from .colombeau import CompactBox, Net
+from .colombeau import Net
 from .report import record
 
 Angle = Union[float, Net]
@@ -181,22 +181,11 @@ class GroupElement:
         source = {"matrix": [[_scalar_json(v) for v in row] for row in rows], "dimension": d}
         return cls(d, coords, source)
 
-    @classmethod
-    def from_coords(cls, dimension: int, coords) -> "GroupElement":
-        return cls(dimension, coords)
-
     # -- structure ----------------------------------------------------------
 
     @property
     def is_generalized(self) -> bool:
         return any("eps" in ex.variables(c) for c in self.coords)
-
-    def compose(self, other: "GroupElement") -> "GroupElement":
-        """self after other (apply ``other`` first)."""
-        if self.dimension != other.dimension:
-            raise ValueError("dimension mismatch")
-        mapping = {f"x{k + 1}": other.coords[k] for k in range(self.dimension)}
-        return GroupElement(self.dimension, (ex.subst(c, mapping) for c in self.coords))
 
     def apply_points(self, X, eps=None, sup: bool = False) -> np.ndarray:
         """Images of the rows of ``X`` (or of one point) at one eps; ``eps``
@@ -252,7 +241,7 @@ def element_from_json(data: dict) -> GroupElement:
         return element
     if "coords" in data:
         d = int(data.get("dimension", len(data["coords"])))
-        return GroupElement.from_coords(d, tuple(ex.parse(t, d) for t in data["coords"]))
+        return GroupElement(d, (ex.parse(t, d) for t in data["coords"]))
     factors = []
     for f in data["factors"]:
         if f.get("kind") == "translation":
@@ -272,37 +261,6 @@ def compose_net(f: Net, g: GroupElement) -> Net:
         raise ValueError("element dimension does not match net dimension")
     mapping = {f"x{k + 1}": g.coords[k] for k in range(f.dimension)}
     return Net(ex.subst(f.body, mapping), f.dimension)
-
-
-def group_law_check(kind: str, i: int, j: int, theta1: float, theta2: float, box: CompactBox) -> float:
-    """Max lattice deviation between g_{t1+t2} and g_{t1} o g_{t2}."""
-    d = box.dimension
-    combined = PlanarFactor(kind, i, j, float(theta1) + float(theta2))
-    first = PlanarFactor(kind, i, j, float(theta2))
-    second = PlanarFactor(kind, i, j, float(theta1))
-    X = box.lattice()
-    lhs = X @ combined.matrix(d).T
-    rhs = X @ first.matrix(d).T @ second.matrix(d).T
-    return float(np.max(np.linalg.norm(lhs - rhs, axis=1)))
-
-
-@record
-class CoordinateFlow:
-    """A user-supplied one-parameter family given by coordinate expressions
-    over x1..xd and the reserved parameter name ``theta``."""
-
-    dimension: int
-    templates: tuple
-
-    @classmethod
-    def parse(cls, texts, dimension: int) -> "CoordinateFlow":
-        templates = tuple(ex.parse(t, dimension, extra_vars=("theta",)) for t in texts)
-        return cls(dimension, templates)
-
-    def element(self, theta: Angle) -> GroupElement:
-        th = _scalar_expr(theta)
-        coords = tuple(ex.subst(t, {"theta": th}) for t in self.templates)
-        return GroupElement.from_coords(self.dimension, coords)
 
 
 def planar_flow(kind: str, dimension: int, i: int, j: int):

@@ -128,7 +128,10 @@ def _invariance_reports(f: Net, elements, box: CompactBox, grid: Optional[Epsilo
     iterated comes after the reports of the elements before it.  A waived
     c-boundedness failure warns from ``stacklevel`` frames above
     :func:`_check_c_bounded`; at 3, from the line that asks for the
-    element's report."""
+    element's report.  A harness of several blocks (a pipeline's factors and
+    full element, one-param's hypothesis and conclusion) runs them as one
+    pass and asks for each block's reports on its own line, so that a waived
+    failure warns once per block."""
     grid = grid or EpsilonGrid.dyadic()
     built, error = [], None
     try:
@@ -235,19 +238,17 @@ def one_param_theorem_harness(
 ) -> OneParamReport:
     """Sample the real-parameter hypothesis of the lifting theorem, then test
     the generalized-parameter conclusion.  If any real-parameter check fails
-    the conclusion block is informational only.  Each block is one joint
-    pass (:func:`_invariance_reports`); a generalized parameter is checked to
-    be bounded on the grid before its element is built.  An empty
-    ``real_thetas`` raises ValueError: it would leave the hypothesis
-    untested."""
-    if not real_thetas:
+    the conclusion block is informational only.  Both blocks are one joint
+    pass (:func:`_invariance_reports`), so f's sups are taken once; a
+    generalized parameter is checked to be bounded on the grid before its
+    element is built.  An empty ``real_thetas`` raises ValueError: it would
+    leave the hypothesis untested."""
+    thetas = [float(theta) for theta in real_thetas]
+    if not thetas:
         raise ValueError("the hypothesis needs at least one real theta")
+    gen_thetas = tuple(gen_thetas)
     grid = grid or EpsilonGrid.dyadic()
     box = box or CompactBox.cube(-1.0, 1.0, f.dimension)
-    thetas = [float(theta) for theta in real_thetas]
-    reports = tuple(_invariance_reports(f, (flow(theta) for theta in thetas), box, grid, p, strict))
-    hypothesis = list(zip(thetas, reports))
-    hypothesis_failed = not all(r.invariant for _, r in hypothesis)
 
     def generalized():
         for theta in gen_thetas:
@@ -255,10 +256,15 @@ def one_param_theorem_harness(
                 raise ValueError(f"generalized parameter {theta} is not bounded on the grid")
             yield flow(theta)
 
-    reports = tuple(_invariance_reports(f, generalized(), box, grid, p, strict))
-    conclusion = [(str(theta), rep) for theta, rep in zip(gen_thetas, reports)]
+    elements = itertools.chain((flow(theta) for theta in thetas), generalized())
+    reports = _invariance_reports(f, elements, box, grid, p, strict)
+    # the hypothesis and the conclusion are asked for on two lines, so a
+    # waived c-boundedness failure warns once for each block
+    hypothesis = tuple(zip(thetas, itertools.islice(reports, len(thetas))))
+    conclusion = tuple(zip(map(str, gen_thetas), reports))
+    hypothesis_failed = not all(r.invariant for _, r in hypothesis)
     verdict = (not hypothesis_failed) and all(r.invariant for _, r in conclusion)
-    return OneParamReport(p, tuple(hypothesis), tuple(conclusion), hypothesis_failed, verdict)
+    return OneParamReport(p, hypothesis, conclusion, hypothesis_failed, verdict)
 
 
 @record
@@ -375,6 +381,7 @@ class ChainPairResult(Record):
 @record
 class ChainBoundReport(Record):
     interval: tuple
+    eps: float
     h1: float
     h2: float
     tolerance: float
@@ -407,7 +414,8 @@ def _chain_path(x: float, k: int, l: int, h1: float, h2: float, a: float, b: flo
 
 
 def chain_bound(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Net,
+    eps: float,
     a: float,
     b: float,
     h1: float,
@@ -416,9 +424,16 @@ def chain_bound(
     pairs: Sequence,
     num_x: int = 101,
 ) -> ChainBoundReport:
-    """Certify |f(x + k*h1 - l*h2) - f(x)| <= (k + l) * measured_eps for each
-    requested pair, over start points x in [a + h1 + h2, b - h1 - h2] whose
-    endpoint stays inside [a, b]."""
+    """Certify |f(x + k*h1 - l*h2) - f(x)| <= (k + l) * measured_eps at the
+    scale ``eps`` for each requested pair, over start points x in
+    [a + h1 + h2, b - h1 - h2] whose endpoint stays inside [a, b].
+
+    ``f`` is a one-dimensional net.  The start points and every pair's
+    endpoints are evaluated in one :func:`~epsnet.expr.eval_points` call, so
+    a point where f is undefined raises :class:`~epsnet.expr.EvalError`
+    naming it."""
+    if f.dimension != 1:
+        raise ValueError("the chain lemma concerns one-dimensional nets")
     if not (h1 > 0 and h2 > 0):
         raise ValueError("periods must be positive")
     lo, hi = a + h1 + h2, b - h1 - h2
@@ -426,19 +441,19 @@ def chain_bound(
         raise ValueError("interval is too short for the periods")
     xs = np.linspace(lo, hi, num_x)
     geom_tol = 1e-12 * (1.0 + abs(a) + abs(b))
+    pairs = [(int(k), int(l)) for k, l in pairs]
+    endpoints = [xs + k * h1 - l * h2 for k, l in pairs]
+    valid = [(z >= a - geom_tol) & (z <= b + geom_tol) for z in endpoints]
+    points = [xs, *(z[ok] for z, ok in zip(endpoints, valid))]
+    values = ex.eval_points(f.body, eps, np.concatenate(points)[:, None])
+    fx, *fzs = np.split(values, np.cumsum([len(x) for x in points])[:-1])
     results = []
-    for k, l in pairs:
-        k, l = int(k), int(l)
-        endpoints = xs + k * h1 - l * h2
-        valid = (endpoints >= a - geom_tol) & (endpoints <= b + geom_tol)
-        excluded = int(np.count_nonzero(~valid))
-        certified = (k + l) * measured_eps
-        if valid.any():
-            fx = np.asarray(f(xs[valid]), dtype=float)
-            fz = np.asarray(f(endpoints[valid]), dtype=float)
-            measured = float(np.max(np.abs(fz - fx)))
-            first = float(xs[valid][0])
-            path, path_ok = _chain_path(first, k, l, h1, h2, a, b, geom_tol)
+    for (k, l), ok, fz in zip(pairs, valid, fzs):
+        tested = len(fz)
+        excluded = num_x - tested
+        if tested:
+            measured = float(np.max(np.abs(fz - fx[ok])))
+            path, path_ok = _chain_path(float(xs[ok][0]), k, l, h1, h2, a, b, geom_tol)
         else:
             measured = None
             path, path_ok = (), False
@@ -446,9 +461,9 @@ def chain_bound(
             ChainPairResult(
                 k,
                 l,
-                certified,
+                (k + l) * measured_eps,
                 measured,
-                int(np.count_nonzero(valid)),
+                tested,
                 excluded,
                 hypothesis_violated=excluded > 0 or not path_ok,
                 path=path,
@@ -458,7 +473,7 @@ def chain_bound(
     all_certified = all(
         r.measured is None or r.measured <= r.certified + 1e-15 for r in results
     )
-    return ChainBoundReport((a, b), h1, h2, measured_eps, tuple(results), all_certified)
+    return ChainBoundReport((a, b), eps, h1, h2, measured_eps, tuple(results), all_certified)
 
 
 # ---------------------------------------------------------------------------
@@ -669,10 +684,13 @@ def translation_constancy(
 ) -> TranslationReport:
     """Hypothesis: invariance under each sampled translation.  Conclusion:
     x -> f(x) - f(0) and its first derivatives are negligible at order p on
-    the box."""
+    the box.  An empty ``h_samples`` raises ValueError: it would leave the
+    hypothesis untested."""
     _check_order(p)
-    grid = grid or EpsilonGrid.dyadic()
     offsets = [tuple(float(v) for v in h) for h in h_samples]
+    if not offsets:
+        raise ValueError("the hypothesis needs at least one translation")
+    grid = grid or EpsilonGrid.dyadic()
 
     def translations():
         for offset in offsets:

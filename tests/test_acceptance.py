@@ -14,7 +14,7 @@ from reference_numbertheory import reference_provider, reference_root
 from epsnet.cli import run as cli_run
 from epsnet.colombeau import CompactBox, EpsilonGrid, Net
 from epsnet.decompose import givens_decompose, lorentz_decompose, quadratic_form
-from epsnet.expr import evaluate, parse, to_text
+from epsnet.expr import eval_points, evaluate, to_text
 from epsnet.groups import planar_flow
 from epsnet.numbertheory import catalog, corollary_pair, dirichlet, liouville_constant, resolve_alpha
 from epsnet.sampling import random_proper_lorentz, random_special_orthogonal
@@ -145,34 +145,34 @@ def test_criterion_4_chain_lemma():
     a, b = 0.0, 20.0
     h1, h2 = 1.0, math.sqrt(2.0)
     pairs = [(1, 1), (2, 1), (3, 2), (5, 3), (4, 4)]
+    eps_fixed = 2.0**-6
 
     def measured_tolerance(f):
+        def values(x):
+            return eval_points(f.body, eps_fixed, x[:, None])
+
         xs = np.linspace(a, b - h2, 40001)
-        t1 = np.max(np.abs(f(xs[xs + h1 <= b] + h1) - f(xs[xs + h1 <= b])))
-        t2 = np.max(np.abs(f(xs + h2) - f(xs)))
+        t1 = np.max(np.abs(values(xs[xs + h1 <= b] + h1) - values(xs[xs + h1 <= b])))
+        t2 = np.max(np.abs(values(xs + h2) - values(xs)))
         return float(max(t1, t2))
 
-    eps_fixed = 2.0**-6
-    delta = evaluate(parse(NEGLIGIBLE, 0), eps_fixed, ())
     corpus = {
-        "constant": lambda x: np.full_like(np.asarray(x, dtype=float), 5.0),
-        "sin+drift": lambda x: np.sin(2 * np.pi * np.asarray(x, dtype=float))
-        + 0.001 * np.asarray(x, dtype=float),
-        "constant+negligible": lambda x: 7.0
-        + delta * np.sin(np.asarray(x, dtype=float)),
+        "constant": Net.parse("5", 1),
+        "sin+drift": Net.parse(f"sin(2*{PI_LIT}*x1)+0.001*x1", 1),
+        "constant+negligible": Net.parse(f"7+{NEGLIGIBLE}*sin(x1)", 1),
     }
     violations = 0
     tested = 0
     for name, f in corpus.items():
         tol = measured_tolerance(f)
-        rep = chain_bound(f, a, b, h1, h2, tol, pairs, num_x=201)
+        rep = chain_bound(f, eps_fixed, a, b, h1, h2, tol, pairs, num_x=201)
         for pr in rep.pairs:
             if pr.measured is not None:
                 tested += pr.tested_points
                 if pr.measured > pr.certified + 1e-15:
                     violations += 1
     ok = violations == 0 and tested > 0
-    report(4, ok, f"{tested} lattice points over {len(corpus)} functions x {len(pairs)} pairs, {violations} violations")
+    report(4, ok, f"{tested} lattice points over {len(corpus)} nets x {len(pairs)} pairs, {violations} violations")
 
 
 def test_criterion_5_positive_controls():

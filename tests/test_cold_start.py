@@ -22,8 +22,7 @@ EXPORTS = {
              "partial", "partial_multi", "to_text"),
     "colombeau": ("AsymptoticReport", "CompactBox", "EpsilonGrid", "Net", "classify",
                   "is_bounded_generalized_number", "is_c_bounded", "seminorm"),
-    "groups": ("CoordinateFlow", "GroupElement", "PlanarFactor", "Translation", "compose_net",
-               "group_law_check", "planar_flow"),
+    "groups": ("GroupElement", "PlanarFactor", "Translation", "compose_net", "planar_flow"),
     "decompose": ("DecompositionError", "LorentzFactorization", "RotationSchedule",
                   "decompose_net_matrix", "full_lorentz_decompose", "givens_decompose",
                   "lorentz_decompose", "orthogonal_decompose"),

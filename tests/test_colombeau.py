@@ -244,7 +244,7 @@ class TestBoundedGeneralizedNumber:
 
 
 def _coords(*texts):
-    return GroupElement.from_coords(len(texts), tuple(ex.parse(t, len(texts)) for t in texts))
+    return GroupElement(len(texts), (ex.parse(t, len(texts)) for t in texts))
 
 
 class TestCBounded:

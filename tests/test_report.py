@@ -35,7 +35,8 @@ def records():
     quarter_turn = [[0.0, -1.0], [1.0, 0.0]]
     radial = Net.parse("x1^2+x2^2", 2)
     pipeline = rotation_invariance_pipeline(radial, quarter_turn, BOX, GRID, p=2)
-    chain = chain_bound(np.sin, 0.0, 20.0, 1.0, math.sqrt(2.0), 1e-3, [(1, 1), (2, 1)])
+    chain = chain_bound(Net.parse("sin(x1)", 1), 0.5, 0.0, 20.0, 1.0, math.sqrt(2.0), 1e-3,
+                        [(1, 1), (2, 1)])
     constancy = two_period_constancy(
         Net.parse("7 + eps^(1/eps)*sin(x1)", 1), catalog()["sqrt2"], 6.0, 2, GRID, samples=17
     )

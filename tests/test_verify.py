@@ -68,7 +68,7 @@ class TestCheckInvariance:
 
     def test_strict_c_boundedness_raises(self):
         f = Net.parse("x1", 1)
-        g = GroupElement.from_coords(1, (ex.parse("x1/eps", 1),))
+        g = GroupElement(1, (ex.parse("x1/eps", 1),))
         with pytest.raises(CBoundednessError):
             check_invariance(f, g, CompactBox.cube(-1, 1, 1), GRID, p=1, strict=True)
         with pytest.warns(RuntimeWarning):
@@ -128,10 +128,12 @@ class TestOneParam:
         assert not rep.verdict
 
     def test_empty_hypothesis_is_rejected(self):
-        # with no real theta the hypothesis held vacuously: x1 read as invariant
-        with pytest.raises(ValueError, match="at least one real theta"):
-            one_param_theorem_harness(Net.parse("x1", 2), planar_flow("rotation", 2, 1, 2),
-                                      real_thetas=(), box=BOX2, grid=GRID, p=2)
+        # with no real theta the hypothesis held vacuously: x1 read as invariant;
+        # an empty iterator is read before it is judged empty
+        for real_thetas in ((), iter(())):
+            with pytest.raises(ValueError, match="at least one real theta"):
+                one_param_theorem_harness(Net.parse("x1", 2), planar_flow("rotation", 2, 1, 2),
+                                          real_thetas=real_thetas, box=BOX2, grid=GRID, p=2)
 
     def test_unbounded_generalized_theta_rejected(self):
         with pytest.raises(ValueError, match="bounded"):
@@ -275,24 +277,27 @@ class TestPeriodicity:
 
 class TestChainBound:
     def test_constant_function(self):
-        f = lambda x: np.full_like(np.asarray(x, dtype=float), 5.0)  # noqa: E731
-        rep = chain_bound(f, 0.0, 20.0, 1.0, math.sqrt(2), 0.0, [(2, 1), (3, 2)])
-        assert rep.all_certified
+        rep = chain_bound(Net.parse("5", 1), 0.5, 0.0, 20.0, 1.0, math.sqrt(2), 0.0, [(2, 1), (3, 2)])
+        assert rep.all_certified and rep.eps == 0.5
         for pr in rep.pairs:
             assert pr.measured == 0.0 and pr.certified == 0.0
 
     def test_drifting_sine(self):
-        # oracle: direct evaluation of both sides of the chained bound
-        f = lambda x: np.sin(2 * np.pi * np.asarray(x, dtype=float)) + 0.001 * np.asarray(x, dtype=float)  # noqa: E731
+        # oracle: numpy's evaluation of both sides of the chained bound
+        f = Net.parse(f"sin(2*{PI_LIT}*x1)+0.001*x1", 1)
+
+        def g(x):
+            return np.sin(2 * np.pi * x) + 0.001 * x
+
         a, b, h1, h2 = 0.0, 20.0, 1.0, math.sqrt(2)
         xs = np.linspace(a, b - h2, 40001)
         tol = float(
             max(
-                np.max(np.abs(f(xs[xs + h1 <= b] + h1) - f(xs[xs + h1 <= b]))),
-                np.max(np.abs(f(xs + h2) - f(xs))),
+                np.max(np.abs(g(xs[xs + h1 <= b] + h1) - g(xs[xs + h1 <= b]))),
+                np.max(np.abs(g(xs + h2) - g(xs))),
             )
         )
-        rep = chain_bound(f, a, b, h1, h2, tol, [(3, 2)])
+        rep = chain_bound(f, 0.5, a, b, h1, h2, tol, [(3, 2)])
         pr = rep.pairs[0]
         assert pr.measured <= 5 * tol
         assert pr.certified == pytest.approx(5 * tol)
@@ -301,10 +306,19 @@ class TestChainBound:
         assert all(a - 1e-9 <= pt <= b + 1e-9 for pt in pr.path)
 
     def test_endpoint_violation_flagged(self):
-        f = lambda x: np.asarray(x, dtype=float) * 0.0  # noqa: E731
-        rep = chain_bound(f, 0.0, 10.0, 1.0, math.sqrt(2), 0.0, [(9, 1)])
+        rep = chain_bound(Net.parse("0", 1), 0.5, 0.0, 10.0, 1.0, math.sqrt(2), 0.0, [(9, 1)])
         assert rep.pairs[0].hypothesis_violated
         assert rep.pairs[0].excluded_points > 0
+
+    def test_domain_error_names_a_point(self):
+        # ln is undefined on part of [-5, 20]: no NaN reaches the report
+        with pytest.raises(ex.EvalError, match="ln of non-positive value") as info:
+            chain_bound(Net.parse("ln(x1)", 1), 1e-3, -5.0, 20.0, 1.0, math.sqrt(2), 1e-3, [(1, 1)])
+        assert info.value.point is not None and info.value.point[0] <= 0.0
+
+    def test_nets_of_another_dimension_are_rejected(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            chain_bound(Net.parse("x1+x2", 2), 0.5, 0.0, 20.0, 1.0, math.sqrt(2), 0.0, [(1, 1)])
 
 
 class TestTwoPeriod:
@@ -412,6 +426,13 @@ class TestTranslation:
             f, CompactBox.cube(-1, 1, 2), GRID, p=3, h_samples=((0.5, 0.5), (1.0, -1.0))
         )
         assert rep.verdict
+
+    def test_empty_hypothesis_is_rejected(self):
+        # with no translation sampled the hypothesis held vacuously
+        for h_samples in ((), iter(())):
+            with pytest.raises(ValueError, match="at least one translation"):
+                translation_constancy(Net.parse("3+eps*sin(x1)", 1), self.BOX, GRID, p=2,
+                                      h_samples=h_samples)
 
 
 class TestExplorer:

@@ -10,6 +10,7 @@ import warnings
 import pytest
 
 from epsnet import expr as ex
+from epsnet import verify
 from epsnet.colombeau import CompactBox, EpsilonGrid, Net
 from epsnet.groups import GroupElement, PlanarFactor, planar_flow
 from epsnet.report import plain_json
@@ -213,16 +214,25 @@ def test_a_rotation_pipeline_compiles_six_programs(monkeypatch):
     assert _CountingProgram.built == 6
 
 
-def test_one_param_compiles_eleven_programs(monkeypatch):
-    # three real and two generalized thetas: per block, f's sups, the joint
+def test_one_param_compiles_nine_programs(monkeypatch):
+    # three real and two generalized thetas in one pass: f's sups, the joint
     # deviations and one image bound per element, plus one boundedness check
-    # per generalized theta; the conclusion as one check_invariance per theta
-    # would be thirteen
+    # per generalized theta; a pass per block would be eleven
     monkeypatch.setattr(ex, "_Program", _CountingProgram)
     monkeypatch.setattr(_CountingProgram, "built", 0)
     f = Net.parse("exp(-(x1^2+x2^2))", 2)
+    measured = []
+    grid_sups = verify.grid_sups
+
+    def counting_grid_sups(body, *args):
+        measured.append(body)
+        return grid_sups(body, *args)
+
+    monkeypatch.setattr(verify, "grid_sups", counting_grid_sups)
     gen = (Net.parse("1/(1+eps)", 0), Net.parse("2-eps", 0))
     rep = one_param_theorem_harness(f, planar_flow("rotation", 2, 1, 2), (0.1, -1.0, 3.0), gen,
                                     CompactBox.cube(-1.0, 1.0, 2, 9), GRID, 2)
-    assert len(rep.conclusion) == 2 and rep.verdict
-    assert _CountingProgram.built == 11
+    assert len(rep.hypothesis) == 3 and len(rep.conclusion) == 2 and rep.verdict
+    assert _CountingProgram.built == 9
+    # f's sups, which set the noise floors, are taken once for both blocks
+    assert measured == [f.body]
