@@ -15,14 +15,18 @@ subcommand imports mpmath (the number theory runs on Python integers); and
 only ``--random`` loads the matrix sampler.
 
 ``main``, the ``python -m epsnet.cli`` and ``epsnet`` entry point, runs the
-job with garbage collection off and freezes the heap (``gc.freeze``) before
-exiting, so neither the job, its imports nor interpreter shutdown pays for
-collections; ``run`` leaves the caller's gc state as it was.
+job with garbage collection off and ends the process without interpreter
+teardown: it runs the registered ``atexit`` handlers, flushes the standard
+streams and calls ``os._exit``, so neither the job, its imports nor the
+unloading of numpy pays for collections; ``run`` leaves the caller's gc
+state as it was.  A standard output that cannot be written (a closed pipe)
+is an error: exit 2 with one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import json
 import math
@@ -653,18 +657,40 @@ def run(argv) -> int:
     except OSError as err:
         print(f"error: cannot write the report: {err}", file=sys.stderr)
         return EXIT_ERROR
-    print(f"{args.command}: {summary} [{verdict}] -> {out}")
+    try:
+        print(f"{args.command}: {summary} [{verdict}] -> {out}")
+    except OSError as err:
+        return _stdout_error(err)
     return EXIT_NEGATIVE if verdict in ("negative", "not-applicable") else EXIT_POSITIVE
+
+
+def _stdout_error(err: OSError) -> int:
+    print(f"error: cannot write to standard output: {err}", file=sys.stderr)
+    return EXIT_ERROR
 
 
 def main() -> None:
     # A job is short and leaves little cyclic garbage, so it runs with
-    # collection off.  Shutdown still collects with gc disabled; freezing
-    # the heap makes it skip the objects the imports made.
+    # collection off.  The report is written and closed by now, so the
+    # process ends as shutdown would begin (atexit handlers, then the
+    # standard streams) and skips the teardown of every module it loaded.
     gc.disable()
     rc = run(sys.argv[1:])
-    gc.freeze()
-    sys.exit(rc)
+    atexit._run_exitfuncs()
+    # either stream is None when its descriptor was closed at startup
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as err:
+        # an error exit has printed its own line already
+        if rc != EXIT_ERROR:
+            rc = _stdout_error(err)
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(rc)
 
 
 if __name__ == "__main__":

@@ -21,6 +21,8 @@ runs the nodes that depend on x chunk by chunk of points, writing each
 intermediate slab in place into an arena allocated once per call: one
 buffer per slab alive at once, each starting on a 64-byte cache line, with
 chunks of 8 rows or more cut to a multiple of 8 (see ``SLAB_ELEMENTS``).
+A root's slab is emitted (folded into its sups, or copied out) right after
+its last reader and then freed like any other.
 """
 
 from __future__ import annotations
@@ -468,11 +470,14 @@ _DOMAIN = {
 }
 
 
-#: Most elements one intermediate array holds: the points are processed in
-#: chunks of this many rows, or of this many // n_eps when a node evaluated
-#: per chunk depends on eps, so memory does not grow with the lattice or grid.
-#: A chunk of 8 rows or more is cut to a multiple of 8, so that every eps row
-#: of a slab starts on a 64-byte cache line of its arena buffer.
+#: Most elements an eps-free intermediate array holds: the points are
+#: processed in chunks of this many rows, or of 2 * this many // n_eps when a
+#: node evaluated per chunk depends on eps (emitting each root at its last
+#: reader leaves fewer eps-dependent slabs alive, so each may hold twice as
+#: much), and never more rows than the call has, so memory does not grow with
+#: the lattice or grid.  A chunk of 8 rows or more is cut to a multiple of 8,
+#: so that every eps row of a slab starts on a 64-byte cache line of its
+#: arena buffer.
 SLAB_ELEMENTS = 2**12
 
 
@@ -542,8 +547,9 @@ class _Program:
     """
 
     def __init__(self, roots):
-        self.code, self.nodes, self.reads, self.on_eps, self.on_x = [], [], [], [], []
+        self.code, self.nodes, self.on_eps, self.on_x = [], [], [], []
         self.ends = []
+        reader = []  # reader[slot]: the last slot that reads it, or the slot itself
         interned = {}
         memo = {}  # id(node) -> slot; the roots keep every node alive
         for root in roots:
@@ -553,44 +559,62 @@ class _Program:
                 if id(node) in memo:
                     stack.pop()
                     continue
-                kids = _children(node)
-                pending = [k for k in kids if id(k) not in memo]
-                if pending:
-                    stack.extend(reversed(pending))
-                    continue
+                cls = node.__class__
+                if cls is BinOp:
+                    left, right = node.left, node.right
+                    a, b = memo.get(id(left)), memo.get(id(right))
+                    if a is None or b is None:
+                        if b is None:
+                            stack.append(right)
+                        if a is None:
+                            stack.append(left)
+                        continue
+                    key, kids = (node.op, a, b), (a, b)
+                elif cls is Const or cls is Var or cls is Table:
+                    key, kids = _instruction(node, ()), ()
+                else:
+                    arg = node.base if cls is IntPow else node.arg
+                    a = memo.get(id(arg))
+                    if a is None:
+                        stack.append(arg)
+                        continue
+                    key, kids = _instruction(node, (a,)), (a,)
                 stack.pop()
-                kid_slots = [memo[id(k)] for k in kids]
-                key = _instruction(node, kid_slots)
                 slot = interned.get(key)
                 if slot is None:
                     slot = interned[key] = len(self.code)
                     self.code.append(key)
                     self.nodes.append(node)
-                    self.reads.append(set(kid_slots))
-                    self.on_eps.append(key[0] in ("eps", "table") or any(self.on_eps[k] for k in kid_slots))
-                    self.on_x.append(key[0] == "x" or any(self.on_x[k] for k in kid_slots))
+                    reader.append(slot)
+                    eps_dep = key[0] == "eps" or key[0] == "table"
+                    x_dep = key[0] == "x"
+                    for k in kids:
+                        reader[k] = slot
+                        eps_dep = eps_dep or self.on_eps[k]
+                        x_dep = x_dep or self.on_x[k]
+                    self.on_eps.append(eps_dep)
+                    self.on_x.append(x_dep)
                 memo[id(node)] = slot
             self.ends.append(len(self.code))
         self.roots = [memo[id(r)] for r in roots]
         self.hoisted = [s for s in range(len(self.code)) if not self.on_x[s]]
         self.chunked = [s for s in range(len(self.code)) if self.on_x[s]]
-        # free each chunk-stage slab right after its last reader; a node that
-        # reads the same child twice (x1*x1) frees it once
-        last = {}
-        for i, s in enumerate(self.chunked):
-            for k in self.reads[s]:
-                last[k] = i
-        keep = set(self.roots) | set(self.hoisted)
+        # each chunk-stage slab, a root's too, is freed right after its last
+        # reader; a root is emitted (folded into its sups or copied out) there
+        # first, or right after its own instruction when nothing reads it
+        position = {s: i for i, s in enumerate(self.chunked)}
         self.frees = [[] for _ in self.chunked]
-        for k, i in last.items():
-            if k not in keep:
-                self.frees[i].append(k)
+        self.emits = [[] for _ in self.chunked]
+        for s in self.chunked:
+            self.frees[position[reader[s]]].append(s)
+        for r, s in enumerate(self.roots):
+            if self.on_x[s]:
+                self.emits[position[reader[s]]].append(r)
         # chunked[i] writes arena buffer buffer[i], taken before the slabs
         # its instruction frees are given back, so it never aliases an
         # operand; tall[b] tells whether buffer b holds eps-dependent slabs,
         # and each kind has as many buffers as it has slabs live at once
         self.buffer, self.tall, spare = [], [], ([], [])
-        position = {s: i for i, s in enumerate(self.chunked)}
         for i, s in enumerate(self.chunked):
             free = spare[self.on_eps[s]]
             if free:
@@ -643,8 +667,10 @@ def _evaluate(roots, eps_values, points, sup: bool) -> list:
     is 1 for nodes free of eps.  Every slab is written in place into a
     buffer of one arena per call (:func:`_arena`), which the program's
     buffer schedule hands on once a slab's last reader has run; the ragged
-    last chunk uses the prefix of each buffer.  With ``sup`` each chunk's max
-    per root and eps is folded into the running maxima in place.
+    last chunk uses the prefix of each buffer.  A root is emitted right after
+    its last reader: with ``sup`` its |v| is folded into the running maxima
+    per eps in place, otherwise its rows are copied out; then its slab is
+    freed like any other.
     """
     for value in eps_values:
         if not value > 0:
@@ -661,39 +687,49 @@ def _evaluate(roots, eps_values, points, sup: bool) -> list:
     with np.errstate(all="ignore"):
         hoisted = [None] * len(prog.code)
         run.execute(prog.hoisted, hoisted, 0, 0, None)
-        step = SLAB_ELEMENTS if not any(prog.tall) else max(1, SLAB_ELEMENTS // n_eps)
-        if step >= 8:
-            step -= step % 8
-        arena = _arena([(n_eps if tall else 1) * step for tall in prog.tall])
-        chunks = [(s, min(s + step, n)) for s in range(0, n, step)] if prog.chunked else []
-        chunks = chunks or [(0, n)]
         if sup:
             # a max of |v| is 0 or more, or NaN, which np.maximum keeps
-            sups = [np.zeros(n_eps if prog.on_eps[slot] else 1) for slot in prog.roots]
+            outs = [np.zeros(n_eps if prog.on_eps[slot] else 1) for slot in prog.roots]
             chunk_max = np.empty(n_eps)
         else:
             outs = [np.empty((n_eps, n)) for _ in roots]
-        width = None
-        for start, stop in chunks:
-            if stop - start != width:
-                width = stop - start
-                slabs = _slabs(arena, prog, n_eps, width)
-            values = list(hoisted)
-            run.execute(prog.chunked, values, start, stop, slabs)
-            for k, slot in enumerate(prog.roots):
-                v = values[slot]
+        for k, slot in enumerate(prog.roots):
+            if not prog.on_x[slot]:
+                v = hoisted[slot]
                 if sup:
-                    # a chunk-stage root's slab is read by no one else
-                    v = np.abs(v, out=v if prog.on_x[slot] else None)
-                    np.maximum(sups[k], np.max(v, axis=1, out=chunk_max[: len(v)]), out=sups[k])
+                    outs[k] = np.abs(v[:, 0])
+                else:
+                    outs[k][:] = v
+
+        def emit(i, values, start, stop):
+            for k in prog.emits[i]:
+                v = values[prog.roots[k]]
+                if sup:
+                    # the root's last reader has run, so its slab is ours
+                    np.abs(v, out=v)
+                    np.maximum(outs[k], np.max(v, axis=1, out=chunk_max[: len(v)]), out=outs[k])
                 else:
                     outs[k][:, start:stop] = v
+
+        if prog.chunked:
+            step = SLAB_ELEMENTS if not any(prog.tall) else max(1, 2 * SLAB_ELEMENTS // n_eps)
+            if step >= 8:
+                step -= step % 8
+            step = max(1, min(step, n))
+            arena = _arena([(n_eps if tall else 1) * step for tall in prog.tall])
+            chunks = [(s, min(s + step, n)) for s in range(0, n, step)] or [(0, 0)]
+            width = None
+            for start, stop in chunks:
+                if stop - start != width:
+                    width = stop - start
+                    slabs = _slabs(arena, prog, n_eps, width)
+                run.execute(prog.chunked, list(hoisted), start, stop, slabs, emit)
     if run.failure is not None:
         root, k, slot, row, reason = run.failure
         point = None if row is None else (X[row] if d else ())
         raise EvalError(reason, prog.nodes[slot], eps=eps_values[k], point=point, root=root)
     if sup:
-        outs = [np.broadcast_to(m, (n_eps,)).copy() for m in sups]
+        outs = [np.broadcast_to(m, (n_eps,)).copy() for m in outs]
     return outs
 
 
@@ -746,11 +782,12 @@ class _Run:
             k = int(np.argmax(bad.any(axis=1)))
             self.fail(k, slot, start + int(np.argmax(bad[k])), reason)
 
-    def execute(self, order, values, start: int, stop: int, slabs):
+    def execute(self, order, values, start: int, stop: int, slabs, emit=None):
         """Compute the slots of ``order`` into ``values``: into new arrays
         without ``slabs``, else into ``slabs[i]`` for ``order[i]``, with rows
-        start:stop of the points."""
-        code = self.prog.code
+        start:stop of the points.  ``emit(i, values, start, stop)`` runs
+        after each instruction i that has roots to emit."""
+        code, emits = self.prog.code, self.prog.emits
         for i, slot in enumerate(order):
             op, a, b = code[slot]
             out = None if slabs is None else slabs[i]
@@ -776,6 +813,8 @@ class _Run:
                     self.check(op, x, y, slot, start)
                 v = _OPS[op](x, out=out) if y is None else _OPS[op](x, y, out=out)
             values[slot] = v
+            if emit is not None and emits[i]:
+                emit(i, values, start, stop)
 
     def _table(self, pairs, slot: int) -> np.ndarray:
         lookup = {}

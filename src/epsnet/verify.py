@@ -431,7 +431,9 @@ def chain_bound(
     ``f`` is a one-dimensional net.  The start points and every pair's
     endpoints are evaluated in one :func:`~epsnet.expr.eval_points` call, so
     a point where f is undefined raises :class:`~epsnet.expr.EvalError`
-    naming it."""
+    naming it.  ``all_certified`` holds only when every pair tested some
+    start point, meets its hypothesis (no start point excluded, an audited
+    path inside [a, b]) and measures within its certified bound."""
     if f.dimension != 1:
         raise ValueError("the chain lemma concerns one-dimensional nets")
     if not (h1 > 0 and h2 > 0):
@@ -471,7 +473,8 @@ def chain_bound(
             )
         )
     all_certified = all(
-        r.measured is None or r.measured <= r.certified + 1e-15 for r in results
+        r.measured is not None and not r.hypothesis_violated and r.measured <= r.certified + 1e-15
+        for r in results
     )
     return ChainBoundReport((a, b), eps, h1, h2, measured_eps, tuple(results), all_certified)
 

@@ -716,10 +716,24 @@ class TestDeterminism:
             assert out1.read_bytes() == out2.read_bytes()
 
 
+def _entry_point_env(buffered=None) -> dict:
+    """The environment of a ``python -m epsnet.cli`` child that imports this
+    checkout; ``buffered`` sets whether its standard output is buffered."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    if buffered is True:
+        env.pop("PYTHONUNBUFFERED", None)
+    elif buffered is False:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 class TestEntryPoint:
     """``python -m epsnet.cli`` (``main``) runs the job with collection off and
-    freezes the heap before exit; ``run`` leaves the caller's gc state alone,
-    and both give the same exit code, output and report."""
+    ends without interpreter teardown, after the atexit handlers and a flush
+    of the standard streams; ``run`` leaves the caller's gc state alone, and
+    both give the same exit code, output and report."""
 
     JOBS = {
         "classify-positive": (["classify", "--f", "eps*sin(x1)", "--dim", "1", "--box=-1:1",
@@ -727,9 +741,15 @@ class TestEntryPoint:
         "invariance-negative": (["invariance", "--f", "x1", "--dim", "2", "--box=-1:1,-1:1",
                                  "--rotation", "1,2,1.5707963267948966", "--p", "1",
                                  *FAST_GRID], EXIT_NEGATIVE),
+        # a warning line on stderr before the summary on stdout
+        "waived-warning": (["--no-strict", "invariance", "--f", "x1^2-x2^2", "--dim", "2",
+                            "--boost", "1,2,1/eps", *FAST_GRID], EXIT_NEGATIVE),
+        # a job that never imports numpy
+        "corollary-pair": (["corollary-pair", "--alpha", "sqrt2", "--R", "1e6"], EXIT_POSITIVE),
         "usage-error": (["classify", "--dim", "1"], EXIT_ERROR),
         "evaluation-error": (["classify", "--f", "ln(x1)", "--dim", "1", *FAST_GRID], EXIT_ERROR),
     }
+    COROLLARY = ["--out", "report.json", "corollary-pair", "--alpha", "sqrt2", "--R", "1e6"]
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
     def test_run_keeps_the_callers_gc_state(self, tmp_path, enabled):
@@ -751,11 +771,8 @@ class TestEntryPoint:
         monkeypatch.chdir(tmp_path)
         # argparse wraps its usage line to the terminal width
         monkeypatch.setenv("COLUMNS", "80")
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run([sys.executable, "-m", "epsnet.cli", *argv], cwd=tmp_path,
-                              env={**os.environ, "PYTHONPATH": path},
-                              capture_output=True, text=True, timeout=120)
+                              env=_entry_point_env(), capture_output=True, text=True, timeout=120)
         report = tmp_path / "report.json"
         child_report = report.read_bytes() if report.exists() else None
         report.unlink(missing_ok=True)
@@ -763,6 +780,36 @@ class TestEntryPoint:
         out, err = capsys.readouterr()
         assert (proc.stdout, proc.stderr) == (out, err)
         assert child_report == (report.read_bytes() if report.exists() else None)
+
+    def test_atexit_handlers_registered_before_main_still_run(self, tmp_path):
+        # the handler prints to a buffered stdout, which is flushed after it
+        script = ("import atexit, sys\n"
+                  "from epsnet.cli import main\n"
+                  "atexit.register(print, 'atexit handler ran')\n"
+                  f"sys.argv[1:] = {self.COROLLARY!r}\n"
+                  "main()\n")
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=_entry_point_env(True),
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (EXIT_POSITIVE, "")
+        assert proc.stdout.startswith("corollary-pair: ")
+        assert proc.stdout.endswith(" -> report.json\natexit handler ran\n")
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_is_an_error(self, tmp_path, buffered):
+        # the summary line goes to a pipe nobody reads: the unbuffered
+        # stream fails at the print, the buffered one at main's last flush
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "epsnet.cli", *self.COROLLARY], cwd=tmp_path,
+                                  env=_entry_point_env(buffered), stdout=write, stderr=subprocess.PIPE,
+                                  text=True, timeout=120)
+        finally:
+            os.close(write)
+        assert proc.returncode == EXIT_ERROR
+        assert proc.stderr.startswith("error: cannot write to standard output: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert (tmp_path / "report.json").is_file()
 
 
 # ---------------------------------------------------------------------------

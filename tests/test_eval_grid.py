@@ -351,40 +351,121 @@ def test_shared_memos_outlive_the_trees_they_differentiated():
         del e, want
 
 
-def test_arena_holds_the_peak_live_slabs_on_cache_lines():
-    e = parse("sin(eps*x1)*cos(x2)+exp(-x1*x2)*eps+x1^2*tanh(eps*x2)", 2)
-    prog = ex._Program((e,))
-    # the most slabs of each kind (free of eps or not) live at once, read
-    # off the free schedule: a slab is taken before its operands are freed
+def _peak_live_slabs(prog) -> list:
+    """The most slabs of each kind (free of eps or not) live at once, read
+    off the free schedule: a slab is taken before its operands are freed."""
     live, peak = [0, 0], [0, 0]
     for i, slot in enumerate(prog.chunked):
         live[prog.on_eps[slot]] += 1
         peak[prog.on_eps[slot]] = max(peak[prog.on_eps[slot]], live[prog.on_eps[slot]])
         for k in prog.frees[i]:
             live[prog.on_eps[k]] -= 1
+    return peak
+
+
+class _Schedule:
+    """Spies on the arenas and chunks of the evaluations that follow: the
+    buffers of every arena and the width of every chunk pass."""
+
+    def __init__(self, monkeypatch):
+        self.arenas, self.widths = [], []
+        arena, slabs, execute = ex._arena, ex._slabs, ex._Run.execute
+
+        def spy_arena(sizes):
+            self.arenas.append(arena(sizes))
+            return self.arenas[-1]
+
+        def spy_execute(run, order, values, start, stop, slabs, emit=None):
+            if slabs is not None:
+                self.widths.append(stop - start)
+            return execute(run, order, values, start, stop, slabs, emit)
+
+        monkeypatch.setattr(ex, "_arena", spy_arena)
+        monkeypatch.setattr(ex._Run, "execute", spy_execute)
+
+    def kib(self) -> float:
+        return max(sum(b.nbytes for b in buffers) for buffers in self.arenas) / 1024
+
+
+def test_arena_holds_the_peak_live_slabs_on_cache_lines(monkeypatch):
+    e = parse("sin(eps*x1)*cos(x2)+exp(-x1*x2)*eps+x1^2*tanh(eps*x2)", 2)
+    peak = _peak_live_slabs(ex._Program((e,)))
     assert peak[0] > 0 and peak[1] > 1
-    arenas, widths = [], []
-    arena, slabs = ex._arena, ex._slabs
-
-    def spy_arena(sizes):
-        arenas.append(arena(sizes))
-        return arenas[-1]
-
-    def spy_slabs(buffers, program, n_eps, width):
-        widths.append(width)
-        return slabs(buffers, program, n_eps, width)
-
     X = _lattice(2, samples=9)  # 81 rows
-    with mock.patch.object(ex, "SLAB_ELEMENTS", 100):
-        assert_matches_reference(e, GRID, X)
-        with mock.patch.object(ex, "_arena", spy_arena), mock.patch.object(ex, "_slabs", spy_slabs):
-            ex.eval_points(e, GRID, X)
-            ex.eval_points(e, GRID, X, sup=True)
-    assert len(arenas) == 2
-    for buffers in arenas:
+    monkeypatch.setattr(ex, "SLAB_ELEMENTS", 100)
+    assert_matches_reference(e, GRID, X)
+    schedule = _Schedule(monkeypatch)
+    ex.eval_points(e, GRID, X)
+    ex.eval_points(e, GRID, X, sup=True)
+    assert len(schedule.arenas) == 2
+    for buffers in schedule.arenas:
         assert len(buffers) == sum(peak)
-        assert sorted(len(b) for b in buffers) == [16] * peak[0] + [len(GRID) * 16] * peak[1]
+        assert sorted(len(b) for b in buffers) == [40] * peak[0] + [len(GRID) * 40] * peak[1]
         assert all(b.__array_interface__["data"][0] % 64 == 0 for b in buffers)
-    # 100 // 5 eps = 20 rows per chunk, cut to 16; the ragged last chunk of
-    # 81 % 16 = 1 row uses the prefix of the same buffers
-    assert set(widths) == {16, 1}
+    # an eps-dependent slab holds 2 * 100 elements: 200 // 5 eps = 40 rows
+    # per chunk, a multiple of 8; the ragged last chunk of 81 % 40 = 1 row
+    # uses the prefix of the same buffers
+    assert schedule.widths == [40, 40, 1] * 2
+
+
+def test_classify_family_schedule(monkeypatch):
+    # the classify-deriv family: order 4 in d=3 (35 bodies, 447 unique
+    # nodes) on a 17^3 lattice over 13 eps; keeping every root's slab for
+    # the whole chunk held 48 eps-dependent slabs and a 1,582 KiB arena
+    # over 16 chunks
+    lattice = CompactBox.cube(-1.0, 1.0, 3, 17).lattice()
+    grid = EpsilonGrid.dyadic(4, 16)
+    body = parse("exp(-(0.8*x1^2+1.2*x2^2+0.9*x3^2))*cos(eps*1.3*x1*x2)", 3)
+    alphas = _alphas(3, 4)
+    prog = ex._Program(ex._derivative_family(body, alphas))
+    assert len(prog.roots) == 35 and len(prog.code) == 447
+    assert _peak_live_slabs(prog)[1] <= 21 and sum(prog.tall) <= 21
+    schedule = _Schedule(monkeypatch)
+    ex.eval_points(body, grid.values, lattice, sup=True, partials=alphas)
+    assert len(schedule.widths) <= 8
+    assert schedule.kib() <= 1453
+
+
+def test_eps_free_program_keeps_full_chunks(monkeypatch):
+    lattice = CompactBox.cube(-1.0, 1.0, 3, 33).lattice()  # 35,937 rows
+    body = parse("exp(-(x1^2+x2^2+x3^2))*cos(x1*x2)+sin(x3)", 3)
+    assert not any(ex._Program((body,)).tall)
+    schedule = _Schedule(monkeypatch)
+    ex.eval_points(body, GRID, lattice, sup=True)
+    step = ex.SLAB_ELEMENTS
+    assert step == 4096
+    assert schedule.widths == [step] * (len(lattice) // step) + [len(lattice) % step]
+
+
+def test_short_call_buffers_hold_only_its_rows(monkeypatch):
+    X = np.linspace(-1.0, 1.0, 33)[:, None]
+    grid = EpsilonGrid.dyadic(4, 40).values  # 37 eps
+    e = parse("sin(eps*x1)+x1^2*cos(x1)", 1)
+    prog = ex._Program((e,))
+    schedule = _Schedule(monkeypatch)
+    ex.eval_points(e, grid, X, sup=True)
+    assert schedule.widths == [33]
+    (buffers,) = schedule.arenas
+    assert sorted(len(b) for b in buffers) == sorted(
+        -(-(len(grid) if tall else 1) * 33 // 8) * 8 for tall in prog.tall)
+
+
+@pytest.mark.parametrize("slab", [ex.SLAB_ELEMENTS, TINY_SLAB])
+def test_a_root_read_by_a_later_root(monkeypatch, slab):
+    # root 0 is an operand of roots 1 and 2, and root 2 reads root 1, so
+    # their slabs are emitted at their last reader; the sup mode's in-place
+    # |v| must come after it
+    monkeypatch.setattr(ex, "SLAB_ELEMENTS", slab)
+    inner = parse("x1*x2-eps", 2)
+    outer = ex.Call("sin", inner)
+    es = [inner, outer, ex.BinOp("*", outer, inner), parse("x2", 2)]
+    prog = ex._Program(es)
+    assert prog.emits[prog.chunked.index(prog.roots[2])] == [0, 1, 2]
+    X = _lattice(2, samples=7)
+    for sup in (False, True):
+        got = ex.eval_many(es, GRID, X, sup=sup)
+        for e, values in zip(es, got):
+            rows = [reference_eval_points(e, eps, X) for eps in GRID]
+            want = [np.max(np.abs(r)) for r in rows] if sup else np.array(rows)
+            assert np.array_equal(values, want), (to_text(e), sup)
+    assert_many_match_a_loop(es, GRID, X)

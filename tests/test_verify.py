@@ -309,6 +309,14 @@ class TestChainBound:
         rep = chain_bound(Net.parse("0", 1), 0.5, 0.0, 10.0, 1.0, math.sqrt(2), 0.0, [(9, 1)])
         assert rep.pairs[0].hypothesis_violated
         assert rep.pairs[0].excluded_points > 0
+        # the points it did test meet the bound, but the pair's hypothesis fails
+        assert rep.pairs[0].measured == 0.0 and not rep.all_certified
+
+    def test_a_pair_with_nothing_tested_certifies_nothing(self):
+        # every endpoint x + 30 - sqrt(2) leaves [0, 10]
+        rep = chain_bound(Net.parse("x1", 1), 0.5, 0.0, 10.0, 1.0, math.sqrt(2), 0.0, [(30, 1)])
+        assert rep.pairs[0].measured is None and rep.pairs[0].tested_points == 0
+        assert rep.all_certified is False
 
     def test_domain_error_names_a_point(self):
         # ln is undefined on part of [-5, 20]: no NaN reaches the report
