@@ -393,7 +393,7 @@ def _cmd_translation(args):
 
     net = _net(args)
     box = _parse_box(args.box, args.dim, args.samples)
-    hs = tuple(_reals("--h-samples", part) for part in args.h_samples.split(";")) if args.h_samples else ((0.5,) * args.dim, (1.0,) * args.dim)
+    hs = tuple(_reals("--h-samples", part) for part in args.h_samples.split(";")) if args.h_samples else None
     rep = translation_constancy(net, box, _grid(args), args.p, h_samples=hs)
     verdict = "positive" if rep.verdict else "negative"
     note = "HYPOTHESIS_FAILED" if rep.hypothesis_failed else "constant" if rep.verdict else "not constant"
@@ -481,11 +481,21 @@ def _global_options() -> argparse.ArgumentParser:
     return common
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write; help that cannot reach stdout is an
+        # error, as a summary line that cannot is
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The argument parser of every subcommand, or with ``command`` of that
     one alone; the two print the same help, usage lines and errors for it."""
     common = _global_options()
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="epsnet",
         description="Verifiers for invariance properties of nets of smooth functions",
         parents=[common],
@@ -631,6 +641,8 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return EXIT_ERROR if err.code not in (0, None) else 0
+    except OSError as err:
+        return _stdout_error(err)
     for key in ("config", "out", "seed", "strict"):
         if not hasattr(args, key):
             setattr(args, key, None)
@@ -640,6 +652,7 @@ def run(argv) -> int:
         handler = _HANDLERS[args.command]
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning
+            warnings.filterwarnings("always", "transformation is not c-bounded", RuntimeWarning)
             verdict, order, evidence, summary = handler(args)
     except (UsageError, ValueError) as err:  # ParseError, DecompositionError, CBoundednessError
         print(f"error: {err}", file=sys.stderr)

@@ -488,7 +488,7 @@ def eval_points(e: Expr, eps, points, sup: bool = False, partials=None):
     giving shape (len(eps), n) whose row k equals the evaluation at eps[k] on
     its own, bit for bit.  With ``sup`` the result is instead max |e| over the
     points: a float for one eps, shape (len(eps),) for a sequence; a NaN value
-    makes its eps's max NaN.
+    makes its eps's max NaN, and the max over no points is 0.
 
     ``partials``, a sequence of multi-indices alpha, evaluates the derivative
     family ``partial_multi(e, alpha)`` instead of ``e``: the result gains a
@@ -694,7 +694,8 @@ def _evaluate(roots, eps_values, points, sup: bool) -> list:
         else:
             outs = [np.empty((n_eps, n)) for _ in roots]
         for k, slot in enumerate(prog.roots):
-            if not prog.on_x[slot]:
+            # over no points a root holds no value: its sup stays 0
+            if not prog.on_x[slot] and n:
                 v = hoisted[slot]
                 if sup:
                     outs[k] = np.abs(v[:, 0])
@@ -707,7 +708,8 @@ def _evaluate(roots, eps_values, points, sup: bool) -> list:
                 if sup:
                     # the root's last reader has run, so its slab is ours
                     np.abs(v, out=v)
-                    np.maximum(outs[k], np.max(v, axis=1, out=chunk_max[: len(v)]), out=outs[k])
+                    chunk = np.max(v, axis=1, out=chunk_max[: len(v)], initial=0.0)
+                    np.maximum(outs[k], chunk, out=outs[k])
                 else:
                     outs[k][:, start:stop] = v
 

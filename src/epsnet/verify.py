@@ -10,7 +10,6 @@ order and a semi-decision over the finite grid.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
@@ -76,15 +75,16 @@ def _check_order(p: int) -> None:
 
 
 def _check_c_bounded(g: GroupElement, box: CompactBox, grid: EpsilonGrid, strict: bool,
-                     stacklevel: int) -> bool:
+                     warn: bool) -> bool:
     """The c-boundedness verdict; a failure raises when ``strict`` and
-    otherwise warns, from ``stacklevel`` frames up."""
+    otherwise warns when ``warn``."""
     ok, _ = is_c_bounded(g, box, grid)
     if not ok:
         message = "transformation is not c-bounded on the box"
         if strict:
             raise CBoundednessError(f"{message}; --no-strict waives this check")
-        warnings.warn(message, RuntimeWarning, stacklevel=stacklevel)
+        if warn:
+            warnings.warn(message, RuntimeWarning)
     return ok
 
 
@@ -110,10 +110,11 @@ def _floors(f: Net, grid: EpsilonGrid, lattice) -> list:
     return [_noise_floor(s) for s in grid_sups(f.body, grid, lattice)]
 
 
-def _invariance_reports(f: Net, elements, box: CompactBox, grid: Optional[EpsilonGrid], p: int,
-                        strict: bool, stacklevel: int = 3):
-    """Yield the :class:`InvarianceReport` of each element in turn, with the
-    errors and warnings a loop of one-element checks gives.
+def _invariance_reports(f: Net, blocks, box: CompactBox, grid: Optional[EpsilonGrid], p: int,
+                        strict: bool) -> tuple:
+    """One tuple of :class:`InvarianceReport` per block of ``blocks`` (a list
+    of iterables of elements), with the errors a loop of one-element checks
+    gives.
 
     Each element's check is, in order: its dimension, its c-boundedness,
     f's sups (which set the noise floors), then the sups of f o g - f,
@@ -122,29 +123,25 @@ def _invariance_reports(f: Net, elements, box: CompactBox, grid: Optional[Epsilo
     one ``grid_sups``, every deviation from one ``eval_many``, which
     computes the subtrees of f and the lattice leaves once.  An
     :class:`~epsnet.expr.EvalError` of that pass names the element a loop
-    fails at (``root``, 0 when f fails) and is raised after that element's
-    c-boundedness check; the elements before it take their sups from one
-    evaluation of that prefix.  An error raised while ``elements`` is
-    iterated comes after the reports of the elements before it.  A waived
-    c-boundedness failure warns from ``stacklevel`` frames above
-    :func:`_check_c_bounded`; at 3, from the line that asks for the
-    element's report.  A harness of several blocks (a pipeline's factors and
-    full element, one-param's hypothesis and conclusion) runs them as one
-    pass and asks for each block's reports on its own line, so that a waived
-    failure warns once per block."""
+    fails at (``root``, 0 when f fails) and is raised after the
+    c-boundedness checks up to that element's.  An error raised while a
+    block is built comes after the checks of the elements before it.  A
+    waived c-boundedness failure warns once per block, at that block's
+    first failing element."""
     grid = grid or EpsilonGrid.dyadic()
-    built, error = [], None
+    elements, error = [], None
     try:
-        for g in elements:
-            built.append(g)
+        for b, block in enumerate(blocks):
+            for g in block:
+                elements.append((b, g))
     except Exception as err:  # a per-element loop meets it after the elements before it
         error = err
-    if built:
+    if elements:
         _check_order(p)
     # the element at index stop raises: the first of another dimension, or
     # the one the joint pass fails at
-    stop = next((k for k, g in enumerate(built) if g.dimension != f.dimension), len(built))
-    deviations = [_deviation(f, g) for g in built[:stop]]
+    stop = next((k for k, (_, g) in enumerate(elements) if g.dimension != f.dimension), len(elements))
+    deviations = [_deviation(f, g) for _, g in elements[:stop]]
     floors, sups, failure = [], [], None
     if deviations:
         lattice = box.lattice()
@@ -154,13 +151,17 @@ def _invariance_reports(f: Net, elements, box: CompactBox, grid: Optional[Epsilo
         except ex.EvalError as err:
             # f's own error has root 0: a loop meets it at the first element
             failure, stop = err, err.root
-            sups = ex.eval_many(deviations[:stop], grid.values, lattice, sup=True) if stop else []
-    for k, g in enumerate(built):
+    reports, warned = [[] for _ in blocks], set()
+    for k, (b, g) in enumerate(elements):
         if k == stop and failure is None:
             raise ValueError("element dimension does not match net dimension")
-        c_bounded = _check_c_bounded(g, box, grid, strict, stacklevel)
+        c_bounded = _check_c_bounded(g, box, grid, strict, warn=b not in warned)
+        if not c_bounded:
+            warned.add(b)
         if k == stop:
             raise failure
+        if failure is not None:  # the elements before it are only checked
+            continue
         snapped = [0.0 if s <= fl else s for s, fl in zip(sups[k].tolist(), floors)]
         report = report_from_sups(grid, snapped, p_max=max(DEFAULT_P_MAX, p))
         # beyond the finest-quarter rule, require sup <= eps^p wherever the
@@ -168,15 +169,16 @@ def _invariance_reports(f: Net, elements, box: CompactBox, grid: Optional[Epsilo
         whole_grid_ok = all(
             s <= max(eps**p, fl) for (eps, s, fl) in zip(grid.values, snapped, floors)
         )
-        yield InvarianceReport(
+        reports[b].append(InvarianceReport(
             order=p,
             asymptotic=report,
             invariant=report.negligible_order >= p and whole_grid_ok,
             c_bounded=c_bounded,
             element=g.to_json_dict(),
-        )
+        ))
     if error is not None:
         raise error
+    return tuple(map(tuple, reports))
 
 
 def check_invariance(
@@ -198,7 +200,7 @@ def check_invariance(
     transformation that is not c-bounded on the box raises
     :class:`CBoundednessError`, otherwise it warns and the report records
     ``c_bounded=False``.  An order ``p`` below 1 raises ValueError."""
-    return next(_invariance_reports(f, (g,), box, grid, p, strict, stacklevel=4))
+    return _invariance_reports(f, [(g,)], box, grid, p, strict)[0][0]
 
 
 @record
@@ -239,9 +241,10 @@ def one_param_theorem_harness(
     """Sample the real-parameter hypothesis of the lifting theorem, then test
     the generalized-parameter conclusion.  If any real-parameter check fails
     the conclusion block is informational only.  Both blocks are one joint
-    pass (:func:`_invariance_reports`), so f's sups are taken once; a
-    generalized parameter is checked to be bounded on the grid before its
-    element is built.  An empty ``real_thetas`` raises ValueError: it would
+    pass (:func:`_invariance_reports`), so f's sups are taken once, and a
+    waived c-boundedness failure warns once for each; a generalized
+    parameter is checked to be bounded on the grid before its element is
+    built.  An empty ``real_thetas`` raises ValueError: it would
     leave the hypothesis untested."""
     thetas = [float(theta) for theta in real_thetas]
     if not thetas:
@@ -256,12 +259,9 @@ def one_param_theorem_harness(
                 raise ValueError(f"generalized parameter {theta} is not bounded on the grid")
             yield flow(theta)
 
-    elements = itertools.chain((flow(theta) for theta in thetas), generalized())
-    reports = _invariance_reports(f, elements, box, grid, p, strict)
-    # the hypothesis and the conclusion are asked for on two lines, so a
-    # waived c-boundedness failure warns once for each block
-    hypothesis = tuple(zip(thetas, itertools.islice(reports, len(thetas))))
-    conclusion = tuple(zip(map(str, gen_thetas), reports))
+    real, gen = _invariance_reports(f, [map(flow, thetas), generalized()], box, grid, p, strict)
+    hypothesis = tuple(zip(thetas, real))
+    conclusion = tuple(zip(map(str, gen_thetas), gen))
     hypothesis_failed = not all(r.invariant for _, r in hypothesis)
     verdict = (not hypothesis_failed) and all(r.invariant for _, r in conclusion)
     return OneParamReport(p, hypothesis, conclusion, hypothesis_failed, verdict)
@@ -279,12 +279,8 @@ class PipelineReport(Record):
 
 
 def _pipeline(f, factors, full_element, box, grid, p, strict) -> PipelineReport:
-    elements = (GroupElement.from_factors(f.dimension, (factor,)) for factor in factors)
-    reports = _invariance_reports(f, itertools.chain(elements, (full_element,)), box, grid, p, strict)
-    # the factors' and the full element's reports are asked for on two lines,
-    # so a waived c-boundedness failure warns once for each
-    factor_reports = tuple(itertools.islice(reports, len(factors)))
-    full_report = next(reports)
+    blocks = [(GroupElement.from_factors(f.dimension, (factor,)) for factor in factors), (full_element,)]
+    factor_reports, (full_report,) = _invariance_reports(f, blocks, box, grid, p, strict)
     per_factor = all(r.invariant for r in factor_reports)
     consistent = per_factor == full_report.invariant
     verdict = full_report.invariant and per_factor
@@ -683,13 +679,16 @@ def translation_constancy(
     box: CompactBox,
     grid: Optional[EpsilonGrid] = None,
     p: int = 4,
-    h_samples: Sequence = ((0.5,), (1.0,)),
+    h_samples: Optional[Sequence] = None,
 ) -> TranslationReport:
-    """Hypothesis: invariance under each sampled translation.  Conclusion:
-    x -> f(x) - f(0) and its first derivatives are negligible at order p on
-    the box.  An empty ``h_samples`` raises ValueError: it would leave the
-    hypothesis untested."""
+    """Hypothesis: invariance under each sampled translation, by default
+    the offsets (0.5, ..., 0.5) and (1, ..., 1) of f's dimension.
+    Conclusion: x -> f(x) - f(0) and its first derivatives are negligible at
+    order p on the box.  An empty ``h_samples`` raises ValueError: it would
+    leave the hypothesis untested."""
     _check_order(p)
+    if h_samples is None:
+        h_samples = ((0.5,) * f.dimension, (1.0,) * f.dimension)
     offsets = [tuple(float(v) for v in h) for h in h_samples]
     if not offsets:
         raise ValueError("the hypothesis needs at least one translation")
@@ -701,7 +700,7 @@ def translation_constancy(
                 raise ValueError("offset length must equal the net dimension")
             yield GroupElement.translation(f.dimension, offset)
 
-    reports = tuple(_invariance_reports(f, translations(), box, grid, p, strict=True))
+    (reports,) = _invariance_reports(f, [translations()], box, grid, p, strict=True)
     hypothesis = tuple(zip(offsets, reports))
     hypothesis_failed = not all(r.invariant for _, r in hypothesis)
     centered = Net(_centered(f, grid), f.dimension)

@@ -1,8 +1,11 @@
 """Shared test helpers."""
 
 import math
+import os
 import random
+from pathlib import Path
 
+from epsnet import cli
 from epsnet import expr as ex
 from epsnet.expr import BinOp, Call, Const, EvalError, IntPow, Neg, Var, evaluate, partial
 
@@ -88,3 +91,16 @@ def filtered_gradient_sample(rng, d):
         values = [base, *derivs, *probes]
         if all(math.isfinite(v) and abs(v) < 1e8 for v in values):
             return e, eps, x, derivs
+
+
+def entry_point_env(buffered=None) -> dict:
+    """The environment of a ``python -m epsnet.cli`` child that imports this
+    checkout; ``buffered`` sets whether its standard output is buffered."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    if buffered is True:
+        env.pop("PYTHONUNBUFFERED", None)
+    elif buffered is False:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env

@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import random_expr
+from helpers import entry_point_env, random_expr
 
 from epsnet import cli
 from epsnet.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_POSITIVE, run, schema_path
@@ -716,19 +716,6 @@ class TestDeterminism:
             assert out1.read_bytes() == out2.read_bytes()
 
 
-def _entry_point_env(buffered=None) -> dict:
-    """The environment of a ``python -m epsnet.cli`` child that imports this
-    checkout; ``buffered`` sets whether its standard output is buffered."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = {**os.environ, "PYTHONPATH": path}
-    if buffered is True:
-        env.pop("PYTHONUNBUFFERED", None)
-    elif buffered is False:
-        env["PYTHONUNBUFFERED"] = "1"
-    return env
-
-
 class TestEntryPoint:
     """``python -m epsnet.cli`` (``main``) runs the job with collection off and
     ends without interpreter teardown, after the atexit handlers and a flush
@@ -772,7 +759,7 @@ class TestEntryPoint:
         # argparse wraps its usage line to the terminal width
         monkeypatch.setenv("COLUMNS", "80")
         proc = subprocess.run([sys.executable, "-m", "epsnet.cli", *argv], cwd=tmp_path,
-                              env=_entry_point_env(), capture_output=True, text=True, timeout=120)
+                              env=entry_point_env(), capture_output=True, text=True, timeout=120)
         report = tmp_path / "report.json"
         child_report = report.read_bytes() if report.exists() else None
         report.unlink(missing_ok=True)
@@ -788,28 +775,41 @@ class TestEntryPoint:
                   "atexit.register(print, 'atexit handler ran')\n"
                   f"sys.argv[1:] = {self.COROLLARY!r}\n"
                   "main()\n")
-        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=_entry_point_env(True),
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=entry_point_env(True),
                               capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stderr) == (EXIT_POSITIVE, "")
         assert proc.stdout.startswith("corollary-pair: ")
         assert proc.stdout.endswith(" -> report.json\natexit handler ran\n")
 
+    @staticmethod
+    def _into_closed_stdout(argv, cwd, buffered):
+        """Run ``python -m epsnet.cli`` with its stdout a pipe nobody reads."""
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            return subprocess.run([sys.executable, "-m", "epsnet.cli", *argv], cwd=cwd,
+                                  env=entry_point_env(buffered), stdout=write, stderr=subprocess.PIPE,
+                                  text=True, timeout=120)
+        finally:
+            os.close(write)
+
     @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
     def test_closed_stdout_is_an_error(self, tmp_path, buffered):
         # the summary line goes to a pipe nobody reads: the unbuffered
         # stream fails at the print, the buffered one at main's last flush
-        read, write = os.pipe()
-        os.close(read)
-        try:
-            proc = subprocess.run([sys.executable, "-m", "epsnet.cli", *self.COROLLARY], cwd=tmp_path,
-                                  env=_entry_point_env(buffered), stdout=write, stderr=subprocess.PIPE,
-                                  text=True, timeout=120)
-        finally:
-            os.close(write)
+        proc = self._into_closed_stdout(self.COROLLARY, tmp_path, buffered)
         assert proc.returncode == EXIT_ERROR
         assert proc.stderr.startswith("error: cannot write to standard output: ")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
         assert (tmp_path / "report.json").is_file()
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["--help"], ["classify", "--help"]], ids=["top", "subcommand"])
+    def test_help_into_a_closed_stdout_is_an_error(self, tmp_path, argv, buffered):
+        # argparse drops a failed write: the help write must reach run
+        proc = self._into_closed_stdout(argv, tmp_path, buffered)
+        assert (proc.returncode, proc.stderr) == (
+            EXIT_ERROR, "error: cannot write to standard output: [Errno 32] Broken pipe\n")
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,18 @@ def test_result_shapes():
         ex.eval_points(e, (0.5, 0.0), X)
 
 
+@pytest.mark.parametrize("text", ["x1", "eps", "3", "eps*x1", "ln(eps-1)+x1"])
+def test_the_sup_over_no_points_is_zero(text):
+    # a root that reads x and one that does not alike; with no points no
+    # domain rule is tested, so ln(eps-1) raises nothing, as in values mode
+    e, X = parse(text, 1), np.empty((0, 1))
+    assert ex.eval_points(e, (0.5, 0.25), X).shape == (2, 0)
+    assert ex.eval_points(e, (0.5, 0.25), X, sup=True).tolist() == [0.0, 0.0]
+    assert ex.eval_points(e, 0.5, X, sup=True) == 0.0
+    sups = ex.eval_many([e, parse("x1+eps", 1)], (0.5, 0.25), X, sup=True)
+    assert [s.tolist() for s in sups] == [[0.0, 0.0], [0.0, 0.0]]
+
+
 def assert_many_match_a_loop(es, eps_values, X):
     """eval_many against eval_points on one expression at a time, stopping
     at the first that raises: the same arrays bit for bit, or the same error

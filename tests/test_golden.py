@@ -4,14 +4,18 @@ two-period rows are built, or how the evaluator and constant folding combine
 numbers cannot move a verdict or a digit.
 
 The files under ``golden/`` were written by these same jobs through
-``cli.run``; small grids keep each job fast."""
+``cli.run``; small grids keep each job fast.  Each job's stderr is pinned
+too, and does not depend on the warning filters of the environment."""
 
 import contextlib
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from helpers import entry_point_env
 
 from epsnet.cli import EXIT_NEGATIVE, EXIT_POSITIVE, run
 
@@ -128,9 +132,31 @@ JOBS = (
 )
 
 
+#: The stderr of the jobs that write one; every other job's is empty.  A
+#: waived c-boundedness failure warns once per block.
+STDERR = {"one_param_waived_both_blocks": "warning: transformation is not c-bounded on the box\n" * 2}
+
+
 @pytest.mark.parametrize("name, code, argv", JOBS, ids=[job[0] for job in JOBS])
 def test_report_matches_its_golden_file(tmp_path, name, code, argv):
     out = tmp_path / "report.json"
-    with contextlib.redirect_stdout(io.StringIO()):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         assert run(["--out", str(out), *argv]) == code
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+    assert err.getvalue() == STDERR.get(name, "")
+
+
+@pytest.mark.parametrize("setting", [None, "always", "ignore"])
+def test_warnings_do_not_depend_on_pythonwarnings(tmp_path, setting):
+    name = "one_param_waived_both_blocks"
+    _, code, argv = next(job for job in JOBS if job[0] == name)
+    env = entry_point_env()
+    env.pop("PYTHONWARNINGS", None)
+    if setting is not None:
+        env["PYTHONWARNINGS"] = setting
+    out = tmp_path / "report.json"
+    proc = subprocess.run([sys.executable, "-m", "epsnet.cli", "--out", str(out), *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (code, STDERR[name])
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 import random
 
@@ -5,9 +8,11 @@ import numpy as np
 import pytest
 
 from epsnet import expr as ex
+from epsnet.cli import run
 from epsnet.colombeau import CompactBox, EpsilonGrid, Net, classify
 from epsnet.groups import GroupElement, planar_flow
 from epsnet.numbertheory import catalog, resolve_alpha
+from epsnet.report import plain_json
 from epsnet.sampling import random_proper_lorentz, random_special_orthogonal
 from epsnet.verify import (
     CBoundednessError,
@@ -434,6 +439,17 @@ class TestTranslation:
             f, CompactBox.cube(-1, 1, 2), GRID, p=3, h_samples=((0.5, 0.5), (1.0, -1.0))
         )
         assert rep.verdict
+
+    def test_default_offsets_fit_the_dimension(self, tmp_path):
+        # the library and the CLI sample (0.5, ..., 0.5) and (1, ..., 1)
+        f, dim = "3+eps^6*sin(x1)*x2", "2"
+        rep = translation_constancy(Net.parse(f, 2), CompactBox.cube(-1, 1, 2, 5), EpsilonGrid.dyadic(4, 8), 1)
+        assert [h for h, _ in rep.hypothesis] == [(0.5, 0.5), (1.0, 1.0)]
+        out = tmp_path / "report.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            run(["--out", str(out), "translation", "--f", f, "--dim", dim, "--samples", "5",
+                 "--k-min", "4", "--k-max", "8", "--p", "1"])
+        assert json.loads(out.read_text())["evidence"] == json.loads(json.dumps(plain_json(rep)))
 
     def test_empty_hypothesis_is_rejected(self):
         # with no translation sampled the hypothesis held vacuously

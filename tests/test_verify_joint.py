@@ -236,3 +236,25 @@ def test_one_param_compiles_nine_programs(monkeypatch):
     assert _CountingProgram.built == 9
     # f's sups, which set the noise floors, are taken once for both blocks
     assert measured == [f.body]
+
+
+def test_a_failing_pipeline_compiles_four_programs(monkeypatch):
+    # f's sups, the joint deviations (which fail at factor 2) and the image
+    # bounds of factors 1 and 2; nothing re-measures the factor before
+    monkeypatch.setattr(ex, "_Program", _CountingProgram)
+    monkeypatch.setattr(_CountingProgram, "built", 0)
+    assert _pipeline_error(FACTORS, True)[0] is ex.EvalError
+    assert _CountingProgram.built == 4
+
+
+def test_a_block_warns_once_under_the_always_filter():
+    # two factors and the full element fail the check: one warning for the
+    # factors and one for the full element, issued inside epsnet.verify
+    f = Net.parse("exp(-(x1^2+x2^2+x3^2))", 3)
+    factors = (GROWING, PlanarFactor("boost", 1, 2, Net.parse("ln(1/eps)", 0)), FACTORS[1])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = _pipeline(f, factors, GroupElement.from_factors(3, factors), BOX3, SHORT, 1, False)
+    assert [r.c_bounded for r in rep.factors] == [False, False, True] and not rep.full.c_bounded
+    assert [str(w.message) for w in caught] == ["transformation is not c-bounded on the box"] * 2
+    assert {w.filename for w in caught} == {verify.__file__}
