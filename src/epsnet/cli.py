@@ -657,6 +657,9 @@ def run(argv) -> int:
     except (UsageError, ValueError) as err:  # ParseError, DecompositionError, CBoundednessError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
+    except RecursionError:  # differentiation and substitution recurse once per level
+        print("error: the expression nests too deeply to process", file=sys.stderr)
+        return EXIT_ERROR
     except Exception as err:  # last resort: exit 1 is reserved for negative verdicts
         if isinstance(err, ArithmeticError):
             print(f"evaluation error: {err}", file=sys.stderr)

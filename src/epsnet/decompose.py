@@ -308,7 +308,18 @@ def full_lorentz_decompose(L) -> FullLorentzDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# Net-valued matrices
+# Pipeline kinds and net-valued matrices
+
+
+def factorization_of(kind: str) -> tuple:
+    """The factorization class and decomposer of a pipeline ``kind``,
+    'rotation' or 'lorentz'.  The decomposer is looked up when this is
+    called, so a rebinding of it in this module is the one returned."""
+    if kind == "rotation":
+        return RotationSchedule, givens_decompose
+    if kind == "lorentz":
+        return LorentzFactorization, lorentz_decompose
+    raise ValueError("kind must be 'rotation' or 'lorentz'")
 
 
 def decompose_net_matrix(M, grid: EpsilonGrid, kind: str):
@@ -321,9 +332,7 @@ def decompose_net_matrix(M, grid: EpsilonGrid, kind: str):
     they run clean; the last error is raised once those eps are factored,
     so the first failure is the one an eps-by-eps walk, entries in
     row-major order, would meet."""
-    if kind not in ("rotation", "lorentz"):
-        raise ValueError("kind must be 'rotation' or 'lorentz'")
-    factorize = givens_decompose if kind == "rotation" else lorentz_decompose
+    _, factorize = factorization_of(kind)
     rows = [list(r) for r in M]
     entries = [_scalar_expr(v) for row in rows for v in row]
     eps_values, failure, columns = grid.values, None, None

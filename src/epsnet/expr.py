@@ -358,8 +358,7 @@ def _prec(e: Expr) -> int:
         return _PREC_ADD if e.op in "+-" else _PREC_MUL
     if isinstance(e, IntPow):
         return _PREC_POW
-    if isinstance(e, Neg):
-        return _PREC_ATOM  # printed as a prefix that re-parses at factor level
+    # a Neg is an atom too: printed as a prefix that re-parses at factor level
     return _PREC_ATOM
 
 
@@ -641,8 +640,7 @@ def _children(e: Expr) -> tuple:
 
 
 def _instruction(e: Expr, kids) -> tuple:
-    if isinstance(e, BinOp):
-        return (e.op, kids[0], kids[1])
+    # a BinOp never comes here: _Program interns it inline
     if isinstance(e, Neg):
         return ("neg", kids[0], None)
     if isinstance(e, IntPow):

@@ -13,6 +13,7 @@ gives its numeric matrix, which the factorizations use.
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Optional, Sequence, Union
 
@@ -219,36 +220,49 @@ class GroupElement:
 
 def element_from_json(data: dict) -> GroupElement:
     """Inverse of :meth:`GroupElement.to_json_dict` (numeric or expression
-    valued entries; tabulated angles round-trip as tables)."""
+    valued entries; tabulated angles round-trip as tables).  ``dimension``,
+    ``i`` and ``j`` must be integers and numeric entries finite numbers, of
+    which a boolean is none; the ValueError otherwise shows the JSON value."""
+
+    def integer(v, name: str) -> int:
+        if type(v) is not int:  # 1.7 is no axis, and true is no number
+            raise ValueError(f"{name} must be an integer, got {json.dumps(v, default=repr)}")
+        return v
+
+    def number(v) -> float:
+        value = float(v)
+        if isinstance(v, bool) or not math.isfinite(value):
+            raise ValueError(f"entries must be finite numbers, got {json.dumps(v, default=repr)}")
+        return value
 
     def scalar(v):
         if isinstance(v, dict) and "table" in v:
-            return Net.tabulated(v["table"])
-        if isinstance(v, (int, float)):
-            return float(v)
-        text = str(v)
-        try:
-            return float(text)
-        except ValueError:
-            return Net(ex.parse(text, 0), 0)
+            return Net.tabulated([(number(e), number(x)) for e, x in v["table"]])
+        if not isinstance(v, (int, float)):
+            try:
+                v = float(str(v))
+            except ValueError:
+                return Net(ex.parse(str(v), 0), 0)
+        return number(v)
 
     if "matrix" in data:
         rows = [[scalar(v) for v in row] for row in data["matrix"]]
         element = GroupElement.from_matrix(rows)
-        if int(data.get("dimension", element.dimension)) != element.dimension:
+        if integer(data.get("dimension", element.dimension), "dimension") != element.dimension:
             raise ValueError(f"a {element.dimension}x{element.dimension} matrix is not of "
                              f"dimension {data['dimension']}")
         return element
     if "coords" in data:
-        d = int(data.get("dimension", len(data["coords"])))
+        d = integer(data.get("dimension", len(data["coords"])), "dimension")
         return GroupElement(d, (ex.parse(t, d) for t in data["coords"]))
     factors = []
     for f in data["factors"]:
         if f.get("kind") == "translation":
             factors.append(Translation(tuple(scalar(v) for v in f["offset"])))
         else:
-            factors.append(PlanarFactor(f["kind"], int(f["i"]), int(f["j"]), scalar(f["theta"])))
-    return GroupElement.from_factors(int(data["dimension"]), factors)
+            i, j = integer(f["i"], "i"), integer(f["j"], "j")
+            factors.append(PlanarFactor(f["kind"], i, j, scalar(f["theta"])))
+    return GroupElement.from_factors(integer(data["dimension"], "dimension"), factors)
 
 
 def compose_net(f: Net, g: GroupElement) -> Net:

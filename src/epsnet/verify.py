@@ -56,7 +56,8 @@ class CBoundednessError(ValueError):
 @record
 class InvarianceReport(Record):
     """Per-eps sup of |f(g(x)) - f(x)| over the box (``asymptotic.sups``),
-    with verdict at order p.
+    with verdict at order p: ``invariant`` holds when every sup is at most
+    eps^p, so ``asymptotic.negligible_order`` is then at least p (eps < 1).
 
     ``c_bounded`` is the c-boundedness check's verdict; it can be False only
     when the check was waived (``strict=False``)."""
@@ -105,11 +106,6 @@ def _centered(f: Net, grid: EpsilonGrid) -> ex.Expr:
     return ex.c_sub(f.body, ex.Table(tuple(zip(grid.values, origin.tolist()))))
 
 
-def _floors(f: Net, grid: EpsilonGrid, lattice) -> list:
-    """The per-eps measurability floors of f's deviations: from f's own sups."""
-    return [_noise_floor(s) for s in grid_sups(f.body, grid, lattice)]
-
-
 def _invariance_reports(f: Net, blocks, box: CompactBox, grid: Optional[EpsilonGrid], p: int,
                         strict: bool) -> tuple:
     """One tuple of :class:`InvarianceReport` per block of ``blocks`` (a list
@@ -118,12 +114,12 @@ def _invariance_reports(f: Net, blocks, box: CompactBox, grid: Optional[EpsilonG
 
     Each element's check is, in order: its dimension, its c-boundedness,
     f's sups (which set the noise floors), then the sups of f o g - f,
-    snapped to zero at or below the floors.  The elements before the first
-    one of another dimension are measured in one joint pass: f's sups from
-    one ``grid_sups``, every deviation from one ``eval_many``, which
-    computes the subtrees of f and the lattice leaves once.  An
-    :class:`~epsnet.expr.EvalError` of that pass names the element a loop
-    fails at (``root``, 0 when f fails) and is raised after the
+    snapped to zero at or below the floors and held against eps^p.  The
+    elements before the first one of another dimension are measured in one
+    joint pass: f's sups from one ``grid_sups``, every deviation from one
+    ``eval_many``, which computes the subtrees of f and the lattice leaves
+    once.  An :class:`~epsnet.expr.EvalError` of that pass names the element
+    a loop fails at (``root``, 0 when f fails) and is raised after the
     c-boundedness checks up to that element's.  An error raised while a
     block is built comes after the checks of the elements before it.  A
     waived c-boundedness failure warns once per block, at that block's
@@ -146,7 +142,7 @@ def _invariance_reports(f: Net, blocks, box: CompactBox, grid: Optional[EpsilonG
     if deviations:
         lattice = box.lattice()
         try:
-            floors = _floors(f, grid, lattice)
+            floors = [_noise_floor(s) for s in grid_sups(f.body, grid, lattice)]
             sups = ex.eval_many(deviations, grid.values, lattice, sup=True)
         except ex.EvalError as err:
             # f's own error has root 0: a loop meets it at the first element
@@ -163,16 +159,10 @@ def _invariance_reports(f: Net, blocks, box: CompactBox, grid: Optional[EpsilonG
         if failure is not None:  # the elements before it are only checked
             continue
         snapped = [0.0 if s <= fl else s for s, fl in zip(sups[k].tolist(), floors)]
-        report = report_from_sups(grid, snapped, p_max=max(DEFAULT_P_MAX, p))
-        # beyond the finest-quarter rule, require sup <= eps^p wherever the
-        # deviation is large enough to be measurable at all
-        whole_grid_ok = all(
-            s <= max(eps**p, fl) for (eps, s, fl) in zip(grid.values, snapped, floors)
-        )
         reports[b].append(InvarianceReport(
             order=p,
-            asymptotic=report,
-            invariant=report.negligible_order >= p and whole_grid_ok,
+            asymptotic=report_from_sups(grid, snapped, p_max=max(DEFAULT_P_MAX, p)),
+            invariant=all(s <= eps**p for eps, s in zip(grid.values, snapped)),
             c_bounded=c_bounded,
             element=g.to_json_dict(),
         ))
@@ -287,15 +277,6 @@ def _pipeline(f, factors, full_element, box, grid, p, strict) -> PipelineReport:
     return PipelineReport(p, factor_reports, full_report, verdict, consistent)
 
 
-#: Each pipeline kind's factorization class and decomposer, by name in
-#: ``epsnet.decompose``: read when a pipeline runs, so that a rebinding of a
-#: decomposer (as by bench/launcher.py) is the one called.
-_FACTORIZATIONS = {
-    "rotation": ("RotationSchedule", "givens_decompose"),
-    "lorentz": ("LorentzFactorization", "lorentz_decompose"),
-}
-
-
 def _factored_pipeline(kind, f, M, box, grid, p, strict) -> PipelineReport:
     """Factor ``M`` (a factorization of ``kind``, passed through; a real
     matrix, factored once; or a matrix of scalar nets, factored eps by eps)
@@ -303,15 +284,15 @@ def _factored_pipeline(kind, f, M, box, grid, p, strict) -> PipelineReport:
     from . import decompose
 
     grid = grid or EpsilonGrid.dyadic()
-    cls_name, decomposer = _FACTORIZATIONS[kind]
-    if isinstance(M, getattr(decompose, cls_name)):
+    cls, decomposer = decompose.factorization_of(kind)
+    if isinstance(M, cls):
         fact = M
     elif isinstance(M, decompose.Factorization):
         raise TypeError(f"the {kind} pipeline cannot run a {type(M).__name__}")
     elif isinstance(M, np.ndarray) or (
         isinstance(M, (list, tuple)) and all(isinstance(v, (int, float)) for row in M for v in row)
     ):
-        fact = getattr(decompose, decomposer)(np.asarray(M, dtype=float))
+        fact = decomposer(np.asarray(M, dtype=float))
     else:
         fact = decompose.decompose_net_matrix(M, grid, kind)
     return _pipeline(f, fact.factors, fact.as_group_element(), box, grid, p, strict)
@@ -514,7 +495,14 @@ class ConstancyReport(Record):
     per_order: tuple  # OrderCertificate per order 1..p
 
 
-def _check_two_period_inputs(p: int, samples: int, radius: float, grid: EpsilonGrid) -> None:
+def _two_period_inputs(f: Net, alpha, radius: float, p: int, grid: Optional[EpsilonGrid],
+                       samples: int) -> tuple:
+    """Check the inputs of both two-period harnesses in this order: f
+    one-dimensional, p, samples, a finite radius, a finite R = eps^-p at the
+    finest grid eps, radius > alpha + 2; return the grid and alpha's value."""
+    if f.dimension != 1:
+        raise ValueError("the two-period harnesses concern one-dimensional nets")
+    grid = grid or EpsilonGrid.dyadic()
     _check_order(p)
     if samples < 2:
         raise ValueError(f"need at least 2 samples per axis, got {samples}")
@@ -528,6 +516,10 @@ def _check_two_period_inputs(p: int, samples: int, radius: float, grid: EpsilonG
         largest = math.ceil(1024 / -math.log2(eps)) - 1
         raise ValueError(f"--p {p} makes R = eps^-p overflow at the finest grid eps {eps:g}; "
                          f"the largest p on this grid is {largest}") from None
+    value = alpha.value_float
+    if not radius > value + 2:
+        raise ValueError("radius must exceed alpha + 2")
+    return grid, value
 
 
 def _two_period_sups(f: Net, alpha: float, radius: float, grid: EpsilonGrid, samples: int):
@@ -586,17 +578,11 @@ def two_period_constancy(
     deviations stay below eps^((M+2)p'), draw the Diophantine pair at
     R = eps^(-p'), and certify sup |f(x) - f(0)| over |x| <= radius-alpha-2
     against c*eps^p' + 2*eps^(p'-N) with the structural constant
-    c = (alpha+2)(radius+1) and N the fitted derivative exponent.
-    """
+    c = (alpha+2)(radius+1) and N the fitted derivative exponent.  The
+    inputs are checked as :func:`_two_period_inputs` states."""
     from .numbertheory import corollary_pair, liouville_constant
 
-    if f.dimension != 1:
-        raise ValueError("the two-period theorem concerns one-dimensional nets")
-    grid = grid or EpsilonGrid.dyadic()
-    _check_two_period_inputs(p, samples, radius, grid)
-    alpha = a.value_float
-    if not radius > alpha + 2:
-        raise ValueError("radius must exceed alpha + 2")
+    grid, alpha = _two_period_inputs(f, a, radius, p, grid, samples)
     M = liouville_constant(a).M
     dev1, dev2, measured, worst = _two_period_sups(f, alpha, radius, grid, samples)
     n_exp = _derivative_moderateness(f, radius, grid, samples)
@@ -684,8 +670,8 @@ def translation_constancy(
     """Hypothesis: invariance under each sampled translation, by default
     the offsets (0.5, ..., 0.5) and (1, ..., 1) of f's dimension.
     Conclusion: x -> f(x) - f(0) and its first derivatives are negligible at
-    order p on the box.  An empty ``h_samples`` raises ValueError: it would
-    leave the hypothesis untested."""
+    order p on the box.  An empty ``h_samples`` (which would leave the
+    hypothesis untested) or an offset not of f's dimension raises ValueError."""
     _check_order(p)
     if h_samples is None:
         h_samples = ((0.5,) * f.dimension, (1.0,) * f.dimension)
@@ -693,14 +679,8 @@ def translation_constancy(
     if not offsets:
         raise ValueError("the hypothesis needs at least one translation")
     grid = grid or EpsilonGrid.dyadic()
-
-    def translations():
-        for offset in offsets:
-            if len(offset) != f.dimension:
-                raise ValueError("offset length must equal the net dimension")
-            yield GroupElement.translation(f.dimension, offset)
-
-    (reports,) = _invariance_reports(f, [translations()], box, grid, p, strict=True)
+    translations = (GroupElement.translation(f.dimension, offset) for offset in offsets)
+    (reports,) = _invariance_reports(f, [translations], box, grid, p, strict=True)
     hypothesis = tuple(zip(offsets, reports))
     hypothesis_failed = not all(r.invariant for _, r in hypothesis)
     centered = Net(_centered(f, grid), f.dimension)
@@ -749,18 +729,12 @@ def open_question_explorer(
 ) -> ExplorerReport:
     """Run the two-period machinery with continued-fraction convergents in
     place of the Liouville-backed pair, reporting the effective exponent the
-    data would need.  ``alpha`` is any spec ``resolve_alpha`` accepts."""
+    data would need.  ``alpha`` is any spec ``resolve_alpha`` accepts; it is
+    resolved before the checks of :func:`_two_period_inputs`."""
     from .numbertheory import dirichlet, resolve_alpha
 
-    if f.dimension != 1:
-        raise ValueError("one-dimensional nets only")
-    grid = grid or EpsilonGrid.dyadic()
-    _check_two_period_inputs(p, samples, radius, grid)
     alpha = resolve_alpha(alpha)
-    value = alpha.value_float
-    if not radius > value + 2:
-        raise ValueError("radius must exceed alpha + 2")
-
+    grid, value = _two_period_inputs(f, alpha, radius, p, grid, samples)
     dev1, dev2, measured, worst = _two_period_sups(f, value, radius, grid, samples)
     rows = []
     eff_max = None

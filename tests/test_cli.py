@@ -226,6 +226,23 @@ class TestExitCodes:
             # a table that misses grid points cannot be evaluated there
             ("2", '{"factors":[{"kind":"rotation","i":1,"j":2,"theta":{"table":[[0.5,0.1]]}}]}',
              "not a grid point"),
+            # a boolean is not a number, as --matrix rules, and axes and the
+            # dimension are integers, not truncated reals
+            ("2", '{"factors":[{"kind":"rotation","i":1,"j":2,"theta":true}]}',
+             "entries must be finite numbers, got true"),
+            ("2", '{"matrix":[[true,0],[0,1]]}', "entries must be finite numbers, got true"),
+            ("2", '{"factors":[{"kind":"rotation","i":1.7,"j":2,"theta":0.5}]}',
+             "i must be an integer, got 1.7"),
+            ("2", '{"factors":[{"kind":"rotation","i":1,"j":true,"theta":0.5}]}',
+             "j must be an integer, got true"),
+            ("2", '{"dimension":2.5,"factors":[]}', "dimension must be an integer, got 2.5"),
+            # a non-finite entry has no report form: named as the problem
+            ("2", '{"factors":[{"kind":"rotation","i":1,"j":2,"theta":Infinity}]}',
+             "entries must be finite numbers, got Infinity"),
+            ("2", '{"factors":[{"kind":"translation","offset":["nan",0]}]}',
+             "entries must be finite numbers, got NaN"),
+            ("2", '{"factors":[{"kind":"rotation","i":1,"j":2,"theta":{"table":[[0.5,NaN]]}}]}',
+             "entries must be finite numbers, got NaN"),
         ],
     )
     def test_malformed_element_is_a_usage_error(self, tmp_path, capsys, dim, element, fragment):
@@ -234,6 +251,17 @@ class TestExitCodes:
         )
         assert code == EXIT_ERROR and data is None
         assert_one_line_error(capsys, fragment)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["classify", "--dim", "1"], ["invariance", "--dim", "1", "--translate", "1"]],
+        ids=["classify", "invariance"],
+    )
+    def test_a_net_that_nests_too_deeply_is_one_line_error(self, tmp_path, capsys, argv):
+        # the symbolic layers recurse once per level of the sum
+        code, data = run_cmd(tmp_path, [*argv, "--f", "+".join(["x1"] * 2000), *FAST_GRID])
+        assert code == EXIT_ERROR and data is None
+        assert assert_one_line_error(capsys) == "error: the expression nests too deeply to process\n"
 
     def test_unwritable_out_is_an_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "report.json"

@@ -1,11 +1,13 @@
 """The benchmark's trace launcher wraps package functions by name.  Every
 name it lists must resolve in the package, so a refactor that drops one
-fails here rather than in a traced benchmark run."""
+fails here rather than in a traced benchmark run.  Every job of the bench's
+job lists must pass the checks the benchmark makes of its output."""
 
 import importlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import types
@@ -136,3 +138,18 @@ def test_traced_group_job_records_every_required_layer(tmp_path):
     # would be the only one
     spans, layer = records[1]["spans"], records[1]["layers"].index("decompose")
     assert [span[0] for span in spans if span[3] >= 0 and spans[span[3]][0] == layer] == [layer]
+
+
+@pytest.mark.parametrize("name", ["classify-deriv", "group-fixed", "diophantine"])
+def test_every_bench_job_passes_its_own_checks(tmp_path, monkeypatch, name):
+    # the seed-1 job list of each workload, run in-process: a change that
+    # breaks a bench job fails here before the benchmark's output check
+    from epsnet import cli
+
+    workload = _exec_source(WORKLOADS, "workloads_under_test")["WORKLOADS"][name]
+    monkeypatch.chdir(tmp_path)  # the jobs name their matrix files relatively
+    for job in workload.make(random.Random(f"{name}:1"), tmp_path):
+        assert cli.run([*job.args, "--out", "report.json"]) == job.exit_code, job.id
+        report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert report["verdict"] == job.verdict, job.id
+        assert job.check is None or job.check(report["evidence"]) is None, job.id

@@ -3,9 +3,13 @@ import io
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
+from helpers import random_expr
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsnet import expr as ex
 from epsnet.cli import run
@@ -93,6 +97,38 @@ class TestCheckInvariance:
         box = CompactBox.cube(-1.0, 1.0, 1)
         assert check_invariance(f, g, box, GRID, p=2).invariant
         assert not check_invariance(f, g, box, GRID, p=3).invariant
+
+
+def _small_element(rng: random.Random) -> GroupElement:
+    """A rotation, boost or translation in d=2 by a real or by +-eps^k, so
+    that the deviations are negligible at some orders and not at others."""
+    size = Net.parse(f"{rng.choice((1, -1))}*eps^{rng.randint(1, 6)}", 0) if rng.random() < 0.7 else (
+        round(rng.uniform(-3.0, 3.0), 3))
+    kind = rng.choice(("rotation", "boost", "translation"))
+    if kind == "translation":
+        return GroupElement.translation(2, rng.choice(((size, 0.0), (0.0, size), (size, size))))
+    return planar_flow(kind, 2, 1, 2)(size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=6))
+def test_invariant_is_every_sup_within_eps_to_the_p(seed, p):
+    # the one inequality behind the verdict: it implies the finest-quarter
+    # rule, so the report's negligible order is at least p whenever it holds
+    rng = random.Random(seed)
+    f = Net(random_expr(rng, 2, max_depth=3), 2)
+    g = _small_element(rng)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = check_invariance(f, g, CompactBox.cube(-1.0, 1.0, 2, 5), EpsilonGrid.dyadic(4, 12),
+                                      p, strict=False)
+    except ex.EvalError:
+        return
+    asymptotic = report.asymptotic
+    assert report.invariant == (
+        asymptotic.negligible_order >= p and all(s <= eps**p for eps, s in asymptotic.sups)
+    )
 
 
 class TestOneParam:
@@ -253,6 +289,33 @@ class TestLorentzPipeline:
             lorentz_invariance_pipeline(f, givens_decompose(np.eye(3)), box, GRID, p=1)
 
 
+@pytest.mark.parametrize(
+    "pipeline, name, matrix",
+    [
+        (rotation_invariance_pipeline, "givens_decompose",
+         [["cos(eps)", "-sin(eps)"], ["sin(eps)", "cos(eps)"]]),
+        (lorentz_invariance_pipeline, "lorentz_decompose",
+         [["cosh(eps)", "sinh(eps)"], ["sinh(eps)", "cosh(eps)"]]),
+    ],
+    ids=["rotation", "lorentz"],
+)
+def test_pipelines_call_the_decomposer_bound_when_they_run(monkeypatch, pipeline, name, matrix):
+    # decompose.factorization_of reads the decomposer by name at each call,
+    # so a rebinding (as the bench's trace launcher makes) is the one called
+    from epsnet import decompose
+
+    calls, original = [], getattr(decompose, name)
+    monkeypatch.setattr(decompose, name, lambda M: calls.append(M) or original(M))
+    grid = EpsilonGrid.dyadic(4, 8)
+    f = Net.parse("x1^2+x2^2", 2)
+    pipeline(f, np.eye(2), BOX2, grid, p=1)
+    assert len(calls) == 1
+    pipeline(f, [[Net.parse(v, 0) for v in row] for row in matrix], BOX2, grid, p=1)
+    assert len(calls) == 1 + len(grid)
+    with pytest.raises(ValueError, match="kind must be 'rotation' or 'lorentz'"):
+        decompose.factorization_of("reflection")
+
+
 class TestPeriodicity:
     BOX = CompactBox.cube(-3.0, 3.0, 1)
 
@@ -336,6 +399,28 @@ class TestChainBound:
 
 class TestTwoPeriod:
     SQRT2 = catalog()["sqrt2"]
+
+    @pytest.mark.parametrize("explorer", [False, True], ids=["two-period", "explorer"])
+    @pytest.mark.parametrize(
+        "dim, p, samples, radius, message",
+        [
+            (2, 0, 1, math.inf, "one-dimensional"),
+            (1, 0, 1, math.inf, "order p must be >= 1"),
+            (1, 2, 1, math.inf, "need at least 2 samples"),
+            (1, 30, 9, math.inf, "radius must be finite"),
+            (1, 30, 9, 3.0, "overflow at the finest grid eps"),
+            (1, 2, 9, 3.0, "radius must exceed alpha"),
+        ],
+    )
+    def test_both_harnesses_check_their_inputs_in_one_order(self, explorer, dim, p, samples, radius,
+                                                              message):
+        # each row but the last also fails a later check, so the order is pinned
+        f = Net.parse("1", dim)
+        with pytest.raises(ValueError, match=message):
+            if explorer:
+                open_question_explorer(self.SQRT2, f, radius, p, samples=samples)
+            else:
+                two_period_constancy(f, self.SQRT2, radius, p, samples=samples)
 
     def test_constant_plus_negligible(self):
         f = Net.parse(f"7 + {NEGLIGIBLE}*sin(x1)", 1)
