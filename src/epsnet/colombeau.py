@@ -28,6 +28,13 @@ DEFAULT_RC_BOUND = 1e6
 #: Tolerance on fitted log-log slopes when testing "no growth trend";
 #: O(1) oscillatory data legitimately fits to slightly negative slopes.
 SLOPE_TOL = 0.1
+#: Most points a sample lattice may have, checked before it is built.  The
+#: lattice is held whole, samples^d rows of d floats (302 MB at d = 9, twice
+#: that while it is built), and every harness evaluates each row at each
+#: eps, so a larger one costs minutes or fails inside numpy's allocator.
+#: The largest lattices of the tests and the benchmark are 33^4 = 1,185,921
+#: and 33^3 = 35,937 points.
+MAX_LATTICE_POINTS = 2**22
 
 
 @record
@@ -88,9 +95,13 @@ class CompactBox:
     def lattice(self) -> np.ndarray:
         """All sample points as a read-only array of shape (samples^d, d),
         C-ordered.  Built on the first call; later calls return the same
-        array."""
+        array.  More than ``MAX_LATTICE_POINTS`` points raise ValueError."""
         points = self.__dict__.get("_lattice")
         if points is None:
+            size = self.samples_per_axis ** self.dimension
+            if size > MAX_LATTICE_POINTS:
+                raise ValueError(f"a lattice of {self.samples_per_axis}^{self.dimension} = {size} "
+                                 f"points exceeds the ceiling of {MAX_LATTICE_POINTS} points")
             if self.dimension == 0:
                 points = np.zeros((1, 0))
             else:

@@ -1,13 +1,15 @@
 """A minimal smooth expression language: parser, printer, evaluator and exact
 symbolic forward differentiation.
 
-Expressions are trees over real constants, the scale variable ``eps``, spatial
-variables ``x1`` .. ``x9``, the four arithmetic operations, integer powers and
-a fixed set of C-infinity primitives.  The language is closed under
-differentiation, so arbitrary mixed partials stay inside the language.  A
-:class:`Table` leaf holds a scalar known only at finitely many eps (an angle
-read off a net-valued matrix eps by eps); it is constant in space and has no
-eps-derivative.
+Expressions are one interned DAG (a node per structure, :class:`Expr`) over
+real constants, the scale variable ``eps``, spatial variables ``x1`` ..
+``x9``, the four arithmetic operations, integer powers and a fixed set of
+C-infinity primitives, closed under differentiation.  Differentiation,
+substitution, the printer and the evaluator's compiler walk it with
+explicit stacks: only the parser's nesting of parentheses is bounded by
+Python's recursion limit.  A :class:`Table` leaf holds a scalar known only
+at finitely many eps (an angle read off a net-valued matrix eps by eps);
+it is constant in space and has no eps-derivative.
 Evaluation is pure and deterministic; floating-point underflow to zero is
 accepted silently, domain violations raise :class:`EvalError`.
 Each operation's arithmetic and domain rule is written once (``_OPS``,
@@ -30,11 +32,13 @@ from __future__ import annotations
 import bisect
 import math
 import operator
+import threading
+import weakref
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .report import record
+from .report import _DATACLASS_FIELDS, _assigner, _set_field, record
 
 MAX_SPATIAL_VARS = 9
 DEFAULT_MAX_MULTIINDEX_ORDER = 4
@@ -84,56 +88,142 @@ class EvalError(ArithmeticError):
 # ---------------------------------------------------------------------------
 # AST
 
+#: Weak reference to the one live node of each intern key: class and fields,
+#: a child by its ``id`` (the node holds the child, so the id is its) and a
+#: constant by the ``repr`` of its value (0.0 and -0.0 are two nodes).
+_NODES = {}
+#: Reentrant: a node may die, and its entry leave, while another is built.
+_NODES_LOCK = threading.RLock()
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref):
+    with _NODES_LOCK:
+        # the key may already name a newer node if this one died in a gc pass
+        if _NODES.get(ref.key) is ref:
+            del _NODES[ref.key]
+
+
+def _intern(cls, key: tuple, fields: tuple, children: tuple, mask: int):
+    with _NODES_LOCK:
+        ref = _NODES.get(key)
+        node = None if ref is None else ref()
+        if node is None:
+            node = object.__new__(cls)
+            cls._assign(node, fields)
+            _set_field(node, "children", children)
+            _set_field(node, "mask", mask)
+            _set_field(node, "_hash", hash(fields))
+            ref = _NODES[key] = _Ref(node, _forget)
+            ref.key = key
+        return node
+
 
 class Expr:
-    """Base class of all expression nodes. Nodes are immutable and hashable."""
+    """Base class of expression nodes, which are immutable and interned:
+    building a node equal in structure to a live one returns that node, so
+    structural equality is identity.  A node holds, computed when it is
+    built, its ``hash`` (a record's: that of the tuple of its fields), its
+    ``children`` (left to right) and the ``mask`` of the variables it reads
+    (bit 0 eps, bit i x_i).  A subclass's ``__slots__`` are its fields, as
+    ``dataclasses.fields`` reports them."""
 
-    __slots__ = ()
+    __slots__ = ("children", "mask", "_hash", "__weakref__")
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__slots__
+        cls._assign = staticmethod(_assigner(cls.__slots__))
+        cls.__dataclass_fields__ = _DATACLASS_FIELDS
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
 
     def __str__(self) -> str:
         return to_text(self)
 
 
-@record
 class Const(Expr):
-    value: float
+    __slots__ = ("value",)
+
+    def __new__(cls, value: float):
+        return _intern(cls, (cls, repr(value)), (value,), (), 0)
 
 
-@record
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __new__(cls, name: str):
+        return _intern(cls, (cls, name), (name,), (), 1 << spatial_index(name))
 
 
-@record
 class Neg(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
+
+    def __new__(cls, arg: Expr):
+        return _intern(cls, (cls, id(arg)), (arg,), (arg,), arg.mask)
 
 
-@record
 class BinOp(Expr):
-    op: str  # one of + - * /
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")  # op: one of + - * /
+
+    def __new__(cls, op: str, left: Expr, right: Expr):
+        return _intern(cls, (cls, op, id(left), id(right)), (op, left, right), (left, right),
+                       left.mask | right.mask)
 
 
-@record
 class IntPow(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = ("base", "exponent")
+
+    def __new__(cls, base: Expr, exponent: int):
+        return _intern(cls, (cls, id(base), exponent), (base, exponent), (base,), base.mask)
 
 
-@record
 class Call(Expr):
-    fn: str
-    arg: Expr
+    __slots__ = ("fn", "arg")
+
+    def __new__(cls, fn: str, arg: Expr):
+        return _intern(cls, (cls, fn, id(arg)), (fn, arg), (arg,), arg.mask)
 
 
-@record
 class Table(Expr):
     """A scalar given by ``((eps, value), ...)`` pairs; any other eps is an
     evaluation error."""
 
-    pairs: tuple
+    __slots__ = ("pairs",)
+
+    def __new__(cls, pairs: tuple):
+        return _intern(cls, (cls, pairs), (pairs,), (), 1)
+
+
+_children = operator.attrgetter("children")
+
+
+def _post_order(root: Expr, done):
+    """Each node of ``root`` not in ``done``, children first, left to right;
+    the caller puts each node it is given into ``done`` before the next."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is tuple:  # (node,): its children are done
+            yield node[0]
+        elif node not in done:
+            stack.append((node,))
+            stack.extend(reversed(node.children))
 
 
 @record
@@ -170,16 +260,8 @@ def spatial_index(name: str) -> int:
 
 def variables(e: Expr) -> set:
     """Set of variable names referenced by ``e``."""
-    out = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            out.add(node.name)
-        elif isinstance(node, Table):
-            out.add("eps")
-        stack.extend(_children(node))
-    return out
+    names = {f"x{i}" for i in range(1, MAX_SPATIAL_VARS + 1) if e.mask >> i & 1}
+    return names | {"eps"} if e.mask & 1 else names
 
 
 # ---------------------------------------------------------------------------
@@ -353,15 +435,6 @@ _PREC_POW = 3
 _PREC_ATOM = 4
 
 
-def _prec(e: Expr) -> int:
-    if isinstance(e, BinOp):
-        return _PREC_ADD if e.op in "+-" else _PREC_MUL
-    if isinstance(e, IntPow):
-        return _PREC_POW
-    # a Neg is an atom too: printed as a prefix that re-parses at factor level
-    return _PREC_ATOM
-
-
 def format_const(value: float) -> str:
     if value != value or value in (math.inf, -math.inf):
         raise ValueError(f"non-finite constant {value!r} is not printable")
@@ -371,54 +444,50 @@ def format_const(value: float) -> str:
 
 
 def to_text(e: Expr) -> str:
-    """Render an expression; the output re-parses to a structurally equal tree.
+    """Render an expression; the output re-parses to the same node.
 
     A :class:`Table` prints as ``table[N]`` (N pairs), which is for messages
     only and does not parse."""
-    return _fmt(e, 0)
+    out, stack = [], [(e, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            stack.extend(reversed(_pieces(*item)))
+    return "".join(out)
 
 
-def _fmt(e: Expr, min_prec: int) -> str:
+def _pieces(e: Expr, min_prec: int) -> list:
+    """The text of ``e`` where precedence ``min_prec`` binds it: strings,
+    and (child, precedence) pairs to print in their place."""
     if isinstance(e, Const):
         s = format_const(e.value)
-        if e.value < 0 and min_prec >= _PREC_POW:
-            return "(" + s + ")"
-        return s
+        return ["(", s, ")"] if e.value < 0 and min_prec >= _PREC_POW else [s]
     if isinstance(e, Var):
-        return e.name
+        return [e.name]
     if isinstance(e, Table):
-        return f"table[{len(e.pairs)}]"
+        return [f"table[{len(e.pairs)}]"]
     if isinstance(e, Call):
-        return f"{e.fn}({_fmt(e.arg, 0)})"
+        return [f"{e.fn}(", (e.arg, 0), ")"]
     if isinstance(e, Neg):
-        inner = e.arg
-        if isinstance(inner, (BinOp,)):
-            s = "-(" + _fmt(inner, 0) + ")"
+        parts = ["-(", (e.arg, 0), ")"] if isinstance(e.arg, BinOp) else ["-", (e.arg, _PREC_POW)]
+        wrap = min_prec >= _PREC_POW
+    elif isinstance(e, IntPow):
+        if isinstance(e.base, (BinOp, IntPow)):
+            parts = ["(", (e.base, 0), ")"]
         else:
-            s = "-" + _fmt(inner, _PREC_POW)
-        if min_prec >= _PREC_POW:
-            return "(" + s + ")"
-        return s
-    if isinstance(e, IntPow):
-        if _prec(e.base) < _PREC_ATOM:
-            base = "(" + _fmt(e.base, 0) + ")"
-        else:
-            # Neg and negative constants self-parenthesize at this context
-            base = _fmt(e.base, _PREC_ATOM)
-        exp = str(e.exponent) if e.exponent >= 0 else f"({e.exponent})"
-        s = f"{base}^{exp}"
-        if min_prec > _PREC_POW:
-            return "(" + s + ")"
-        return s
-    if isinstance(e, BinOp):
-        p = _prec(e)
-        left = _fmt(e.left, p)
-        right = _fmt(e.right, p + 1)
-        s = f"{left}{e.op}{right}"
-        if p < min_prec:
-            return "(" + s + ")"
-        return s
-    raise TypeError(f"not an expression node: {e!r}")
+            # a Neg or a negative constant parenthesizes itself at this precedence
+            parts = [(e.base, _PREC_ATOM)]
+        parts.append("^" + (str(e.exponent) if e.exponent >= 0 else f"({e.exponent})"))
+        wrap = min_prec > _PREC_POW
+    elif isinstance(e, BinOp):
+        p = _PREC_ADD if e.op in "+-" else _PREC_MUL
+        parts = [(e.left, p), e.op, (e.right, p + 1)]
+        wrap = p < min_prec
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    return ["(", *parts, ")"] if wrap else parts
 
 
 # ---------------------------------------------------------------------------
@@ -534,68 +603,33 @@ def evaluate(e: Expr, eps: float, x: Point = ()) -> float:
 
 
 class _Program:
-    """The unique nodes of a family of expressions, in evaluation order.
+    """The nodes of a family of expressions, one slot each, in evaluation order.
 
-    Structurally equal subtrees are interned to one slot.  The order is the
-    post-order of a left-to-right walk, root by root, first occurrence first,
-    so among the slots one root's walk reached first, the first failing one
-    is the node a recursive evaluation of that root would have stopped at.
+    The order is the post-order of a left-to-right walk, root by root, first
+    occurrence first, so among the slots one root's walk reached first, the
+    first failing one is the node a recursive evaluation would stop at.
     ``code[slot]`` is ``(op, a, b)``: child slots or leaf data.  ``ends[r]``
     is the slot count after root r's walk, so the root whose walk first
     reached a slot is ``bisect_right(ends, slot)``.
     """
 
     def __init__(self, roots):
-        self.code, self.nodes, self.on_eps, self.on_x = [], [], [], []
-        self.ends = []
+        self.code, self.nodes, self.on_eps, self.on_x, self.ends = [], [], [], [], []
         reader = []  # reader[slot]: the last slot that reads it, or the slot itself
-        interned = {}
-        memo = {}  # id(node) -> slot; the roots keep every node alive
+        slots = {}
         for root in roots:
-            stack = [root]
-            while stack:
-                node = stack[-1]
-                if id(node) in memo:
-                    stack.pop()
-                    continue
-                cls = node.__class__
-                if cls is BinOp:
-                    left, right = node.left, node.right
-                    a, b = memo.get(id(left)), memo.get(id(right))
-                    if a is None or b is None:
-                        if b is None:
-                            stack.append(right)
-                        if a is None:
-                            stack.append(left)
-                        continue
-                    key, kids = (node.op, a, b), (a, b)
-                elif cls is Const or cls is Var or cls is Table:
-                    key, kids = _instruction(node, ()), ()
-                else:
-                    arg = node.base if cls is IntPow else node.arg
-                    a = memo.get(id(arg))
-                    if a is None:
-                        stack.append(arg)
-                        continue
-                    key, kids = _instruction(node, (a,)), (a,)
-                stack.pop()
-                slot = interned.get(key)
-                if slot is None:
-                    slot = interned[key] = len(self.code)
-                    self.code.append(key)
-                    self.nodes.append(node)
-                    reader.append(slot)
-                    eps_dep = key[0] == "eps" or key[0] == "table"
-                    x_dep = key[0] == "x"
-                    for k in kids:
-                        reader[k] = slot
-                        eps_dep = eps_dep or self.on_eps[k]
-                        x_dep = x_dep or self.on_x[k]
-                    self.on_eps.append(eps_dep)
-                    self.on_x.append(x_dep)
-                memo[id(node)] = slot
+            for node in _post_order(root, slots):
+                slot = slots[node] = len(self.code)
+                kids = [slots[k] for k in node.children]
+                self.code.append(_instruction(node, kids))
+                self.nodes.append(node)
+                reader.append(slot)
+                for k in kids:
+                    reader[k] = slot
+                self.on_eps.append(bool(node.mask & 1))
+                self.on_x.append(node.mask > 1)
             self.ends.append(len(self.code))
-        self.roots = [memo[id(r)] for r in roots]
+        self.roots = [slots[r] for r in roots]
         self.hoisted = [s for s in range(len(self.code)) if not self.on_x[s]]
         self.chunked = [s for s in range(len(self.code)) if self.on_x[s]]
         # each chunk-stage slab, a root's too, is freed right after its last
@@ -625,22 +659,9 @@ class _Program:
                 spare[self.on_eps[k]].append(self.buffer[position[k]])
 
 
-def _children(e: Expr) -> tuple:
-    if isinstance(e, BinOp):
-        return (e.left, e.right)
-    if isinstance(e, Neg):
-        return (e.arg,)
-    if isinstance(e, IntPow):
-        return (e.base,)
-    if isinstance(e, Call):
-        return (e.arg,)
-    if isinstance(e, (Const, Var, Table)):
-        return ()
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 def _instruction(e: Expr, kids) -> tuple:
-    # a BinOp never comes here: _Program interns it inline
+    if isinstance(e, BinOp):
+        return (e.op, *kids)
     if isinstance(e, Neg):
         return ("neg", kids[0], None)
     if isinstance(e, IntPow):
@@ -651,7 +672,7 @@ def _instruction(e: Expr, kids) -> tuple:
         return ("const", repr(e.value), e.value)
     if isinstance(e, Table):
         return ("table", e.pairs, None)
-    idx = spatial_index(e.name)
+    idx = spatial_index(e.name)  # a Var
     return ("eps", None, None) if idx == 0 else ("x", idx - 1, e.name)
 
 
@@ -817,9 +838,7 @@ class _Run:
                 emit(i, values, start, stop)
 
     def _table(self, pairs, slot: int) -> np.ndarray:
-        lookup = {}
-        for grid_eps, value in pairs:
-            lookup.setdefault(grid_eps, value)
+        lookup = dict(reversed(pairs))  # the first pair of an eps holds
         column = np.array([lookup.get(e, np.nan) for e in self.eps_column[:, 0].tolist()])
         missing = [k for k, e in enumerate(self.eps_column[:, 0].tolist()) if e not in lookup]
         if missing:
@@ -872,16 +891,9 @@ def c_sub(a: Expr, b: Expr) -> Expr:
 def c_mul(a: Expr, b: Expr) -> Expr:
     if (folded := _fold("*", a, b)) is not None:
         return folded
-    if isinstance(a, Const):
-        if a.value == 0.0:
-            return Const(0.0)
-        if a.value == 1.0:
-            return b
-    if isinstance(b, Const):
-        if b.value == 0.0:
-            return Const(0.0)
-        if b.value == 1.0:
-            return a
+    for c, other in ((a, b), (b, a)):
+        if isinstance(c, Const) and c.value in (0.0, 1.0):
+            return Const(0.0) if c.value == 0.0 else other
     return BinOp("*", a, b)
 
 
@@ -941,30 +953,24 @@ def partial(e: Expr, var) -> Expr:
 
 
 def _d(e: Expr, v: str, memo: dict) -> Expr:
-    """d e / d v.  ``memo`` maps id(node) to the node and its derivative, so
-    a subtree shared by reference is differentiated once; holding the node
-    keeps its id from being reused while the memo lives, so one memo per
-    variable can serve several calls."""
-    hit = memo.get(id(e))
-    if hit is None:
-        hit = memo[id(e)] = (e, _d_node(e, v, memo))
-    return hit[1]
+    """d e / d v.  ``memo`` maps each node differentiated along v to its
+    derivative, so calls that share it differentiate each node once."""
+    for node in _post_order(e, memo):
+        memo[node] = _d_node(node, v, memo)
+    return memo[e]
 
 
 def _d_node(e: Expr, v: str, memo: dict) -> Expr:
-    if isinstance(e, Const):
-        return Const(0.0)
-    if isinstance(e, Var):
-        return Const(1.0 if e.name == v else 0.0)
-    if isinstance(e, Table):
-        if v == "eps":
+    """d e / d v, given the derivative of each child of ``e`` in ``memo``."""
+    if isinstance(e, (Const, Var, Table)):
+        if isinstance(e, Table) and v == "eps":
             raise ValueError("a tabulated scalar has no eps-derivative")
-        return Const(0.0)
+        return Const(1.0 if isinstance(e, Var) and e.name == v else 0.0)
     if isinstance(e, Neg):
-        return c_neg(_d(e.arg, v, memo))
+        return c_neg(memo[e.arg])
     if isinstance(e, BinOp):
         a, b = e.left, e.right
-        da, db = _d(a, v, memo), _d(b, v, memo)
+        da, db = memo[a], memo[b]
         if e.op == "+":
             return c_add(da, db)
         if e.op == "-":
@@ -973,28 +979,22 @@ def _d_node(e: Expr, v: str, memo: dict) -> Expr:
             return c_add(c_mul(da, b), c_mul(a, db))
         return c_div(c_sub(c_mul(da, b), c_mul(a, db)), c_intpow(b, 2))
     if isinstance(e, IntPow):
-        du = _d(e.base, v, memo)
+        du = memo[e.base]
         return c_mul(c_mul(Const(float(e.exponent)), c_intpow(e.base, e.exponent - 1)), du)
-    if isinstance(e, Call):
-        u = e.arg
-        du = _d(u, v, memo)
-        if e.fn == "sin":
-            return c_mul(c_call("cos", u), du)
-        if e.fn == "cos":
-            return c_neg(c_mul(c_call("sin", u), du))
-        if e.fn == "exp":
-            return c_mul(c_call("exp", u), du)
-        if e.fn == "cosh":
-            return c_mul(c_call("sinh", u), du)
-        if e.fn == "sinh":
-            return c_mul(c_call("cosh", u), du)
-        if e.fn == "tanh":
-            return c_mul(c_sub(Const(1.0), c_intpow(c_call("tanh", u), 2)), du)
-        if e.fn == "sqrt":
-            return c_div(du, c_mul(Const(2.0), c_call("sqrt", u)))
-        if e.fn == "ln":
-            return c_div(du, u)
-    raise TypeError(f"not an expression node: {e!r}")
+    return _CHAIN[e.fn](e.arg, memo[e.arg])
+
+
+#: The chain rule of each function: d fn(u) from u and du.
+_CHAIN = {
+    "sin": lambda u, du: c_mul(c_call("cos", u), du),
+    "cos": lambda u, du: c_neg(c_mul(c_call("sin", u), du)),
+    "exp": lambda u, du: c_mul(c_call("exp", u), du),
+    "cosh": lambda u, du: c_mul(c_call("sinh", u), du),
+    "sinh": lambda u, du: c_mul(c_call("cosh", u), du),
+    "tanh": lambda u, du: c_mul(c_sub(Const(1.0), c_intpow(c_call("tanh", u), 2)), du),
+    "sqrt": lambda u, du: c_div(du, c_mul(Const(2.0), c_call("sqrt", u))),
+    "ln": lambda u, du: c_div(du, u),
+}
 
 
 def partial_multi(e: Expr, alpha, memos=None) -> Expr:
@@ -1002,8 +1002,7 @@ def partial_multi(e: Expr, alpha, memos=None) -> Expr:
     the multi-index ``alpha``.
 
     ``memos`` maps an axis name to its derivative memo; calls that share it
-    differentiate each node along an axis once between them and return the
-    same trees as calls without it."""
+    differentiate each node along an axis once between them."""
     orders = alpha.orders if isinstance(alpha, MultiIndex) else tuple(alpha)
     memos = {} if memos is None else memos
     out = e
@@ -1019,11 +1018,8 @@ def _derivative_family(e: Expr, alphas) -> tuple:
     built by one ``partial_multi`` step from its parent alpha - e_k, k the
     last axis of nonzero order.  ``partial_multi`` differentiates along the
     last such axis last, so every body is the tree ``partial_multi(e, alpha)``
-    gives, and each body shares its parent's nodes.  The steps share one
-    derivative memo per axis, so a node several bodies hold is
-    differentiated along each axis once for the whole family.  Parents are
-    built before their children in a loop, so no closure holds the bodies in
-    a reference cycle and they are freed as soon as the caller drops them."""
+    gives.  The steps share one derivative memo per axis, so each node is
+    differentiated along each axis once for the whole family."""
     bodies, memos = {}, {}
     for alpha in alphas:
         # walk down to a built ancestor (or alpha = 0), then build back up
@@ -1046,18 +1042,22 @@ def _derivative_family(e: Expr, alphas) -> tuple:
 
 def subst(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Replace variables by expressions, rebuilding with constant folding."""
-    if isinstance(e, (Const, Table)):
-        return e
-    if isinstance(e, Var):
-        return mapping.get(e.name, e)
-    if isinstance(e, Neg):
-        return c_neg(subst(e.arg, mapping))
-    if isinstance(e, BinOp):
-        a = subst(e.left, mapping)
-        b = subst(e.right, mapping)
-        return {"+": c_add, "-": c_sub, "*": c_mul, "/": c_div}[e.op](a, b)
-    if isinstance(e, IntPow):
-        return c_intpow(subst(e.base, mapping), e.exponent)
-    if isinstance(e, Call):
-        return c_call(e.fn, subst(e.arg, mapping))
-    raise TypeError(f"not an expression node: {e!r}")
+    out = {}
+    for node in _post_order(e, out):
+        if isinstance(node, Var):
+            new = mapping.get(node.name, node)
+        elif isinstance(node, Neg):
+            new = c_neg(out[node.arg])
+        elif isinstance(node, BinOp):
+            new = _FOLDING[node.op](out[node.left], out[node.right])
+        elif isinstance(node, IntPow):
+            new = c_intpow(out[node.base], node.exponent)
+        elif isinstance(node, Call):
+            new = c_call(node.fn, out[node.arg])
+        else:
+            new = node  # a Const or a Table
+        out[node] = new
+    return out[e]
+
+
+_FOLDING = {"+": c_add, "-": c_sub, "*": c_mul, "/": c_div}

@@ -221,12 +221,18 @@ class GroupElement:
 def element_from_json(data: dict) -> GroupElement:
     """Inverse of :meth:`GroupElement.to_json_dict` (numeric or expression
     valued entries; tabulated angles round-trip as tables).  ``dimension``,
-    ``i`` and ``j`` must be integers and numeric entries finite numbers, of
-    which a boolean is none; the ValueError otherwise shows the JSON value."""
+    ``i`` and ``j`` must be integers, numeric entries finite numbers, of
+    which a boolean is none, and ``offset``, ``matrix``, its rows and
+    ``coords`` arrays; the ValueError otherwise shows the JSON value."""
 
     def integer(v, name: str) -> int:
         if type(v) is not int:  # 1.7 is no axis, and true is no number
             raise ValueError(f"{name} must be an integer, got {json.dumps(v, default=repr)}")
+        return v
+
+    def array(v, name: str):
+        if not isinstance(v, (list, tuple)):  # a string is no array of its characters
+            raise ValueError(f"{name} must be an array, got {json.dumps(v, default=repr)}")
         return v
 
     def number(v) -> float:
@@ -246,19 +252,21 @@ def element_from_json(data: dict) -> GroupElement:
         return number(v)
 
     if "matrix" in data:
-        rows = [[scalar(v) for v in row] for row in data["matrix"]]
+        rows = [[scalar(v) for v in array(row, "a matrix row")]
+                for row in array(data["matrix"], "matrix")]
         element = GroupElement.from_matrix(rows)
         if integer(data.get("dimension", element.dimension), "dimension") != element.dimension:
             raise ValueError(f"a {element.dimension}x{element.dimension} matrix is not of "
                              f"dimension {data['dimension']}")
         return element
     if "coords" in data:
-        d = integer(data.get("dimension", len(data["coords"])), "dimension")
-        return GroupElement(d, (ex.parse(t, d) for t in data["coords"]))
+        coords = array(data["coords"], "coords")
+        d = integer(data.get("dimension", len(coords)), "dimension")
+        return GroupElement(d, (ex.parse(t, d) for t in coords))
     factors = []
     for f in data["factors"]:
         if f.get("kind") == "translation":
-            factors.append(Translation(tuple(scalar(v) for v in f["offset"])))
+            factors.append(Translation(tuple(scalar(v) for v in array(f["offset"], "offset"))))
         else:
             i, j = integer(f["i"], "i"), integer(f["j"], "j")
             factors.append(PlanarFactor(f["kind"], i, j, scalar(f["theta"])))

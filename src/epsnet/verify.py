@@ -19,6 +19,7 @@ import numpy as np
 from . import expr as ex
 from .colombeau import (
     DEFAULT_P_MAX,
+    MAX_LATTICE_POINTS,
     AsymptoticReport,
     CompactBox,
     EpsilonGrid,
@@ -506,6 +507,9 @@ def _two_period_inputs(f: Net, alpha, radius: float, p: int, grid: Optional[Epsi
     _check_order(p)
     if samples < 2:
         raise ValueError(f"need at least 2 samples per axis, got {samples}")
+    if samples > MAX_LATTICE_POINTS:
+        raise ValueError(f"a lattice of {samples} points exceeds the ceiling of "
+                         f"{MAX_LATTICE_POINTS} points")
     if not math.isfinite(radius):
         raise ValueError(f"radius must be finite, got {radius}")
     # both harnesses draw their pairs at R = eps^-p, a double

@@ -3,7 +3,8 @@
 The package evaluates through one compiled kernel over the whole eps grid;
 this walk re-evaluates every subtree at every occurrence, which makes it slow
 but obviously right, so it serves as the oracle for that kernel's values and
-errors.
+errors.  :func:`reference_program` is the oracle for the kernel's program:
+the order of its slots, which its first-failure rule reads.
 """
 
 import numpy as np
@@ -98,3 +99,62 @@ def _ev(e, eps, X):
                 raise EvalError("ln of non-positive value", e, eps=eps, point=_witness(X, bad))
         return FUNCTIONS[e.fn](v)
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def reference_program(roots) -> tuple:
+    """``(code, roots, ends)`` of the evaluator's program for ``roots``, by a
+    hash-consing walk that does not rely on nodes being interned: every node
+    object gets the slot of its instruction over its children's slots, so
+    structurally equal subtrees share a slot however they were built.  Slots
+    come in the post-order of a left-to-right walk, root by root, first
+    occurrence first; ``ends[r]`` is the slot count after root r's walk."""
+    code, interned, ends = [], {}, []
+    memo = {}  # id(node) -> slot; the roots keep every node alive
+    for root in roots:
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if id(node) in memo:
+                stack.pop()
+                continue
+            kids = _kids(node)
+            missing = [k for k in kids if id(k) not in memo]
+            if missing:
+                stack.extend(reversed(missing))
+                continue
+            stack.pop()
+            key = _instruction(node, [memo[id(k)] for k in kids])
+            slot = interned.get(key)
+            if slot is None:
+                slot = interned[key] = len(code)
+                code.append(key)
+            memo[id(node)] = slot
+        ends.append(len(code))
+    return code, [memo[id(r)] for r in roots], ends
+
+
+def _kids(e) -> tuple:
+    if isinstance(e, BinOp):
+        return (e.left, e.right)
+    if isinstance(e, IntPow):
+        return (e.base,)
+    if isinstance(e, (Neg, Call)):
+        return (e.arg,)
+    return ()
+
+
+def _instruction(e, kids) -> tuple:
+    if isinstance(e, BinOp):
+        return (e.op, kids[0], kids[1])
+    if isinstance(e, Neg):
+        return ("neg", kids[0], None)
+    if isinstance(e, IntPow):
+        return ("pow", kids[0], e.exponent)
+    if isinstance(e, Call):
+        return (e.fn, kids[0], None)
+    if isinstance(e, Const):
+        return ("const", repr(e.value), e.value)
+    if isinstance(e, Table):
+        return ("table", e.pairs, None)
+    idx = spatial_index(e.name)
+    return ("eps", None, None) if idx == 0 else ("x", idx - 1, e.name)

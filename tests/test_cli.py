@@ -243,6 +243,11 @@ class TestExitCodes:
              "entries must be finite numbers, got NaN"),
             ("2", '{"factors":[{"kind":"rotation","i":1,"j":2,"theta":{"table":[[0.5,NaN]]}}]}',
              "entries must be finite numbers, got NaN"),
+            # a string is no array of its characters
+            ("2", '{"factors":[{"kind":"translation","offset":"12"}]}',
+             'offset must be an array, got "12"'),
+            ("2", '{"matrix":["10","01"]}', 'a matrix row must be an array, got "10"'),
+            ("2", '{"coords":"12"}', 'coords must be an array, got "12"'),
         ],
     )
     def test_malformed_element_is_a_usage_error(self, tmp_path, capsys, dim, element, fragment):
@@ -258,16 +263,55 @@ class TestExitCodes:
         ids=["classify", "invariance"],
     )
     def test_a_net_that_nests_too_deeply_is_one_line_error(self, tmp_path, capsys, argv):
-        # the symbolic layers recurse once per level of the sum
-        code, data = run_cmd(tmp_path, [*argv, "--f", "+".join(["x1"] * 2000), *FAST_GRID])
+        # the parser recurses once per nested parenthesis
+        net = "(" * 3000 + "x1" + ")" * 3000
+        code, data = run_cmd(tmp_path, [*argv, "--f", net, *FAST_GRID])
         assert code == EXIT_ERROR and data is None
         assert assert_one_line_error(capsys) == "error: the expression nests too deeply to process\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["classify", "--dim", "1"], ["invariance", "--dim", "1", "--translate", "1"]],
+        ids=["classify", "invariance"],
+    )
+    def test_a_deep_sum_runs(self, tmp_path, argv):
+        # a left-deep sum of 2,000 terms: the symbolic layers walk it with
+        # explicit stacks; f and f(x + 1) - f(x) are 2000 in sup at every eps
+        code, data = run_cmd(tmp_path, [*argv, "--f", "+".join(["x1"] * 2000), *FAST_GRID])
+        if argv[0] == "classify":
+            assert code == EXIT_POSITIVE and data["verdict"] == "computed"
+            report = data["evidence"]
+        else:
+            assert code == EXIT_NEGATIVE and data["verdict"] == "negative"
+            assert data["evidence"]["invariant"] is False and data["evidence"]["c_bounded"] is True
+            report = data["evidence"]["asymptotic"]
+        assert report["moderate"] is True and report["bounded"] is True
+        assert report["negligible_order"] == 0
+        assert [s for _, s in report["sups"]] == [2000.0] * 17
 
     def test_unwritable_out_is_an_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "report.json"
         code = run(["--out", str(out), "dirichlet", "--alpha", "sqrt2", "--N", "5"])
         assert code == EXIT_ERROR and not out.exists()
         assert_one_line_error(capsys, "cannot write the report")
+
+    @pytest.mark.parametrize(
+        "argv, product",
+        [
+            (["rotation", "--f", "x1", "--dim", "2", "--random", "--samples", "100000"],
+             "a lattice of 100000^2 = 10000000000 points"),
+            (["translation", "--f", "x1", "--dim", "3", "--samples", "100000"],
+             "a lattice of 100000^3 = 1000000000000000 points"),
+            (["two-period", "--f", "1", "--alpha", "sqrt2", "--R", "5", "--samples", "10000000000"],
+             "a lattice of 10000000000 points"),
+        ],
+        ids=["rotation", "translation", "two-period"],
+    )
+    def test_a_lattice_above_the_ceiling_is_a_usage_error(self, tmp_path, capsys, argv, product):
+        # sizes refused before anything is allocated; none between is tried
+        code, data = run_cmd(tmp_path, [*argv, *FAST_GRID])
+        assert code == EXIT_ERROR and data is None
+        assert_one_line_error(capsys, product, "exceeds the ceiling of 4194304 points")
 
     @pytest.mark.parametrize("matrix", ["[1]", '{"a": 1}', '[["1", "0"], ["0"]]', "[]"])
     def test_malformed_matrix_net_is_a_usage_error(self, tmp_path, capsys, matrix):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import random_expr
-from reference_eval import reference_eval_points
+from reference_eval import reference_eval_points, reference_program
 
 from epsnet import expr as ex
 from epsnet.colombeau import CompactBox, EpsilonGrid, _spatial_multi_indices, grid_sups
@@ -282,6 +282,21 @@ def test_family_rows_match_reference_bit_for_bit(seed, d, order):
     assert_family_matches_reference(e, alphas, GRID, X)
     with mock.patch.object(ex, "SLAB_ELEMENTS", TINY_SLAB):
         assert_family_matches_reference(e, alphas, GRID, X)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=3))
+def test_program_slots_match_the_hash_consing_walk(seed, d, order):
+    rng = random.Random(seed)
+    e = random_expr(rng, d, max_depth=5)
+    family = ex._derivative_family(e, _alphas(d, order))
+    # an eval_many root list: other draws, repeats and a deviation sharing e
+    others = [random_expr(rng, d, max_depth=3) for _ in range(3)]
+    many = (others[0], e, *others, ex.BinOp("-", others[1], e), e)
+    for roots in ((e,), family, many):
+        prog = ex._Program(roots)
+        assert (prog.code, prog.roots, prog.ends) == reference_program(roots)
 
 
 def test_family_raises_the_first_failing_alpha_not_the_first_failing_eps():

@@ -1,6 +1,8 @@
 import math
 import random
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -340,3 +342,73 @@ def test_multi_index_validation():
     assert mi.total == 4
     with pytest.raises(ValueError):
         ex.MultiIndex((-1,))
+
+
+class TestInterning:
+    def test_equal_trees_built_apart_are_one_node(self):
+        built = BinOp("+", Call("sin", ex.Var("x1")), IntPow(Neg(Const(2.0)), 3))
+        assert built is parse("sin(x1)+(-2)^3", 1)
+        assert hash(built) == hash(("+", built.left, built.right))
+        # a constant is keyed by the repr of its value
+        assert Const(0.0) is not Const(-0.0) and Const(1) is not Const(1.0)
+        assert ex.variables(built) == {"x1"} and ex.variables(parse("eps*x3", 3)) == {"eps", "x3"}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=0, max_value=3))
+    def test_a_printed_net_parses_to_the_same_node(self, seed, d):
+        drawn = random_expr(random.Random(seed), d, max_depth=5)
+        assert random_expr(random.Random(seed), d, max_depth=5) is drawn
+        e = parse(to_text(drawn), d)
+        assert parse(to_text(e), d) is e
+
+    def test_a_node_100000_deep_hashes_compares_and_prints(self):
+        x1 = ex.Var("x1")
+        e = x1
+        for _ in range(100_000):
+            e = BinOp("+", e, x1)
+        assert hash(e) == hash(("+", e.left, x1)) and e == e and e != e.left
+        text = to_text(e)
+        assert text == "+".join(["x1"] * 100_001)
+        assert parse(text, 1) is e
+
+    def test_differentiation_substitution_and_evaluation_walk_deep_nets(self):
+        # 20,000 levels, far beyond the interpreter's recursion limit
+        x1 = ex.Var("x1")
+        e = x1
+        for _ in range(20_000):
+            e = BinOp("+", e, x1)
+        assert partial(e, 1) is Const(20_001.0)
+        shifted = subst(e, {"x1": BinOp("+", x1, Const(1.0))})
+        X = np.array([[0.0], [1.0]])
+        sups = ex.eval_points(BinOp("-", shifted, e), (0.5, 0.25), X, sup=True)
+        assert sups.tolist() == [20_001.0, 20_001.0]
+
+    def test_dead_nodes_leave_the_intern_table(self):
+        x1 = ex.Var("x1")
+        before = len(ex._NODES)
+        for k in range(20_000):
+            BinOp("+", x1, Const(float(k)))
+        # each constant and sum died at once, and its entry with it
+        assert len(ex._NODES) == before
+
+    def test_threads_building_the_same_nets_get_the_same_nodes(self):
+        # more threads than cores, switching as often as the interpreter allows
+        built = [[] for _ in range(8)]
+
+        def build(out):
+            for k in range(400):
+                out.append(BinOp("*", Call("sin", Const(k + 0.5)), ex.Var("x2")))
+
+        threads = [threading.Thread(target=build, args=(out,)) for out in built]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(len(out) == 400 for out in built)
+        assert all(a is b for out in built[1:] for a, b in zip(out, built[0]))

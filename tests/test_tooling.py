@@ -104,7 +104,9 @@ def test_traced_classify_enters_eval_and_diff_through_their_wrapped_names(tmp_pa
     assert spans.count("expr.eval") == 1
     counters = record["counters"]
     assert counters["expr.eval.rows"] == 6  # one row per multi-index of order <= 2 in d=2
-    assert counters["expr.diff.tree_nodes"] > 0 and counters["expr.eval.elem_ops"] > 0
+    # the trees the bench measures: every occurrence, and every distinct one
+    assert counters["expr.diff.tree_nodes"] == 213 and counters["expr.diff.unique_nodes"] == 47
+    assert counters["expr.eval.elem_ops"] > 0
 
 
 def test_traced_group_job_records_every_required_layer(tmp_path):
