@@ -6,6 +6,12 @@ one-line summary.  Exit status: 0 for a positive verdict or successful
 computation, 1 for a negative verdict, 2 for usage or evaluation errors.
 Reports are byte-identical across runs with the same configuration.
 
+Every option follows the subcommand, and each subcommand takes only the
+options it reads, spelled in full: ``--strict``/``--no-strict`` only where a
+group action is composed with a net, ``--seed`` only where ``--random``
+draws a matrix, ``--config`` only where an option has a default.  Any other
+option is a usage error.
+
 Handlers import the modules they use when they run, so a subcommand loads
 only what it needs: ``dirichlet``, ``liouville`` and ``corollary-pair`` never
 import numpy (``two-period`` and ``explore-open-question`` do, through
@@ -451,6 +457,13 @@ DEFAULTS = {
 
 
 def _add_common(sp, *names):
+    if "config" in names:
+        sp.add_argument("--config", type=str, default=None, help="JSON file with default options")
+    if "strict" in names:
+        sp.add_argument("--strict", dest="strict", action="store_true", default=None)
+        sp.add_argument("--no-strict", dest="strict", action="store_false", default=None)
+    if "seed" in names:
+        sp.add_argument("--seed", type=int, default=None, help="seed of the --random matrix")
     if "grid" in names:
         sp.add_argument("--k-min", type=int, default=None, dest="k_min")
         sp.add_argument("--k-max", type=int, default=None, dest="k_max")
@@ -463,22 +476,6 @@ def _add_common(sp, *names):
     if "net" in names:
         sp.add_argument("--f", type=str, required=True, help="expression in eps, x1..xd")
         sp.add_argument("--dim", type=int, default=None)
-
-
-def _global_options() -> argparse.ArgumentParser:
-    # shared by the main parser and every subparser so the flags are accepted
-    # on either side of the subcommand; SUPPRESS keeps an absent subparser
-    # flag from clobbering a value parsed before the subcommand
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=str, default=argparse.SUPPRESS,
-                        help="JSON file with default options")
-    common.add_argument("--out", type=str, default=argparse.SUPPRESS,
-                        help="report path (default <command>_report.json)")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for randomized corpus generation")
-    common.add_argument("--strict", dest="strict", action="store_true", default=argparse.SUPPRESS)
-    common.add_argument("--no-strict", dest="strict", action="store_false", default=argparse.SUPPRESS)
-    return common
 
 
 class _Parser(argparse.ArgumentParser):
@@ -494,11 +491,9 @@ class _Parser(argparse.ArgumentParser):
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The argument parser of every subcommand, or with ``command`` of that
     one alone; the two print the same help, usage lines and errors for it."""
-    common = _global_options()
     parser = _Parser(
         prog="epsnet",
         description="Verifiers for invariance properties of nets of smooth functions",
-        parents=[common],
     )
     # a one-subcommand parser lists every subcommand in its usage line, as
     # the full parser does
@@ -507,24 +502,28 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     def add(name: str, help_text: str):
         """The subparser of ``name``, or None when the parser leaves it out."""
-        if command in (None, name):
-            return sub.add_parser(name, parents=[common], help=help_text)
-        return None
+        if command not in (None, name):
+            return None
+        # no abbreviations: "classify --p 3" would read as --p-max 3
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        sp.add_argument("--out", type=str, default=None,
+                        help="report path (default <command>_report.json)")
+        return sp
 
     if sp := add("classify", "asymptotic classification of a net"):
-        _add_common(sp, "net", "box", "grid")
+        _add_common(sp, "config", "net", "box", "grid")
         sp.add_argument("--max-order", type=int, default=None, dest="max_order")
         sp.add_argument("--p-max", type=int, default=None, dest="p_max")
 
     if sp := add("invariance", "invariance of a net under one element"):
-        _add_common(sp, "net", "box", "grid", "p")
+        _add_common(sp, "config", "strict", "net", "box", "grid", "p")
         sp.add_argument("--element", type=str, default=None, help="GroupElement JSON (inline or file)")
         sp.add_argument("--rotation", type=str, default=None, help="i,j,theta (theta real or eps-expression)")
         sp.add_argument("--boost", type=str, default=None, help="i,j,theta")
         sp.add_argument("--translate", type=str, default=None, help="comma-separated offset")
 
     if sp := add("one-param", "real-parameter hypothesis plus generalized conclusion"):
-        _add_common(sp, "net", "box", "grid", "p")
+        _add_common(sp, "config", "strict", "net", "box", "grid", "p")
         sp.add_argument("--kind", choices=("rotation", "boost"), required=True)
         sp.add_argument("--i", type=int, required=True)
         sp.add_argument("--j", type=int, required=True)
@@ -533,7 +532,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     for name in ("rotation", "lorentz"):
         if sp := add(name, f"{name} invariance pipeline via factorization"):
-            _add_common(sp, "net", "box", "grid", "p")
+            _add_common(sp, "config", "strict", "seed", "net", "box", "grid", "p")
             sp.add_argument("--matrix", type=str, default=None)
             sp.add_argument("--matrix-net", type=str, default=None, dest="matrix_net")
             sp.add_argument("--random", action="store_true", default=False)
@@ -559,10 +558,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sp.add_argument("--f", type=str, required=True)
         sp.add_argument("--alpha", type=str, required=True)
         sp.add_argument("--R", type=float, required=True)
-        _add_common(sp, "grid", "p", "samples")
+        _add_common(sp, "config", "grid", "p", "samples")
 
     if sp := add("translation", "translation invariance forces a constant"):
-        _add_common(sp, "net", "box", "grid", "p")
+        _add_common(sp, "config", "net", "box", "grid", "p")
         sp.add_argument("--h-samples", type=str, default=None, dest="h_samples",
                         help="semicolon-separated offset vectors, components comma-separated")
 
@@ -570,31 +569,16 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sp.add_argument("--f", type=str, required=True)
         sp.add_argument("--alpha", type=str, required=True)
         sp.add_argument("--R", type=float, required=True)
-        _add_common(sp, "grid", "p", "samples")
+        _add_common(sp, "config", "grid", "p", "samples")
 
     return parser
 
 
-#: The global options, as they may stand before the subcommand.
-_GLOBAL_FLAGS = ("--strict", "--no-strict")
-_GLOBAL_VALUED = ("--config", "--out", "--seed")
-
-
 def _named_subcommand(argv) -> str | None:
-    """The subcommand ``argv`` runs, when only global options spelled in
-    full stand before it; otherwise None (no or an unknown subcommand, help,
-    an abbreviation, a value that starts with '-'), and the full parser
-    reads ``argv``."""
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg in _GLOBAL_FLAGS or arg.partition("=")[0] in _GLOBAL_VALUED and "=" in arg:
-            i += 1
-        elif arg in _GLOBAL_VALUED and i + 1 < len(argv) and not argv[i + 1].startswith("-"):
-            i += 2
-        else:
-            return arg if arg in _HANDLERS else None
-    return None
+    """The subcommand ``argv`` runs when its first word names one; otherwise
+    None (no or an unknown subcommand, help, an option before the
+    subcommand), and the full parser reads ``argv``."""
+    return argv[0] if argv and argv[0] in _HANDLERS else None
 
 
 #: Least values of the integer options, checked after the config merge.
@@ -643,9 +627,6 @@ def run(argv) -> int:
         return EXIT_ERROR if err.code not in (0, None) else 0
     except OSError as err:
         return _stdout_error(err)
-    for key in ("config", "out", "seed", "strict"):
-        if not hasattr(args, key):
-            setattr(args, key, None)
     try:
         args = _apply_config(args)
         _check_minima(args)

@@ -107,7 +107,7 @@ def _forget(ref: _Ref):
             del _NODES[ref.key]
 
 
-def _intern(cls, key: tuple, fields: tuple, children: tuple, mask: int):
+def _intern(cls, key: tuple, fields: tuple, children: tuple, mask: int, total: bool):
     with _NODES_LOCK:
         ref = _NODES.get(key)
         node = None if ref is None else ref()
@@ -116,6 +116,7 @@ def _intern(cls, key: tuple, fields: tuple, children: tuple, mask: int):
             cls._assign(node, fields)
             _set_field(node, "children", children)
             _set_field(node, "mask", mask)
+            _set_field(node, "total", total)
             _set_field(node, "_hash", hash(fields))
             ref = _NODES[key] = _Ref(node, _forget)
             ref.key = key
@@ -127,11 +128,14 @@ class Expr:
     building a node equal in structure to a live one returns that node, so
     structural equality is identity.  A node holds, computed when it is
     built, its ``hash`` (a record's: that of the tuple of its fields), its
-    ``children`` (left to right) and the ``mask`` of the variables it reads
-    (bit 0 eps, bit i x_i).  A subclass's ``__slots__`` are its fields, as
+    ``children`` (left to right), the ``mask`` of the variables it reads
+    (bit 0 eps, bit i x_i) and whether it is ``total``: no operation in it
+    has a domain rule that can fire (no ``/``, ``sqrt``, ``ln`` or negative
+    power) and no table, so it evaluates without error wherever its
+    variables take values.  A subclass's ``__slots__`` are its fields, as
     ``dataclasses.fields`` reports them."""
 
-    __slots__ = ("children", "mask", "_hash", "__weakref__")
+    __slots__ = ("children", "mask", "total", "_hash", "__weakref__")
 
     def __init_subclass__(cls):
         cls._fields = cls.__slots__
@@ -161,21 +165,21 @@ class Const(Expr):
     __slots__ = ("value",)
 
     def __new__(cls, value: float):
-        return _intern(cls, (cls, repr(value)), (value,), (), 0)
+        return _intern(cls, (cls, repr(value)), (value,), (), 0, True)
 
 
 class Var(Expr):
     __slots__ = ("name",)
 
     def __new__(cls, name: str):
-        return _intern(cls, (cls, name), (name,), (), 1 << spatial_index(name))
+        return _intern(cls, (cls, name), (name,), (), 1 << spatial_index(name), True)
 
 
 class Neg(Expr):
     __slots__ = ("arg",)
 
     def __new__(cls, arg: Expr):
-        return _intern(cls, (cls, id(arg)), (arg,), (arg,), arg.mask)
+        return _intern(cls, (cls, id(arg)), (arg,), (arg,), arg.mask, arg.total)
 
 
 class BinOp(Expr):
@@ -183,21 +187,23 @@ class BinOp(Expr):
 
     def __new__(cls, op: str, left: Expr, right: Expr):
         return _intern(cls, (cls, op, id(left), id(right)), (op, left, right), (left, right),
-                       left.mask | right.mask)
+                       left.mask | right.mask, left.total and right.total and op not in _DOMAIN)
 
 
 class IntPow(Expr):
     __slots__ = ("base", "exponent")
 
     def __new__(cls, base: Expr, exponent: int):
-        return _intern(cls, (cls, id(base), exponent), (base, exponent), (base,), base.mask)
+        return _intern(cls, (cls, id(base), exponent), (base, exponent), (base,), base.mask,
+                       base.total and exponent >= 0)
 
 
 class Call(Expr):
     __slots__ = ("fn", "arg")
 
     def __new__(cls, fn: str, arg: Expr):
-        return _intern(cls, (cls, fn, id(arg)), (fn, arg), (arg,), arg.mask)
+        return _intern(cls, (cls, fn, id(arg)), (fn, arg), (arg,), arg.mask,
+                       arg.total and fn not in _DOMAIN)
 
 
 class Table(Expr):
@@ -207,7 +213,7 @@ class Table(Expr):
     __slots__ = ("pairs",)
 
     def __new__(cls, pairs: tuple):
-        return _intern(cls, (cls, pairs), (pairs,), (), 1)
+        return _intern(cls, (cls, pairs), (pairs,), (), 1, False)
 
 
 _children = operator.attrgetter("children")
@@ -892,8 +898,11 @@ def c_mul(a: Expr, b: Expr) -> Expr:
     if (folded := _fold("*", a, b)) is not None:
         return folded
     for c, other in ((a, b), (b, a)):
-        if isinstance(c, Const) and c.value in (0.0, 1.0):
-            return Const(0.0) if c.value == 0.0 else other
+        if isinstance(c, Const) and c.value == 1.0:
+            return other
+        # 0*x is 0 only where x is defined
+        if isinstance(c, Const) and c.value == 0.0 and other.total:
+            return Const(0.0)
     return BinOp("*", a, b)
 
 
@@ -902,8 +911,6 @@ def c_div(a: Expr, b: Expr) -> Expr:
         return folded
     if isinstance(b, Const) and b.value == 1.0:
         return a
-    if isinstance(a, Const) and a.value == 0.0 and not isinstance(b, Const):
-        return Const(0.0)
     return BinOp("/", a, b)
 
 
@@ -916,7 +923,7 @@ def c_neg(a: Expr) -> Expr:
 
 
 def c_intpow(a: Expr, n: int) -> Expr:
-    if n == 0:
+    if n == 0 and a.total:
         return Const(1.0)
     if n == 1:
         return a

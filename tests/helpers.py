@@ -1,5 +1,6 @@
 """Shared test helpers."""
 
+import argparse
 import math
 import os
 import random
@@ -104,3 +105,10 @@ def entry_point_env(buffered=None) -> dict:
     elif buffered is False:
         env["PYTHONUNBUFFERED"] = "1"
     return env
+
+
+def subparser(name: str) -> argparse.ArgumentParser:
+    """The parser of subcommand ``name``."""
+    parser = cli.build_parser(name)
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return subparsers.choices[name]

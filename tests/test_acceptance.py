@@ -272,9 +272,9 @@ def test_criterion_7_gradient_oracle():
 
 def test_criterion_8_byte_identical_reports(tmp_path):
     jobs = [
-        ["--seed", "42", "rotation", "--f", "exp(-(x1^2+x2^2))", "--dim", "2",
+        ["rotation", "--seed", "42", "--f", "exp(-(x1^2+x2^2))", "--dim", "2",
          "--random", "--box=-1:1,-1:1", "--p", "4", "--k-min", "4", "--k-max", "24"],
-        ["--seed", "42", "lorentz", "--f", "exp(-(x1^2-x2^2-x3^2)^2)", "--dim", "3",
+        ["lorentz", "--seed", "42", "--f", "exp(-(x1^2-x2^2-x3^2)^2)", "--dim", "3",
          "--random", "--box=-1:1,-1:1,-1:1", "--samples", "9", "--p", "4",
          "--k-min", "4", "--k-max", "24"],
         ["classify", "--f", "eps*sin(x1)", "--dim", "1", "--box=-1:1"],
@@ -287,7 +287,7 @@ def test_criterion_8_byte_identical_reports(tmp_path):
     for idx, argv in enumerate(jobs):
         first = tmp_path / f"a{idx}.json"
         second = tmp_path / f"b{idx}.json"
-        code1 = cli_run(["--out", str(first), *argv])
-        code2 = cli_run(["--out", str(second), *argv])
+        code1 = cli_run([*argv, "--out", str(first)])
+        code2 = cli_run([*argv, "--out", str(second)])
         identical = identical and code1 == code2 and first.read_bytes() == second.read_bytes()
     report(8, identical, f"{len(jobs)} report pairs byte-compared")

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import io
@@ -13,7 +14,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import entry_point_env, random_expr
+from helpers import entry_point_env, random_expr, subparser
 
 from epsnet import cli
 from epsnet.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_POSITIVE, run, schema_path
@@ -32,7 +33,7 @@ def _reject_constant(token):
 
 def run_cmd(tmp_path, argv, name="report.json"):
     out = tmp_path / name
-    code = run(["--out", str(out), *argv])
+    code = run([*argv, "--out", str(out)])
     data = json.loads(out.read_text(), parse_constant=_reject_constant) if out.exists() else None
     return code, data
 
@@ -130,7 +131,7 @@ class TestExitCodes:
     def test_waived_c_boundedness_warns_on_one_line(self, tmp_path, capsys):
         code, data = run_cmd(
             tmp_path,
-            ["--no-strict", "invariance", "--f", "x1^2-x2^2", "--dim", "2",
+            ["invariance", "--no-strict", "--f", "x1^2-x2^2", "--dim", "2",
              "--boost", "1,2,1/eps", *FAST_GRID],
         )
         assert code == EXIT_NEGATIVE
@@ -142,7 +143,7 @@ class TestExitCodes:
         # the boost factor and the full element both fail the check
         boost = [["cosh(ln(1/eps))", "sinh(ln(1/eps))", "0"],
                  ["sinh(ln(1/eps))", "cosh(ln(1/eps))", "0"], ["0", "0", "1"]]
-        code, data = run_cmd(tmp_path, ["--no-strict", "lorentz", "--f", "x1^2-x2^2-x3^2", "--dim", "3",
+        code, data = run_cmd(tmp_path, ["lorentz", "--no-strict", "--f", "x1^2-x2^2-x3^2", "--dim", "3",
                                         "--samples", "5", "--k-max", "8", "--matrix-net", json.dumps(boost)])
         assert code == EXIT_POSITIVE
         assert [r["c_bounded"] for r in data["evidence"]["factors"]] == [True, False, True]
@@ -151,7 +152,7 @@ class TestExitCodes:
 
     def test_waived_one_param_records_its_unbounded_conclusion(self, tmp_path, capsys):
         # a boost by 1000 overflows on the box
-        code, data = run_cmd(tmp_path, ["--no-strict", "one-param", "--f", "x1^2-x2^2", "--dim", "2",
+        code, data = run_cmd(tmp_path, ["one-param", "--no-strict", "--f", "x1^2-x2^2", "--dim", "2",
                                         "--kind", "boost", "--i", "1", "--j", "2", "--gen-theta", "1000",
                                         "--k-max", "8"])
         assert code == EXIT_NEGATIVE
@@ -160,7 +161,7 @@ class TestExitCodes:
 
     def test_waived_one_param_warns_once_for_each_block(self, tmp_path, capsys):
         # the boost by 1000 fails the check in the hypothesis and in the conclusion
-        code, data = run_cmd(tmp_path, ["--no-strict", "one-param", "--f", "x1^2-x2^2", "--dim", "2",
+        code, data = run_cmd(tmp_path, ["one-param", "--no-strict", "--f", "x1^2-x2^2", "--dim", "2",
                                         "--kind", "boost", "--i", "1", "--j", "2", "--real-thetas",
                                         "1000,0.5", "--gen-theta", "1000", "--k-max", "8",
                                         "--samples", "7"])
@@ -181,7 +182,7 @@ class TestExitCodes:
         ],
     )
     def test_waived_c_boundedness_is_recorded_in_the_report(self, tmp_path, schema, capsys, argv, code):
-        got, data = run_cmd(tmp_path, ["--no-strict", "invariance", *argv, *FAST_GRID])
+        got, data = run_cmd(tmp_path, ["invariance", "--no-strict", *argv, *FAST_GRID])
         assert got == code
         jsonschema.validate(data, schema)
         assert data["evidence"]["c_bounded"] is False
@@ -291,7 +292,7 @@ class TestExitCodes:
 
     def test_unwritable_out_is_an_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "report.json"
-        code = run(["--out", str(out), "dirichlet", "--alpha", "sqrt2", "--N", "5"])
+        code = run(["dirichlet", "--alpha", "sqrt2", "--N", "5", "--out", str(out)])
         assert code == EXIT_ERROR and not out.exists()
         assert_one_line_error(capsys, "cannot write the report")
 
@@ -470,7 +471,7 @@ class TestExitCodes:
     def test_config_values_are_checked_too(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text('{"p": 0}')
-        code, data = run_cmd(tmp_path, ["--config", str(config), "invariance", "--f", "x1",
+        code, data = run_cmd(tmp_path, ["invariance", "--config", str(config), "--f", "x1",
                                         "--dim", "1", "--translate", "1", *FAST_GRID])
         assert code == EXIT_ERROR and data is None
         assert_one_line_error(capsys, "error: --p must be >= 1, got 0")
@@ -549,7 +550,7 @@ class TestExitCodes:
                                                              message):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
-        code, data = run_cmd(tmp_path, ["--config", str(path), "invariance", "--f", "x1",
+        code, data = run_cmd(tmp_path, ["invariance", "--config", str(path), "--f", "x1",
                                         "--translate", "1"])
         assert code == EXIT_ERROR and data is None
         err = assert_one_line_error(capsys, "error: " + message)
@@ -560,7 +561,7 @@ class TestExitCodes:
         ({"k_max": 12, "kmax": 12}, "kmax"),
     ], ids=["misspelt-and-foreign", "misspelt"])
     def test_unknown_config_key_is_a_usage_error(self, tmp_path, capsys, config, key):
-        code, data = run_cmd(tmp_path, ["--config", json.dumps(config), "classify", "--f", "eps*x1",
+        code, data = run_cmd(tmp_path, ["classify", "--config", json.dumps(config), "--f", "eps*x1",
                                         "--dim", "1"])
         assert code == EXIT_ERROR and data is None
         assert_one_line_error(capsys, f"error: unknown config key {key!r}")
@@ -568,7 +569,7 @@ class TestExitCodes:
     def test_config_key_the_subcommand_does_not_use_is_allowed(self, tmp_path):
         # one config file can serve several subcommands
         config = {"real_thetas": "0.5", "h_samples": "1", "k_max": 10}
-        code, data = run_cmd(tmp_path, ["--config", json.dumps(config), "classify", "--f", "eps*x1",
+        code, data = run_cmd(tmp_path, ["classify", "--config", json.dumps(config), "--f", "eps*x1",
                                         "--dim", "1"])
         assert code == EXIT_POSITIVE
         assert len(data["evidence"]["sups"]) == 7
@@ -599,6 +600,25 @@ class TestExitCodes:
         err = assert_one_line_error(capsys, f"evaluation error: {reason}")
         assert err.rstrip().endswith("x=(0.0,)")
 
+    @pytest.mark.parametrize(
+        "f, coords, reason",
+        [
+            ("x1*ln(x2)", '["0","x2-5"]', "ln of non-positive value; in 'ln(x2-5)'"),
+            ("x2/(x1-5)", '["x1+3.5","0"]', "division by zero; in '0/(x1+3.5-5)'"),
+            ("ln(x2)^0*x1", '["x1","x2-5"]', "ln of non-positive value; in 'ln(x2-5)'"),
+        ],
+        ids=["zero-times-ln", "zero-over-a-vanishing-divisor", "ln-to-the-zero"],
+    )
+    def test_substitution_keeps_a_subexpression_undefined_on_the_box(self, tmp_path, capsys, f,
+                                                                      coords, reason):
+        # f o g is undefined on the box: 0*x, 0/x and x^0 fold to a constant
+        # only where x is defined everywhere
+        element = '{"dimension":2,"coords":' + coords + "}"
+        code, data = run_cmd(tmp_path, ["invariance", "--f", f, "--dim", "2", "--box=1:2,1:2",
+                                        "--samples", "5", "--element", element])
+        assert code == EXIT_ERROR and data is None
+        assert_one_line_error(capsys, f"evaluation error: {reason}")
+
     def test_non_ascii_digit_is_a_positioned_parse_error(self, tmp_path, capsys):
         code, data = run_cmd(tmp_path, ["classify", "--f", "\u00b2", "--dim", "1"])
         assert code == EXIT_ERROR and data is None
@@ -608,7 +628,7 @@ class TestExitCodes:
         # a flag wins over the config, so the config's value is never used
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"p": "4"}))
-        code, _ = run_cmd(tmp_path, ["--config", str(path), "invariance", "--f", "x1",
+        code, _ = run_cmd(tmp_path, ["invariance", "--config", str(path), "--f", "x1",
                                      "--translate", "1", "--p", "2", *FAST_GRID])
         assert code == EXIT_NEGATIVE
 
@@ -670,7 +690,7 @@ class TestMoreCommands:
     def test_rotation_random_seeded(self, tmp_path, schema):
         code, data = run_cmd(
             tmp_path,
-            ["--seed", "3", "rotation", "--f", "exp(-(x1^2+x2^2))", "--dim", "2",
+            ["rotation", "--seed", "3", "--f", "exp(-(x1^2+x2^2))", "--dim", "2",
              "--random", "--box=-1:1,-1:1", "--p", "4", *FAST_GRID],
         )
         assert code == EXIT_POSITIVE
@@ -753,8 +773,8 @@ class TestConfigPrecedence:
         cfg.write_text(json.dumps({"k_max": 12, "max_order": 0}))
         out = tmp_path / "r.json"
         code = run(
-            ["--config", str(cfg), "--out", str(out),
-             "classify", "--f", "eps*sin(x1)", "--dim", "1", "--box=-1:1", "--k-max", "10"]
+            ["classify", "--config", str(cfg), "--out", str(out),
+             "--f", "eps*sin(x1)", "--dim", "1", "--box=-1:1", "--k-max", "10"]
         )
         assert code == EXIT_POSITIVE
         data = json.loads(out.read_text())
@@ -765,8 +785,8 @@ class TestConfigPrecedence:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"k_max": 12}))
         out = tmp_path / "r.json"
-        run(["--config", str(cfg), "--out", str(out),
-             "classify", "--f", "eps*sin(x1)", "--dim", "1", "--box=-1:1"])
+        run(["classify", "--config", str(cfg), "--out", str(out),
+             "--f", "eps*sin(x1)", "--dim", "1", "--box=-1:1"])
         data = json.loads(out.read_text())
         assert len(data["evidence"]["sups"]) == 9
 
@@ -774,7 +794,7 @@ class TestConfigPrecedence:
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):
         jobs = [
-            (["--seed", "7", "rotation", "--f", "exp(-(x1^2+x2^2))", "--dim", "2",
+            (["rotation", "--seed", "7", "--f", "exp(-(x1^2+x2^2))", "--dim", "2",
               "--random", "--box=-1:1,-1:1", "--p", "4", *FAST_GRID], "rot"),
             (["classify", "--f", "eps*sin(x1)", "--dim", "1", "--box=-1:1", *FAST_GRID], "cls"),
             (["dirichlet", "--alpha", "sqrt2", "--N", "100"], "dir"),
@@ -784,7 +804,7 @@ class TestDeterminism:
         for argv, name in jobs:
             out1 = tmp_path / f"{name}1.json"
             out2 = tmp_path / f"{name}2.json"
-            assert run(["--out", str(out1), *argv]) == run(["--out", str(out2), *argv])
+            assert run([*argv, "--out", str(out1)]) == run([*argv, "--out", str(out2)])
             assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -801,14 +821,14 @@ class TestEntryPoint:
                                  "--rotation", "1,2,1.5707963267948966", "--p", "1",
                                  *FAST_GRID], EXIT_NEGATIVE),
         # a warning line on stderr before the summary on stdout
-        "waived-warning": (["--no-strict", "invariance", "--f", "x1^2-x2^2", "--dim", "2",
+        "waived-warning": (["invariance", "--no-strict", "--f", "x1^2-x2^2", "--dim", "2",
                             "--boost", "1,2,1/eps", *FAST_GRID], EXIT_NEGATIVE),
         # a job that never imports numpy
         "corollary-pair": (["corollary-pair", "--alpha", "sqrt2", "--R", "1e6"], EXIT_POSITIVE),
         "usage-error": (["classify", "--dim", "1"], EXIT_ERROR),
         "evaluation-error": (["classify", "--f", "ln(x1)", "--dim", "1", *FAST_GRID], EXIT_ERROR),
     }
-    COROLLARY = ["--out", "report.json", "corollary-pair", "--alpha", "sqrt2", "--R", "1e6"]
+    COROLLARY = ["corollary-pair", "--alpha", "sqrt2", "--R", "1e6", "--out", "report.json"]
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
     def test_run_keeps_the_callers_gc_state(self, tmp_path, enabled):
@@ -817,7 +837,7 @@ class TestEntryPoint:
         (gc.enable if enabled else gc.disable)()
         try:
             for argv, code in self.JOBS.values():
-                assert run(["--out", str(tmp_path / "report.json"), *argv]) == code
+                assert run([*argv, "--out", str(tmp_path / "report.json")]) == code
                 assert gc.isenabled() is enabled
                 assert gc.get_freeze_count() == frozen
         finally:
@@ -826,7 +846,7 @@ class TestEntryPoint:
     @pytest.mark.parametrize("job", list(JOBS))
     def test_module_entry_point_matches_run(self, tmp_path, monkeypatch, capsys, job):
         argv, code = self.JOBS[job]
-        argv = ["--out", "report.json", *argv]
+        argv = [*argv, "--out", "report.json"]
         monkeypatch.chdir(tmp_path)
         # argparse wraps its usage line to the terminal width
         monkeypatch.setenv("COLUMNS", "80")
@@ -898,8 +918,8 @@ def _classify_or_invariance_argv(draw):
     argv = [command, f"--f={to_text(body)}", "--dim", str(d),
             "--samples", str(draw(st.integers(2, 5))),
             "--k-min", str(k_min), "--k-max", str(k_min + draw(st.integers(0, 6)))]
-    if draw(st.booleans()):
-        argv.insert(0, "--no-strict")
+    if draw(st.booleans()) and command == "invariance":
+        argv.insert(1, "--no-strict")
     if command == "classify":
         return argv + ["--max-order", str(draw(st.integers(0, 3))),
                        "--p-max", str(draw(st.integers(0, 8)))]
@@ -921,7 +941,7 @@ def test_fuzzed_cli_exits_cleanly_with_a_valid_report(argv):
         out = Path(work) / "report.json"
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
-            code = run(["--out", str(out), *argv])
+            code = run([*argv, "--out", str(out)])
         assert code in (EXIT_POSITIVE, EXIT_NEGATIVE, EXIT_ERROR)
         assert "Traceback" not in stderr.getvalue()
         if code == EXIT_ERROR:
@@ -952,9 +972,10 @@ def test_one_subcommand_parser_prints_what_the_full_parser_prints(name, monkeypa
     built = []
     build = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build(command))
-    # help, an unknown option (the subparser's usage), a bad global value
-    # (the top-level usage, which lists every subcommand) and a missing option
-    for argv in ([name, "-h"], ["--no-strict", name, "--bogus", "1"], ["--seed", "x", name], [name]):
+    # help, an unknown option (the top-level usage, which lists every
+    # subcommand), an option without its value (the subparser's usage) and a
+    # missing option
+    for argv in ([name, "-h"], [name, "--bogus", "1"], [name, "--out"], [name]):
         want = _parse(build(), argv)
         assert want[0] is not None and want[1] + want[2]
         out, err = io.StringIO(), io.StringIO()
@@ -968,18 +989,114 @@ def test_one_subcommand_parser_prints_what_the_full_parser_prints(name, monkeypa
 @pytest.mark.parametrize(
     "argv, name",
     [
-        (["--no-strict", "--seed=3", "--out", "r.json", "--config", "c.json", "classify", "-h"],
-         "classify"),
+        (["classify", "-h"], "classify"),
         (["two-period", "--f", "x1"], "two-period"),
         ([], None),
         (["-h"], None),
         (["--help", "classify"], None),
         (["bogus"], None),
-        (["--con", "c.json", "classify"], None),  # an abbreviation
-        (["--out", "-x", "classify"], None),  # a value that reads as an option
+        (["--out", "r.json", "classify"], None),  # an option before the subcommand
+        (["--no-strict", "invariance"], None),
         (["--", "classify"], None),
         (["--seed"], None),
     ],
 )
 def test_the_full_parser_reads_what_does_not_name_a_subcommand_plainly(argv, name):
     assert cli._named_subcommand(argv) == name
+
+
+# ---------------------------------------------------------------------------
+# each subcommand takes the options it reads, after its name
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dirichlet", "--alpha", "pi", "--N", "7", "--seed", "5"],
+         "unrecognized arguments: --seed 5"),
+        (["classify", "--f", "eps*x1", "--dim", "1", "--no-strict"],
+         "unrecognized arguments: --no-strict"),
+        (["decompose-so", "--matrix", "[[0,-1],[1,0]]", "--config", "c.json"],
+         "unrecognized arguments: --config c.json"),
+        # no abbreviations: --p is not read as classify's --p-max
+        (["classify", "--f", "eps*x1", "--dim", "1", "--p", "3"], "unrecognized arguments: --p 3"),
+        (["--no-strict", "invariance", "--f", "x1", "--dim", "1", "--translate", "1"],
+         "unrecognized arguments: --no-strict"),
+        (["--out", "r.json", "classify", "--f", "eps*x1"], "invalid choice: 'r.json'"),
+    ],
+    ids=["dirichlet-seed", "classify-no-strict", "decompose-so-config", "classify-abbreviation",
+         "option-before-invariance", "out-before-classify"],
+)
+def test_an_option_the_subcommand_does_not_take_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                                                   argv, message):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(argv) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and list(tmp_path.iterdir()) == []
+    # argparse's usage, then one error line
+    lines = err.splitlines()
+    assert lines[0].startswith("usage: epsnet ") and lines[-1].startswith("epsnet: error: ")
+    assert message in lines[-1] and sum("error:" in line for line in lines) == 1
+
+
+#: Jobs that take every branch of a subcommand's handler between them: one
+#: per exclusive input (--element/--rotation/--boost/--translate,
+#: --matrix/--matrix-net/--random).
+_SMALL = ["--k-min", "4", "--k-max", "6", "--samples", "3"]
+_ROTATION_NET = '[["cos(eps)","-sin(eps)"],["sin(eps)","cos(eps)"]]'
+_BOOST_NET = '[["cosh(eps)","sinh(eps)"],["sinh(eps)","cosh(eps)"]]'
+READ_JOBS = {
+    "classify": [["--f", "eps*x1", "--dim", "1", "--max-order", "1", *_SMALL]],
+    "invariance": [["--f", "x1^2+x2^2", "--dim", "2", option, value, *_SMALL]
+                   for option, value in (("--element", '{"coords":["x2","x1"]}'),
+                                         ("--rotation", "1,2,0.3"), ("--boost", "1,2,0.3"),
+                                         ("--translate", "1,0"))],
+    "one-param": [["--f", "x1^2+x2^2", "--dim", "2", "--kind", "rotation", "--i", "1", "--j", "2",
+                   "--gen-theta", "eps", *_SMALL]],
+    "rotation": [["--f", "x1^2+x2^2", "--dim", "2", *given, *_SMALL]
+                 for given in (["--matrix", "[[0,-1],[1,0]]"], ["--matrix-net", _ROTATION_NET],
+                               ["--random"])],
+    "lorentz": [["--f", "x1^2-x2^2", "--dim", "2", *given, *_SMALL]
+                for given in (["--matrix", "[[1.25,0.75],[0.75,1.25]]"],
+                              ["--matrix-net", _BOOST_NET], ["--random"])],
+    "decompose-so": [["--matrix", "[[0,-1],[1,0]]"]],
+    "decompose-lorentz": [["--matrix", "[[1.25,0.75],[0.75,1.25]]"]],
+    "dirichlet": [["--alpha", "sqrt2", "--N", "5"]],
+    "liouville": [["--alpha", "cbrt2"]],
+    "corollary-pair": [["--alpha", "phi", "--R", "4"]],
+    "two-period": [["--f", "3", "--alpha", "sqrt2", "--R", "6", "--p", "1", "--k-max", "8"]],
+    "translation": [["--f", "3", "--dim", "1", *_SMALL]],
+    "explore-open-question": [["--f", "2", "--alpha", "pi", "--R", "6", "--p", "1", "--k-max", "8"]],
+}
+
+
+def _recording(args, reads):
+    """``args`` as a namespace that adds the name of each option read from
+    it to ``reads``."""
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            if name in object.__getattribute__(self, "__dict__"):
+                reads.add(name)
+            return object.__getattribute__(self, name)
+
+    return Recording(**vars(args))
+
+
+def test_the_top_level_parser_takes_no_option():
+    assert [action.dest for action in cli.build_parser()._actions] == ["help", "command"]
+
+
+@pytest.mark.parametrize("name", list(cli._HANDLERS))
+def test_every_option_of_a_subcommand_is_read(name):
+    parser = cli.build_parser(name)
+    options = {action.dest for action in subparser(name)._actions} - {"help"}
+    # run reads --out; the config merge reads --config, which a subcommand
+    # takes when one of its options has a default
+    assert "out" in options
+    assert ("config" in options) == bool(options & cli.DEFAULTS.keys())
+    reads = set()
+    for argv in READ_JOBS[name]:
+        args = cli._apply_config(parser.parse_args([name, *argv]))
+        cli._HANDLERS[name](_recording(args, reads))
+    assert reads - {"command"} == options - {"out", "config"}

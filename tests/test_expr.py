@@ -326,13 +326,33 @@ def _check_fold(node, mapping, eps, point):
 _COORD = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, 1.0, 750.0, 1e200, -1e200]))
 
 
+def _check_defined_alike(e, mapping, eps, point):
+    """Substitute into ``e`` and each of its subtrees, leaving a variable
+    free: each result is undefined at the point exactly where its subtree
+    is, so no identity rule (``0*x``, ``x^0``) drops an undefined ``x``."""
+    stack, seen = [e], set()
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(ex._children(node))
+            undefined = _kernel_value(node, eps, point) is None
+            assert (_kernel_value(subst(node, mapping), eps, point) is None) == undefined, to_text(node)
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.integers(min_value=0, max_value=10**9), _COORD, _COORD, st.floats(1e-3, 4.0))
-def test_substituting_constants_folds_as_the_evaluator_evaluates(seed, x1, x2, eps):
+@given(st.integers(min_value=0, max_value=10**9), _COORD, _COORD, st.floats(1e-3, 4.0),
+       st.sampled_from((None, "x1", "x2", "eps")))
+def test_substituting_constants_folds_as_the_evaluator_evaluates(seed, x1, x2, eps, free):
     e = random_expr(random.Random(seed), 2, max_depth=4)
+    point = np.array([[x1, x2]])
     mapping = {"x1": Const(x1), "x2": Const(x2), "eps": Const(eps)}
-    out, _ = _check_fold(e, mapping, eps, np.array([[x1, x2]]))
-    to_text(out)
+    if free is None:
+        out, _ = _check_fold(e, mapping, eps, point)
+        to_text(out)
+    else:
+        del mapping[free]
+        _check_defined_alike(e, mapping, eps, point)
 
 
 def test_multi_index_validation():

@@ -106,7 +106,7 @@ JOBS = (
       "--gen-theta", "eps", *GRID)),
     # a boost by 1000 overflows on the box in both blocks, each waived
     ("one_param_waived_both_blocks", EXIT_NEGATIVE,
-     ("--no-strict", "one-param", "--f", "x1^2-x2^2", "--dim", "2", "--kind", "boost", "--i", "1",
+     ("one-param", "--no-strict", "--f", "x1^2-x2^2", "--dim", "2", "--kind", "boost", "--i", "1",
       "--j", "2", "--real-thetas", "1000,0.5", "--gen-theta", "1000", *GRID)),
     ("rotation_matrix", EXIT_POSITIVE,
      ("rotation", "--f", "exp(-(x1^2+x2^2+x3^2))", "--dim", "3",
@@ -142,7 +142,7 @@ def test_report_matches_its_golden_file(tmp_path, name, code, argv):
     out = tmp_path / "report.json"
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        assert run(["--out", str(out), *argv]) == code
+        assert run([*argv, "--out", str(out)]) == code
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
     assert err.getvalue() == STDERR.get(name, "")
 
@@ -156,7 +156,7 @@ def test_warnings_do_not_depend_on_pythonwarnings(tmp_path, setting):
     if setting is not None:
         env["PYTHONWARNINGS"] = setting
     out = tmp_path / "report.json"
-    proc = subprocess.run([sys.executable, "-m", "epsnet.cli", "--out", str(out), *argv], env=env,
+    proc = subprocess.run([sys.executable, "-m", "epsnet.cli", *argv, "--out", str(out)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (code, STDERR[name])
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()

@@ -5,7 +5,13 @@ Relabelling: permuting the coordinates of f together with the plane of a
 rotation or boost keeps every invariance field.  A rotation in the plane
 (i, j) by theta is the rotation in (j, i) by -theta, so a plane whose axes
 the permutation swaps takes -theta; a boost's matrix is symmetric in its
-plane and keeps theta."""
+plane and keeps theta.
+
+Negligible perturbation: f and f + eps^(1/eps) sin(x1) differ by a
+negligible net, so they are one generalized function (Grosser,
+Kunzinger, Oberguggenberger & Steinbauer, *Geometric Theory of Generalized
+Functions*, Kluwer 2001, section 1.2), and the perturbation keeps every
+invariance and moderateness verdict."""
 
 import itertools
 import random
@@ -14,7 +20,7 @@ import warnings
 import pytest
 
 from epsnet import expr as ex
-from epsnet.colombeau import CompactBox, EpsilonGrid, Net
+from epsnet.colombeau import CompactBox, EpsilonGrid, Net, classify
 from epsnet.groups import planar_flow
 from epsnet.verify import check_invariance
 from helpers import random_expr
@@ -62,3 +68,30 @@ def test_relabelling_coordinates_and_plane_keeps_the_verdict(seed):
         swapped = -theta if a > b and kind == "rotation" else theta
         got = _fields(relabelled, kind, min(a, b), max(a, b), swapped)
         assert got == _fields(f, kind, i, j, theta), (ex.to_text(body), kind, i, j, theta, perm)
+
+
+#: eps^(1/eps) sin(x1), written as the exp of a log: below 1e-19 on the grid
+NEGLIGIBLE = ex.parse("exp(ln(eps)/eps)*sin(x1)", 3)
+
+
+def _verdicts(f, kind, i, j, theta):
+    """The invariance and moderateness verdicts of f, or the type of the
+    error either raises."""
+    fields = _fields(f, kind, i, j, theta)
+    if isinstance(fields, type):
+        return fields
+    try:
+        rep = classify(f, BOX, max_order=1, grid=GRID)
+    except (ValueError, ArithmeticError) as err:
+        return fields[:2], type(err)
+    return fields[:2], (rep.moderate, rep.bounded)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_negligible_perturbation_keeps_the_verdict(seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        body, kind, i, j, theta, _ = _draw(rng)
+        perturbed = Net(ex.BinOp("+", body, NEGLIGIBLE), 3)
+        got = _verdicts(perturbed, kind, i, j, theta)
+        assert got == _verdicts(Net(body, 3), kind, i, j, theta), (ex.to_text(body), kind, i, j, theta)

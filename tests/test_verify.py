@@ -532,8 +532,8 @@ class TestTranslation:
         assert [h for h, _ in rep.hypothesis] == [(0.5, 0.5), (1.0, 1.0)]
         out = tmp_path / "report.json"
         with contextlib.redirect_stdout(io.StringIO()):
-            run(["--out", str(out), "translation", "--f", f, "--dim", dim, "--samples", "5",
-                 "--k-min", "4", "--k-max", "8", "--p", "1"])
+            run(["translation", "--f", f, "--dim", dim, "--samples", "5",
+                 "--k-min", "4", "--k-max", "8", "--p", "1", "--out", str(out)])
         assert json.loads(out.read_text())["evidence"] == json.loads(json.dumps(plain_json(rep)))
 
     def test_empty_hypothesis_is_rejected(self):
