@@ -968,11 +968,16 @@ def _d(e: Expr, v: str, memo: dict) -> Expr:
 
 
 def _d_node(e: Expr, v: str, memo: dict) -> Expr:
-    """d e / d v, given the derivative of each child of ``e`` in ``memo``."""
-    if isinstance(e, (Const, Var, Table)):
-        if isinstance(e, Table) and v == "eps":
-            raise ValueError("a tabulated scalar has no eps-derivative")
-        return Const(1.0 if isinstance(e, Var) and e.name == v else 0.0)
+    """d e / d v, given the derivative of each child of ``e`` in ``memo``.
+
+    A node that does not read v has derivative 0, and a term with a zero
+    factor is 0 (:func:`_d_mul`, :func:`_d_div`)."""
+    if not e.mask >> spatial_index(v) & 1:
+        return Const(0.0)
+    if isinstance(e, Var):
+        return Const(1.0)
+    if isinstance(e, Table):
+        raise ValueError("a tabulated scalar has no eps-derivative")
     if isinstance(e, Neg):
         return c_neg(memo[e.arg])
     if isinstance(e, BinOp):
@@ -983,24 +988,45 @@ def _d_node(e: Expr, v: str, memo: dict) -> Expr:
         if e.op == "-":
             return c_sub(da, db)
         if e.op == "*":
-            return c_add(c_mul(da, b), c_mul(a, db))
-        return c_div(c_sub(c_mul(da, b), c_mul(a, db)), c_intpow(b, 2))
+            return c_add(_d_mul(da, b), _d_mul(a, db))
+        return _d_div(c_sub(_d_mul(da, b), _d_mul(a, db)), c_intpow(b, 2))
     if isinstance(e, IntPow):
-        du = memo[e.base]
-        return c_mul(c_mul(Const(float(e.exponent)), c_intpow(e.base, e.exponent - 1)), du)
+        # base^0 is 1 here for every base, as _d_mul folds 0*x: the net reads base
+        power = Const(1.0) if e.exponent == 1 else c_intpow(e.base, e.exponent - 1)
+        return _d_mul(_d_mul(Const(float(e.exponent)), power), memo[e.base])
     return _CHAIN[e.fn](e.arg, memo[e.arg])
+
+
+def _is_zero(e: Expr) -> bool:
+    return isinstance(e, Const) and e.value == 0.0
+
+
+def _d_mul(a: Expr, b: Expr) -> Expr:
+    """``c_mul`` for a term of a derivative, which folds ``0*x`` to 0 for
+    every x.  The zero is a derivative that vanishes or a zero factor of the
+    net, so the term is 0 wherever the net is defined, and a derivative is
+    wanted only there."""
+    if (_is_zero(a) or _is_zero(b)) and not (isinstance(a, Const) and isinstance(b, Const)):
+        return Const(0.0)
+    return c_mul(a, b)
+
+
+def _d_div(a: Expr, b: Expr) -> Expr:
+    """``c_div`` for a derivative, which folds ``0/x`` to 0 for every
+    non-constant x, as :func:`_d_mul` folds ``0*x``."""
+    return Const(0.0) if _is_zero(a) and not isinstance(b, Const) else c_div(a, b)
 
 
 #: The chain rule of each function: d fn(u) from u and du.
 _CHAIN = {
-    "sin": lambda u, du: c_mul(c_call("cos", u), du),
-    "cos": lambda u, du: c_neg(c_mul(c_call("sin", u), du)),
-    "exp": lambda u, du: c_mul(c_call("exp", u), du),
-    "cosh": lambda u, du: c_mul(c_call("sinh", u), du),
-    "sinh": lambda u, du: c_mul(c_call("cosh", u), du),
-    "tanh": lambda u, du: c_mul(c_sub(Const(1.0), c_intpow(c_call("tanh", u), 2)), du),
-    "sqrt": lambda u, du: c_div(du, c_mul(Const(2.0), c_call("sqrt", u))),
-    "ln": lambda u, du: c_div(du, u),
+    "sin": lambda u, du: _d_mul(c_call("cos", u), du),
+    "cos": lambda u, du: c_neg(_d_mul(c_call("sin", u), du)),
+    "exp": lambda u, du: _d_mul(c_call("exp", u), du),
+    "cosh": lambda u, du: _d_mul(c_call("sinh", u), du),
+    "sinh": lambda u, du: _d_mul(c_call("cosh", u), du),
+    "tanh": lambda u, du: _d_mul(c_sub(Const(1.0), c_intpow(c_call("tanh", u), 2)), du),
+    "sqrt": lambda u, du: _d_div(du, c_mul(Const(2.0), c_call("sqrt", u))),
+    "ln": lambda u, du: _d_div(du, u),
 }
 
 

@@ -619,6 +619,22 @@ class TestExitCodes:
         assert code == EXIT_ERROR and data is None
         assert_one_line_error(capsys, f"evaluation error: {reason}")
 
+    def test_a_derivative_is_defined_where_the_net_is(self, tmp_path):
+        # d/dx1 x1*sqrt(1-16*eps) is sqrt(1-16*eps), defined at the grid
+        # point eps = 2^-4: the eps-only sqrt's chain rule gives 0, not
+        # 0/(2*sqrt(1-16*eps)), a division by zero there
+        code, data = run_cmd(tmp_path, ["classify", "--f", "x1*sqrt(1-16*eps)", "--dim", "1"])
+        assert code == EXIT_POSITIVE and data["evidence"]["moderate"]
+
+    def test_an_overflowing_term_that_does_not_vary_keeps_its_infinite_sups(self, tmp_path):
+        # d/dx1 exp(1/eps) is 0, not exp(1/eps)*(0/eps^2), which is inf*0 =
+        # NaN once exp(1/eps) overflows (eps <= 2^-10)
+        code, data = run_cmd(tmp_path, ["classify", "--f", "exp(1/eps)+0*x1", "--dim", "1",
+                                        "--max-order", "1"])
+        assert code == EXIT_POSITIVE and not data["evidence"]["moderate"]
+        sups = dict(data["evidence"]["sups"])
+        assert {s for eps, s in sups.items() if eps <= 2**-10} == {"inf"}
+
     def test_non_ascii_digit_is_a_positioned_parse_error(self, tmp_path, capsys):
         code, data = run_cmd(tmp_path, ["classify", "--f", "\u00b2", "--dim", "1"])
         assert code == EXIT_ERROR and data is None

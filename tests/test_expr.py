@@ -182,6 +182,49 @@ class TestPartial:
         # d/dx1 d2/dx2^2 of x1^2 x2^3 = 2 x1 * 6 x2 = 12 x1 x2
         assert evaluate(d, 0.5, (2.0, 3.0)) == pytest.approx(72.0, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "f, derivative",
+        [
+            ("exp(1/eps)", "0"),
+            ("x1*sqrt(1-16*eps)", "sqrt(1-16*eps)"),
+            ("eps*ln(x1)", "eps*(1/x1)"),
+            ("ln(eps)*sqrt(x1)", "ln(eps)*(1/(2*sqrt(x1)))"),
+            ("ln(x1)^1", "1/x1"),
+        ],
+    )
+    def test_a_term_that_does_not_vary_is_zero(self, f, derivative):
+        # no 0/(2*sqrt(1-16*eps)), exp(1/eps)*(0/eps^2), 0*ln(x1) or
+        # ln(x1)^0 is kept: each would be undefined, or NaN, where the
+        # derivative is not, or cost a node
+        assert partial(parse(f, 1), 1) is parse(derivative, 1)
+
+
+def _nodes(e):
+    stack, seen = [e], set()
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(ex._children(node))
+    return seen
+
+
+def _zero(e):
+    return isinstance(e, Const) and e.value == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.sampled_from(("x1", "x2", "eps")))
+def test_a_derivative_builds_no_term_with_a_zero_factor(seed, v):
+    # a zero factor of a derivative term is a vanishing derivative or a zero
+    # of the net, so the term is 0 wherever the net is defined
+    e = random_expr(random.Random(seed), 2, max_depth=5)
+    for node in _nodes(partial(e, v)) - _nodes(e):
+        if isinstance(node, BinOp) and not isinstance(node.right, Const):
+            assert not (_zero(node.left) and node.op in "*/"), to_text(node)
+        if isinstance(node, BinOp) and not isinstance(node.left, Const):
+            assert not (_zero(node.right) and node.op == "*"), to_text(node)
+
 
 def _filtered_sample(rng, d):
     """Draw (expr, eps, x) staying away from domain boundaries and blowups."""
